@@ -57,7 +57,7 @@ from .tangent import (
     tangent_frame,
     tangent_intersection,
 )
-from .variety import GraphVariety, NormalizedChart, ParamVariety, chart_graph_eval, normalize_at
+from .variety import GraphVariety, NormalizedChart, ParamVariety, normalize_at
 from .varfile import VarietyFile, parse_variety_file
 
 __version__ = "0.1.0"

@@ -51,6 +51,9 @@ from .variety import GraphVariety, NormalizedChart, normalize_at
 from .varfile import VarietyFile, parse_variety_file
 
 SUCCESS_VERDICTS = ("holds", "success")
+# step and tolerance of the finite-difference check of the differential of p
+FD_STEP = 1e-5
+FD_TOL = 1e-6
 
 
 # -- serialization -------------------------------------------------------------------
@@ -284,13 +287,18 @@ def cmd_dominance(args) -> int:
         attempted += 1
         try:
             closed = p_jacobian_closed(G, u)
-            fd = p_jacobian_fd(G, u)
+            fd = p_jacobian_fd(G, u, h=FD_STEP)
+            scale = max(1.0, float(np.abs(closed).max()))
+            err = float(np.abs(closed - fd).max()) / scale
+            if err > FD_TOL:
+                # cancel the O(h^2) truncation error of the central difference
+                # (Richardson): (4 D(h/2) - D(h)) / 3
+                fd = (4 * p_jacobian_fd(G, u, h=FD_STEP / 2) - fd) / 3
+                err = float(np.abs(closed - fd).max()) / scale
         except TansecError:
             continue
-        scale = max(1.0, float(np.abs(closed).max()))
-        err = float(np.abs(closed - fd).max()) / scale
         worst = max(worst, err)
-        if err <= 1e-6:
+        if err <= FD_TOL:
             agree += 1
     jac_check = {
         "samples": attempted,
@@ -348,6 +356,7 @@ def cmd_ramify(args) -> int:
                 "residuals": R.residuals,
                 "starts": R.starts,
                 "converged": R.converged,
+                "failed": R.failed,
             },
             "tangent_membership": {"verified": verified, "total": len(R)},
         },
@@ -384,6 +393,7 @@ def cmd_recover(args) -> int:
             "residuals": rt.ramification.residuals,
             "starts": rt.ramification.starts,
             "converged": rt.ramification.converged,
+            "failed": rt.ramification.failed,
         }
     if rt.recovered is not None and isinstance(G, NormalizedChart):
         checks["roundtrip"]["recovered_ambient"] = G.to_ambient_point(rt.recovered)
@@ -477,9 +487,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_center(argv: list[str]) -> list[str]:
+    """Fold '--center VALUE' into '--center=VALUE', because argparse reads a
+    separate value that starts with a minus, such as '-1/4,1', as an option."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--center" else None
+        out.append(token if value is None else f"--center={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_center(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (VarietyFileError, PolyParseError, ValueError, KeyError) as exc:

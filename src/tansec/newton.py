@@ -17,9 +17,7 @@ class NewtonConfig:
 
     The step is halved while the residual norm does not decrease, up to
     ``max_halvings`` times, after which the start is abandoned.  ``starts``,
-    ``box`` and ``dedup_radius`` only matter for multi-start root collection;
-    ``trust_radius`` is advisory for chart evaluation (the residual check is
-    the actual guard).
+    ``box`` and ``dedup_radius`` only matter for multi-start root collection.
     """
 
     max_iters: int = 50
@@ -30,7 +28,6 @@ class NewtonConfig:
     # double roots are found to ~sqrt(tol) only, so the dedup radius must sit
     # comfortably above that scale for them to collapse to one point
     dedup_radius: float = 1e-5
-    trust_radius: float | None = None
 
 
 @dataclass(frozen=True)

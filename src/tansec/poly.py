@@ -277,18 +277,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def eval_complex(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong length")
-        total = 0j
-        for exps, c in self.terms.items():
-            term = c.to_complex()
-            for v, e in zip(point, exps):
-                if e:
-                    term *= complex(v) ** e
-            total += term
-        return total
-
     def shift(self, offset: Sequence[ScalarLike]) -> "Polynomial":
         """Exact substitution u_i -> u_i + offset_i."""
         if len(offset) != self.num_vars:
@@ -494,9 +482,18 @@ class Jet2:
 
 
 class PolyMap:
-    """Ordered tuple of polynomials sharing a variable count: a map C^n -> C^m."""
+    """Ordered tuple of polynomials sharing a variable count: a map C^n -> C^m.
 
-    __slots__ = ("num_vars", "components", "_grad", "_hess")
+    Float evaluation runs on a compiled form built once, on first use: one
+    table of the distinct monomials of the components, their first partials
+    and their second partials, and one complex coefficient row per
+    polynomial, stacked as the m values, then the m*n first partials
+    (row-major), then the m*n(n+1)/2 second partials (pairs j <= k,
+    row-major).  A point is evaluated as a power table, a product over the
+    exponent table and one matrix-vector product.
+    """
+
+    __slots__ = ("num_vars", "components", "_grad", "_hess", "_table")
 
     def __init__(self, components: Iterable[Polynomial]):
         comps = tuple(components)
@@ -509,6 +506,7 @@ class PolyMap:
         self.components = comps
         self._grad = None
         self._hess = None
+        self._table = None
 
     @property
     def num_components(self) -> int:
@@ -529,30 +527,61 @@ class PolyMap:
             ]
         return self._grad, self._hess
 
+    def _compiled(self):
+        """(power-table index per monomial, coefficient rows, max degree,
+        pair indices j, k of the second partials)."""
+        if self._table is None:
+            grad, hess = self._derivatives()
+            n = self.num_vars
+            pairs = [(j, k) for j in range(n) for k in range(j, n)]
+            rows = [
+                *self.components,
+                *(g for row in grad for g in row),
+                *(h[pair] for h in hess for pair in pairs),
+            ]
+            column: dict[tuple, int] = {}
+            for p in rows:
+                for e in p.terms:
+                    column.setdefault(e, len(column))
+            coeffs = np.zeros((len(rows), len(column)), dtype=complex)
+            for r, p in enumerate(rows):
+                for e, c in p.terms.items():
+                    coeffs[r, column[e]] = c.to_complex()
+            exps = np.array(list(column), dtype=np.intp).reshape(len(column), n)
+            # entry [t, v] is the flat index of u_v^exps[t, v] in the power table
+            power_index = exps * n + np.arange(n)
+            j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+            self._table = (power_index, coeffs, int(exps.max(initial=0)), (j, k))
+        return self._table
+
+    def _eval_rows(self, u: Sequence[complex], rows: slice) -> np.ndarray:
+        """The compiled polynomials in ``rows`` evaluated at the point u."""
+        power_index, coeffs, degree, _ = self._compiled()
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (self.num_vars,):
+            raise ValueError("point has wrong length")
+        # powers[d, v] = u_v^d
+        powers = np.ones((degree + 1, self.num_vars), dtype=complex)
+        powers[1:] = u
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        return coeffs[rows] @ powers.take(power_index).prod(axis=1)
+
     def value_at(self, u: Sequence[complex]) -> np.ndarray:
-        return np.array([p.eval_complex(u) for p in self.components], dtype=complex)
+        return self._eval_rows(u, slice(0, self.num_components))
 
     def jacobian_at(self, u: Sequence[complex]) -> np.ndarray:
-        grad, _ = self._derivatives()
-        return np.array(
-            [[g.eval_complex(u) for g in row] for row in grad], dtype=complex
-        )
+        m, n = self.num_components, self.num_vars
+        return self._eval_rows(u, slice(m, m + m * n)).reshape(m, n)
 
     def jet2(self, u: Sequence[complex]) -> Jet2:
-        if len(u) != self.num_vars:
-            raise ValueError("point has wrong length")
-        grad, hess = self._derivatives()
         m, n = self.num_components, self.num_vars
-        value = self.value_at(u)
-        jac = np.array([[g.eval_complex(u) for g in row] for row in grad], dtype=complex)
-        H = np.empty((m, n, n), dtype=complex)
-        for i in range(m):
-            for j in range(n):
-                for k in range(j, n):
-                    v = hess[i][(j, k)].eval_complex(u)
-                    H[i, j, k] = v
-                    H[i, k, j] = v
-        return Jet2(value=value, jacobian=jac, hessian=H)
+        j, k = self._compiled()[3]
+        flat = self._eval_rows(u, slice(None))
+        second = flat[m + m * n :].reshape(m, len(j))
+        hessian = np.empty((m, n, n), dtype=complex)
+        hessian[:, j, k] = second
+        hessian[:, k, j] = second
+        return Jet2(value=flat[:m], jacobian=flat[m : m + m * n].reshape(m, n), hessian=hessian)
 
     def value_exact(self, point: Sequence[ScalarLike]) -> list[GaussianRational]:
         return [p.eval_exact(point) for p in self.components]

@@ -28,8 +28,8 @@ from .errors import (
     TansecError,
 )
 from .linalg import chordal_distance, numerical_rank
-from .newton import NewtonConfig, damped_newton
-from .poly import random_point
+from .newton import NewtonConfig, NewtonResult, damped_newton
+from .poly import Jet2, random_point
 from .tangent import Certificate, tan_is_full, tangent_frame, tangent_intersection
 from .errors import NonTransverseError
 
@@ -100,21 +100,27 @@ def project(P: Center, x, tol: float = 1e-9) -> np.ndarray:
 # -- ramification ------------------------------------------------------------------
 
 
+def _residual(jet: Jet2, p1, p2, u) -> np.ndarray:
+    return jet.value + jet.jacobian @ (p1 - u) - p2
+
+
+def _jacobian(jet: Jet2, p1, u) -> np.ndarray:
+    return np.einsum("ikl,k->il", jet.hessian, p1 - u)
+
+
 def ramification_residual(G, P: Center, u) -> np.ndarray:
     """g_P(u) = f(u) + f_u(u) (P1 - u) - P2; zero iff P lies in the tangent
     space at (u, f(u))."""
     u = np.asarray(u, dtype=complex)
     p1, p2 = P.affine()
-    jet = G.jet_at(u)
-    return jet.value + jet.jacobian @ (p1 - u) - p2
+    return _residual(G.jet_at(u), p1, p2, u)
 
 
 def ramification_jacobian(G, P: Center, u) -> np.ndarray:
     """dg_P(eta) = f_uu(u)[P1 - u, eta]; the first-order terms cancel."""
     u = np.asarray(u, dtype=complex)
     p1, _ = P.affine()
-    jet = G.jet_at(u)
-    return np.einsum("ikl,k->il", jet.hessian, p1 - u)
+    return _jacobian(G.jet_at(u), p1, u)
 
 
 @dataclass
@@ -122,13 +128,16 @@ class RamificationSet:
     """Converged, deduplicated solutions of g_P = 0 plus solver statistics.
 
     An empty ``points`` list is the no-solutions verdict, not an exception;
-    ``starts``/``converged`` expose how hard the solver tried.
+    ``starts``/``converged`` expose how hard the solver tried, and ``failed``
+    counts the starts abandoned because evaluation raised (a chart-backed
+    jet outside its region), so converged + failed <= starts.
     """
 
     points: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     starts: int = 0
     converged: int = 0
+    failed: int = 0
 
     def __len__(self) -> int:
         return len(self.points)
@@ -148,38 +157,53 @@ def ramification_points(
     Starts are complex because the locus generally contains non-real points.
     Converged points are sorted lexicographically by (real, imaginary) parts
     before deduplication, so the output does not depend on completion order.
+    Newton asks for the residual and then the Jacobian at the same point, so
+    the last jet is kept and each point is evaluated once.
     """
     cfg = cfg or NewtonConfig()
     rng = rng or random.Random(0)
     n = G.n
-    p1, _ = P.affine()
+    p1, p2 = P.affine()
+    last: list = [None, None]  # [point, jet at that point]
+
+    def jet(u):
+        if last[0] is None or not np.array_equal(last[0], u):
+            last[:] = [u.copy(), G.jet_at(u)]
+        return last[1]
 
     def g(u):
-        return ramification_residual(G, P, u)
+        return _residual(jet(u), p1, p2, u)
 
     def dg(u):
-        return ramification_jacobian(G, P, u)
+        return _jacobian(jet(u), p1, u)
 
     candidates = []
     converged = 0
+    failed = 0
     for _ in range(cfg.starts):
         start = p1 + random_point(n, cfg.box, rng)
         try:
             result = damped_newton(g, dg, start, cfg)
         except TansecError:
             # chart-backed jets can fail outside their region; abandon the start
+            failed += 1
             continue
         if result.converged and result.residual <= cfg.tol:
-            candidates.append(result.point)
+            candidates.append(result)
             converged += 1
 
-    candidates.sort(key=lambda u: tuple((z.real, z.imag) for z in u))
-    reps: list[np.ndarray] = []
+    candidates.sort(key=lambda c: tuple((z.real, z.imag) for z in c.point))
+    reps: list[NewtonResult] = []
     for c in candidates:
-        if all(np.linalg.norm(c - r) > cfg.dedup_radius for r in reps):
+        if all(np.linalg.norm(c.point - r.point) > cfg.dedup_radius for r in reps):
             reps.append(c)
-    residuals = [float(np.linalg.norm(g(r))) for r in reps]
-    return RamificationSet(points=reps, residuals=residuals, starts=cfg.starts, converged=converged)
+    return RamificationSet(
+        points=[r.point for r in reps],
+        residuals=[r.residual for r in reps],
+        starts=cfg.starts,
+        converged=converged,
+        failed=failed,
+    )
 
 
 def tangent_membership(G, P: Center, u, tol: float | None = None) -> bool:

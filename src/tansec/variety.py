@@ -264,7 +264,3 @@ def normalize_at(V: ParamVariety, u0) -> NormalizedChart:
     if residual > 1e-10 * max(1.0, np.linalg.norm(A) * np.linalg.norm(J)):
         raise RankDeficientJacobianError("chart construction is ill-conditioned")
     return NormalizedChart(psi, u0, A, M)
-
-
-def chart_graph_eval(chart: NormalizedChart, v, cfg: NewtonConfig | None = None) -> np.ndarray:
-    return chart.graph_eval(v, cfg)

@@ -95,6 +95,27 @@ def test_bad_center_exits_2(capsys):
     assert code == 2
 
 
+def test_center_starting_with_minus_in_either_form(tmp_path):
+    # argparse alone reads a separate '-1/4,1' as an option and exits 2
+    code1, separate = machine(tmp_path, "ramify", "--example", "conic", "--center", "-1/4,1", name="a.json")
+    code2, joined = machine(tmp_path, "ramify", "--example", "conic", "--center=-1/4,1", name="b.json")
+    assert code1 == code2 == 0
+    assert separate == joined
+
+
+@pytest.mark.parametrize("command", ["ramify", "recover"])
+def test_ramification_block_counts_failed_starts(tmp_path, capsys, command):
+    # the ramification points of this center lie where the chart of
+    # w -> (w + w^2, w^2) cannot invert (see test_ramification_counts_abandoned_starts)
+    f = tmp_path / "bent.var"
+    f.write_text("n = 1\nkind = param\nf1 = u1 + u1^2\nf2 = u1^2\n")
+    code, out, _ = run(capsys, command, str(f), "--center", "1/2,1", "--starts", "8", "--format", "machine")
+    assert code == 1
+    ram = json.loads(out)["checks"]["ramification"]
+    assert ram["failed"] > 0
+    assert ram["converged"] + ram["failed"] <= ram["starts"] == 8
+
+
 def test_recover_conic_center(capsys):
     code, out, _ = run(capsys, "recover", "--example", "conic", "--center", "3,5", "--format", "machine")
     assert code == 0
@@ -138,6 +159,22 @@ def test_dominance_command(capsys):
     assert report["checks"]["jacobian_agreement"]["max_relative_error"] <= 1e-6
     code, _, _ = run(capsys, "dominance", "--example", "cylinder", "--trials", "40")
     assert code == 1
+
+
+def test_dominance_cross_check_on_cubic_graph(tmp_path, capsys):
+    # with the plain central difference alone, one of these ten samples
+    # disagrees with the closed form by 2.7e-6 and the verdict is "fails"
+    f = tmp_path / "cubic.var"
+    f.write_text(
+        "n = 2\nkind = graph\n"
+        "f1 = 1/2*u1^2*u2 + 2/3*u1^2 + u1*u2 + 3/2*u2^2\n"
+        "f2 = 1/2*u1^3 + u2^3 - 2/3*u1^2 - 3/2*u1*u2 - 4*u2^2\n"
+    )
+    code, out, _ = run(capsys, "dominance", str(f), "--seed", "12", "--trials", "10", "--format", "machine")
+    assert code == 0
+    check = json.loads(out)["checks"]["jacobian_agreement"]
+    assert check["verdict"] == "holds" and check["agreeing"] == 10
+    assert check["max_relative_error"] <= 1e-6
 
 
 # -- determinism -------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_polynomial
+from helpers import random_gaussian, random_polynomial
 from tansec.errors import PolyParseError
 from tansec.poly import (
     GaussianRational,
@@ -195,8 +195,68 @@ def test_jet2_matches_central_differences():
 
 def test_jet2_rejects_wrong_dimension():
     F = parse_map(["u1^2"], 1)
-    with pytest.raises(ValueError):
-        F.jet2([1.0, 2.0])
+    for method in (F.jet2, F.value_at, F.jacobian_at):
+        with pytest.raises(ValueError):
+            method([1.0, 2.0])
+
+
+def exact_jet(F: PolyMap, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, Jacobian and Hessian of F at the rational point x, evaluated
+    exactly term by term and only then cast to complex."""
+    n = F.num_vars
+
+    def at(p: Polynomial) -> complex:
+        return p.eval_exact(x).to_complex()
+
+    value = np.array([at(p) for p in F.components])
+    jac = np.array([[at(p.partial(k)) for k in range(n)] for p in F.components]).reshape(-1, n)
+    hess = np.array(
+        [[[at(p.partial(j).partial(k)) for k in range(n)] for j in range(n)] for p in F.components]
+    ).reshape(-1, n, n)
+    return value, jac, hess
+
+
+def random_cubic(rng: random.Random, n: int, terms: int = 12) -> Polynomial:
+    """Random polynomial of total degree at most 3 with Gaussian coefficients."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = random_gaussian(rng, imag_prob=0.5)
+    return Polynomial(n, out)
+
+
+def assert_close(got: np.ndarray, exact: np.ndarray) -> None:
+    assert got.shape == exact.shape
+    scale = max(1.0, float(np.abs(exact).max(initial=0.0)))
+    assert float(np.abs(got - exact).max(initial=0.0)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        # complex coefficients, n = 1
+        parse_map(["(1/2 + 3*i)*u1^3 - i*u1 + 7/3", "u1^2"], 1),
+        # constant and zero components
+        parse_map(["3/4 - 2*i", "0", "u1*u2^2 - i*u2"], 2),
+        # a cubic map at n = 8
+        PolyMap([random_cubic(random.Random(40 + i), 8) for i in range(8)]),
+    ],
+    ids=["complex-n1", "constant-and-zero", "cubic-n8"],
+)
+def test_compiled_evaluation_matches_exact(F):
+    rng = random.Random(3)
+    n = F.num_vars
+    for _ in range(4):
+        x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        u = np.array([complex(xi) for xi in x])
+        value, jac, hess = exact_jet(F, x)
+        jet = F.jet2(u)
+        for got, exact in ((jet.value, value), (jet.jacobian, jac), (jet.hessian, hess)):
+            assert_close(got, exact)
+        assert_close(F.value_at(u), value)
+        assert_close(F.jacobian_at(u), jac)
 
 
 # -- symbolic determinant ---------------------------------------------------------

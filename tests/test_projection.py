@@ -8,9 +8,11 @@ from tansec.errors import (
     CenterHitError,
     InsufficientPointsError,
     NoConsensusError,
+    TansecError,
 )
 from tansec.linalg import chordal_distance
-from tansec.newton import NewtonConfig
+from tansec import projection
+from tansec.newton import NewtonConfig, damped_newton
 from tansec.poly import parse_map, random_point
 from tansec.projection import (
     Center,
@@ -23,7 +25,7 @@ from tansec.projection import (
     roundtrip,
     tangent_membership,
 )
-from tansec.variety import GraphVariety
+from tansec.variety import GraphVariety, ParamVariety, normalize_at
 
 
 def graph(exprs, n):
@@ -193,6 +195,64 @@ def test_ramification_no_solutions_is_a_verdict():
     assert not R.found
     assert len(R) == 0
     assert R.starts == 8 and R.converged == 0
+
+
+class CountingJets:
+    """Delegates to a graph or chart and records every point its jet is
+    evaluated at, and how many evaluations raised."""
+
+    def __init__(self, G):
+        self.G = G
+        self.n = G.n
+        self.points: list[bytes] = []
+        self.raised = 0
+
+    def jet_at(self, u):
+        self.points.append(np.asarray(u, dtype=complex).tobytes())
+        try:
+            return self.G.jet_at(u)
+        except TansecError:
+            self.raised += 1
+            raise
+
+
+@pytest.mark.parametrize(
+    "G,center",
+    [
+        (MIXED, Center.from_affine([0.4, -0.3], [-0.5, 0.7])),
+        (graph(["u1^2 + u1^3"], 1), Center.from_affine([0.3], [0.8])),
+    ],
+)
+def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
+    # split the recorded points by Newton start: different starts may end on
+    # the same root, but within one start no point is evaluated twice
+    counting = CountingJets(G)
+    starts: list[int] = []
+
+    def newton(*args):
+        starts.append(len(counting.points))
+        return damped_newton(*args)
+
+    monkeypatch.setattr(projection, "damped_newton", newton)
+    R = ramification_points(counting, center, NewtonConfig(starts=16), random.Random(6))
+    assert R.converged > 0 and len(starts) == 16
+    for lo, hi in zip(starts, starts[1:] + [len(counting.points)]):
+        run = counting.points[lo:hi]
+        assert len(run) == len(set(run)) > 0
+
+
+def test_ramification_counts_abandoned_starts():
+    # the chart of w -> (w + w^2, w^2) at 0 inverts v = w + w^2 by Newton
+    # from w = v, which cannot converge for real v < -1/4 (both preimages are
+    # complex); both ramification points of this center lie over v = -1, so
+    # every start fails as its iterates close in on them
+    chart = normalize_at(ParamVariety(parse_map(["u1 + u1^2", "u1^2"], 1)), [0.0])
+    P = Center(chart.to_chart_point(np.array([1.0, 0.5, 1.0])), 1)
+    counting = CountingJets(chart)
+    R = ramification_points(counting, P, NewtonConfig(starts=8), random.Random(0))
+    assert R.failed > 0
+    assert R.failed == counting.raised
+    assert R.converged + R.failed <= R.starts
 
 
 def test_ramification_deterministic_given_seed():

@@ -4,7 +4,7 @@ import pytest
 from tansec.errors import NewtonDivergedError, RankDeficientJacobianError
 from tansec.newton import NewtonConfig
 from tansec.poly import parse_map
-from tansec.variety import GraphVariety, NormalizedChart, ParamVariety, chart_graph_eval, normalize_at
+from tansec.variety import GraphVariety, NormalizedChart, ParamVariety, normalize_at
 
 
 def graph(exprs, n):
@@ -156,10 +156,10 @@ def test_newton_divergence_is_reported_not_silent():
     chart = normalize_at(V, [0.0])
     tight = NewtonConfig(max_iters=1, tol=1e-12)
     with pytest.raises(NewtonDivergedError):
-        chart_graph_eval(chart, [0.7], tight)
+        chart.graph_eval([0.7], tight)
     # with the default budget the same evaluation converges and is accurate:
     # w + w^3 = v at v=0.7 via the closed-form residual check
-    val = chart_graph_eval(chart, [0.7])
+    val = chart.graph_eval([0.7])
     w = np.roots([1, 0, 1, -0.7])
     w_real = [z for z in w if abs(z.imag) < 1e-9][0]
     assert np.allclose(val, [w_real**2], atol=1e-9)
