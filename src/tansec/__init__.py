@@ -6,7 +6,6 @@ ramification locus."""
 from .errors import (
     CenterHitError,
     DegenerateInputError,
-    HypothesisNotMetError,
     InsufficientPointsError,
     NewtonDivergedError,
     NoConsensusError,

@@ -7,6 +7,19 @@ registry.  Every randomized command prints its effective seed, and identical
 (input, flags, seed) produce byte-identical machine-readable reports; timing
 appears only in the human-readable output for that reason.
 
+``COMMANDS`` declares each subcommand's options and their defaults; those are
+the only tuning flags the subcommand accepts, and the report's ``options``
+block records exactly them (plus ``chart_base_point`` for parametrized
+inputs):
+
+    tan-check, secant-dim   --trials 100
+    dominance               --trials 100  --box 0.1
+    ramify                  --center      --starts 64  --box 3.0  --tol 1e-12
+    recover                 --center      --starts 64  --box 3.0  --tol 1e-12  --trials 100
+
+Every subcommand but ``examples`` also takes a variety file or ``--example``,
+and ``--seed``, ``--format`` and ``--out``.
+
 Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
 (including no-consensus and unmet hypotheses), 2 on input errors.
 """
@@ -14,6 +27,7 @@ Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -31,12 +45,12 @@ from .newton import NewtonConfig
 from .poly import GaussianRational, random_point, random_rational_point
 from .projection import (
     Center,
+    RamificationSet,
     ramification_points,
     roundtrip,
     tangent_membership,
 )
 from .tangent import (
-    Certificate,
     HOLDS,
     dominance_certificate,
     hessian_contraction,
@@ -61,16 +75,13 @@ FD_TOL = 1e-6
 
 def to_jsonable(obj):
     """Reduce report payloads to JSON types; complex numbers become
-    [real, imag] pairs and exact scalars become strings."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    [real, imag] pairs, exact scalars become strings and dataclasses
+    become dicts of their fields."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, GaussianRational):
+    if isinstance(obj, (Fraction, GaussianRational)):
         return str(obj)
     if isinstance(obj, np.integer):
         return int(obj)
@@ -80,17 +91,8 @@ def to_jsonable(obj):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
         return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, Certificate):
-        return {
-            "verdict": obj.verdict,
-            "method": obj.method,
-            "trials": obj.trials,
-            "successes": obj.successes,
-            "tolerance": obj.tolerance,
-            "witness": to_jsonable(obj.witness),
-            "error_bound": obj.error_bound,
-            "details": to_jsonable(obj.details),
-        }
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -127,10 +129,12 @@ def render_human(report: dict, elapsed: float) -> str:
 
 
 def load_variety_file(args) -> VarietyFile:
-    if getattr(args, "example", None):
+    if args.example and args.file:
+        raise ValueError(f"give a variety file or --example, not both ({args.file}, {args.example})")
+    if args.example:
         return registry.get(args.example)
-    if not getattr(args, "file", None):
-        raise VarietyFileError("provide a variety file or --example NAME", 1)
+    if not args.file:
+        raise ValueError("provide a variety file or --example NAME")
     return parse_variety_file(Path(args.file).read_text())
 
 
@@ -176,6 +180,14 @@ def parse_center(text: str, n: int) -> Center:
     )
 
 
+def chart_center(G, text: str) -> Center:
+    """The ``--center`` value in the coordinates G works in."""
+    center = parse_center(text, G.n)
+    if isinstance(G, NormalizedChart):
+        center = Center(G.to_chart_point(center.proj), G.n)
+    return center
+
+
 def input_block(vf: VarietyFile) -> dict:
     return {
         "name": vf.name,
@@ -186,25 +198,7 @@ def input_block(vf: VarietyFile) -> dict:
     }
 
 
-def emit(report: dict, args, started: float) -> int:
-    elapsed = time.perf_counter() - started
-    if getattr(args, "out", None):
-        Path(args.out).write_bytes(machine_bytes(report))
-    if getattr(args, "format", "human") == "machine":
-        sys.stdout.write(machine_bytes(report).decode())
-    else:
-        sys.stdout.write(render_human(report, elapsed))
-    return 0 if report["verdict"] in SUCCESS_VERDICTS else 1
-
-
-# -- commands ------------------------------------------------------------------------
-
-
-def cmd_examples(args) -> int:
-    for vf in registry.BUILTINS:
-        comps = ", ".join(vf.exprs)
-        sys.stdout.write(f"{vf.name:17s} n={vf.n} {vf.kind:5s} [{comps}]  {vf.description}\n")
-    return 0
+# -- commands: (G, args) -> (checks, verdict) ----------------------------------------
 
 
 def _bundle_cross_check(G, trials: int, rng: random.Random) -> dict:
@@ -229,62 +223,26 @@ def _bundle_cross_check(G, trials: int, rng: random.Random) -> dict:
     }
 
 
-def cmd_tan_check(args) -> int:
-    started = time.perf_counter()
-    vf = load_variety_file(args)
-    G, base = build_geometry(vf, args.seed)
+def tan_check(G, args):
     target = G.normalized_at_origin() if isinstance(G, GraphVariety) else G
     cert = tan_is_full(target, trials=args.trials, rng=random.Random(args.seed))
     cross = _bundle_cross_check(target, args.trials, random.Random(args.seed + 1))
     verdict = cert.verdict if cross["verdict"] == HOLDS else "fails"
-    report = {
-        "command": "tan-check",
-        "input": input_block(vf),
-        "seed": args.seed,
-        "options": {"trials": args.trials},
-        "checks": {"tangent_fullness": cert, "bundle_rank_cross_check": cross},
-        "verdict": verdict,
-    }
-    if base is not None:
-        report["options"]["chart_base_point"] = to_jsonable(base)
-    return emit(report, args, started)
+    return {"tangent_fullness": cert, "bundle_rank_cross_check": cross}, verdict
 
 
-def cmd_secant_dim(args) -> int:
-    started = time.perf_counter()
-    vf = load_variety_file(args)
-    G, base = build_geometry(vf, args.seed)
+def secant_dim(G, args):
     estimate, cert = secant_dim_estimate(G, trials=args.trials, rng=random.Random(args.seed))
-    report = {
-        "command": "secant-dim",
-        "input": input_block(vf),
-        "seed": args.seed,
-        "options": {"trials": args.trials},
-        "checks": {"secant_dimension": {"estimate": estimate, "certificate": cert}},
-        "verdict": cert.verdict,
-    }
-    if base is not None:
-        report["options"]["chart_base_point"] = to_jsonable(base)
-    return emit(report, args, started)
+    return {"secant_dimension": {"estimate": estimate, "certificate": cert}}, cert.verdict
 
 
-def cmd_dominance(args) -> int:
-    started = time.perf_counter()
-    vf = load_variety_file(args)
-    G, base = build_geometry(vf, args.seed)
-    if isinstance(G, GraphVariety):
-        G = G.normalized_at_origin()
-    box = args.box if args.box is not None else 0.1
-    cert = dominance_certificate(G, trials=args.trials, rng=random.Random(args.seed), box=box)
-
-    # independent validation of the closed-form differential
-    rng = random.Random(args.seed + 1)
-    agree = 0
-    attempted = 0
+def _jacobian_agreement(G, trials: int, box: float, rng: random.Random) -> dict:
+    """Independent validation of the closed-form differential of p by finite
+    differences; samples where evaluation raises are counted, not compared."""
+    agree = failures = 0
     worst = 0.0
-    while attempted < args.trials:
+    for _ in range(trials):
         u = random_point(G.n, box, rng)
-        attempted += 1
         try:
             closed = p_jacobian_closed(G, u)
             fd = p_jacobian_fd(G, u, h=FD_STEP)
@@ -296,87 +254,53 @@ def cmd_dominance(args) -> int:
                 fd = (4 * p_jacobian_fd(G, u, h=FD_STEP / 2) - fd) / 3
                 err = float(np.abs(closed - fd).max()) / scale
         except TansecError:
+            failures += 1
             continue
         worst = max(worst, err)
         if err <= FD_TOL:
             agree += 1
-    jac_check = {
-        "samples": attempted,
+    check = {
+        "samples": trials,
         "agreeing": agree,
         "max_relative_error": worst,
-        "verdict": HOLDS if attempted > 0 and agree >= int(np.ceil(0.95 * attempted)) else "fails",
+        "verdict": HOLDS if agree >= int(np.ceil(0.95 * trials)) else "fails",
     }
+    if failures:
+        check["evaluation_failures"] = failures
+    return check
+
+
+def dominance(G, args):
+    if isinstance(G, GraphVariety):
+        G = G.normalized_at_origin()
+    cert = dominance_certificate(G, trials=args.trials, rng=random.Random(args.seed), box=args.box)
+    jac_check = _jacobian_agreement(G, args.trials, args.box, random.Random(args.seed + 1))
     both = cert.holds and jac_check["verdict"] == HOLDS
-    report = {
-        "command": "dominance",
-        "input": input_block(vf),
-        "seed": args.seed,
-        "options": {"trials": args.trials, "box": box},
-        "checks": {"dominance": cert, "jacobian_agreement": jac_check},
-        "verdict": cert.verdict if not cert.holds else (HOLDS if both else "fails"),
-    }
-    if base is not None:
-        report["options"]["chart_base_point"] = to_jsonable(base)
-    return emit(report, args, started)
+    verdict = cert.verdict if not cert.holds else (HOLDS if both else "fails")
+    return {"dominance": cert, "jacobian_agreement": jac_check}, verdict
 
 
-def _newton_config(args) -> NewtonConfig:
-    return NewtonConfig(
-        tol=args.tol if args.tol is not None else 1e-12,
-        starts=args.starts,
-        box=args.box if args.box is not None else 3.0,
-    )
+def _ramification_block(R: RamificationSet) -> dict:
+    return {"count": len(R), **to_jsonable(R)}
 
 
-def cmd_ramify(args) -> int:
-    started = time.perf_counter()
-    vf = load_variety_file(args)
-    G, base = build_geometry(vf, args.seed)
-    center = parse_center(args.center, vf.n)
-    if isinstance(G, NormalizedChart):
-        center = Center(G.to_chart_point(center.proj), G.n)
-    cfg = _newton_config(args)
+def ramify(G, args):
+    center = chart_center(G, args.center)
+    cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
     R = ramification_points(G, center, cfg, rng=random.Random(args.seed))
     verified = sum(1 for u in R.points if tangent_membership(G, center, u))
     verdict = "success" if R.found and verified == len(R) else ("no_solutions" if not R.found else "fails")
-    report = {
-        "command": "ramify",
-        "input": input_block(vf),
-        "seed": args.seed,
-        "options": {
-            "center": args.center,
-            "starts": cfg.starts,
-            "box": cfg.box,
-            "tol": cfg.tol,
-        },
-        "checks": {
-            "ramification": {
-                "count": len(R),
-                "points": R.points,
-                "residuals": R.residuals,
-                "starts": R.starts,
-                "converged": R.converged,
-                "failed": R.failed,
-            },
-            "tangent_membership": {"verified": verified, "total": len(R)},
-        },
-        "verdict": verdict,
+    checks = {
+        "ramification": _ramification_block(R),
+        "tangent_membership": {"verified": verified, "total": len(R)},
     }
-    if base is not None:
-        report["options"]["chart_base_point"] = to_jsonable(base)
-    return emit(report, args, started)
+    return checks, verdict
 
 
-def cmd_recover(args) -> int:
-    started = time.perf_counter()
-    vf = load_variety_file(args)
-    G, base = build_geometry(vf, args.seed)
-    center = parse_center(args.center, vf.n)
-    chart_center = center
-    if isinstance(G, NormalizedChart):
-        chart_center = Center(G.to_chart_point(center.proj), G.n)
-    cfg = _newton_config(args)
-    rt = roundtrip(G, chart_center, cfg, rng=random.Random(args.seed), trials=args.trials)
+def recover(G, args):
+    center = chart_center(G, args.center)
+    cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
+    rt = roundtrip(G, center, cfg, rng=random.Random(args.seed), trials=args.trials)
     checks = {
         "tangent_fullness": rt.fullness,
         "roundtrip": {
@@ -387,33 +311,60 @@ def cmd_recover(args) -> int:
         },
     }
     if rt.ramification is not None:
-        checks["ramification"] = {
-            "count": len(rt.ramification),
-            "points": rt.ramification.points,
-            "residuals": rt.ramification.residuals,
-            "starts": rt.ramification.starts,
-            "converged": rt.ramification.converged,
-            "failed": rt.ramification.failed,
-        }
+        checks["ramification"] = _ramification_block(rt.ramification)
     if rt.recovered is not None and isinstance(G, NormalizedChart):
         checks["roundtrip"]["recovered_ambient"] = G.to_ambient_point(rt.recovered)
+    return checks, rt.status
+
+
+# the root finder's options, shared by ramify and recover
+_NEWTON = NewtonConfig()
+_ROOTS = {"center": None, "starts": _NEWTON.starts, "box": _NEWTON.box, "tol": _NEWTON.tol}
+
+# subcommand -> (checks, help, {option: default}), None marking a required
+# option; the options are the subcommand's only tuning flags and the keys of
+# its report's options block
+COMMANDS = {
+    "tan-check": (tan_check, "fullness of the tangent variety (exact where possible)", {"trials": 100}),
+    "secant-dim": (secant_dim, "estimate the secant variety dimension", {"trials": 100}),
+    "dominance": (dominance, "certify dominance of the tangent-intersection map", {"trials": 100, "box": 0.1}),
+    "ramify": (ramify, "compute the ramification locus of a projection", _ROOTS),
+    "recover": (recover, "recover a projection center from its ramification locus", {**_ROOTS, "trials": 100}),
+}
+
+
+def run_command(args) -> int:
+    """Load the input, run the subcommand's checks, and emit the report."""
+    started = time.perf_counter()
+    checks_of, _, options = COMMANDS[args.subcommand]
+    vf = load_variety_file(args)
+    G, base = build_geometry(vf, args.seed)
+    checks, verdict = checks_of(G, args)
     report = {
-        "command": "recover",
+        "command": args.subcommand,
         "input": input_block(vf),
         "seed": args.seed,
-        "options": {
-            "center": args.center,
-            "starts": cfg.starts,
-            "box": cfg.box,
-            "tol": cfg.tol,
-            "trials": args.trials,
-        },
+        "options": {name: getattr(args, name) for name in options},
         "checks": checks,
-        "verdict": rt.status,
+        "verdict": verdict,
     }
     if base is not None:
         report["options"]["chart_base_point"] = to_jsonable(base)
-    return emit(report, args, started)
+    elapsed = time.perf_counter() - started
+    if args.out:
+        Path(args.out).write_bytes(machine_bytes(report))
+    if args.format == "machine":
+        sys.stdout.write(machine_bytes(report).decode())
+    else:
+        sys.stdout.write(render_human(report, elapsed))
+    return 0 if verdict in SUCCESS_VERDICTS else 1
+
+
+def list_examples() -> int:
+    for vf in registry.BUILTINS:
+        comps = ", ".join(vf.exprs)
+        sys.stdout.write(f"{vf.name:17s} n={vf.n} {vf.kind:5s} [{comps}]  {vf.description}\n")
+    return 0
 
 
 # -- argument parsing -----------------------------------------------------------------
@@ -433,24 +384,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_io_options(sp, needs_center: bool = False):
-    sp.add_argument("file", nargs="?", help="variety definition file")
-    sp.add_argument("--example", help="use a built-in example instead of a file")
-    sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sp.add_argument("--trials", type=_positive_int, default=100, help="sample count (default 100)")
-    sp.add_argument("--tol", type=_positive_float, default=None, help="residual tolerance override")
-    sp.add_argument("--box", type=_positive_float, default=None, help="sampling box radius override")
-    sp.add_argument("--starts", type=_positive_int, default=64, help="Newton starts (default 64)")
-    sp.add_argument("--out", help="also write the machine-readable report to this path")
-    sp.add_argument(
-        "--format", choices=("human", "machine"), default="human", help="stdout format"
-    )
-    if needs_center:
-        sp.add_argument(
-            "--center",
-            required=True,
-            help="projection center: 2n affine rationals 'a,b,...' or 2n+1 projective 'x0:x1:...'",
-        )
+# option -> (argparse type, help)
+OPTION_FLAGS = {
+    "center": (
+        str,
+        "projection center: 2n affine rationals 'a,b,...' or 2n+1 projective 'x0:x1:...'",
+    ),
+    "trials": (_positive_int, "sample count"),
+    "starts": (_positive_int, "Newton starts"),
+    "box": (_positive_float, "sampling box radius"),
+    "tol": (_positive_float, "Newton residual tolerance"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,30 +404,21 @@ def build_parser() -> argparse.ArgumentParser:
         "projection-center recovery for explicitly parametrized varieties",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("examples", help="list the built-in example varieties")
-    sp.set_defaults(func=cmd_examples)
-
-    sp = sub.add_parser("tan-check", help="fullness of the tangent variety (exact where possible)")
-    _add_io_options(sp)
-    sp.set_defaults(func=cmd_tan_check)
-
-    sp = sub.add_parser("secant-dim", help="estimate the secant variety dimension")
-    _add_io_options(sp)
-    sp.set_defaults(func=cmd_secant_dim)
-
-    sp = sub.add_parser("dominance", help="certify dominance of the tangent-intersection map")
-    _add_io_options(sp)
-    sp.set_defaults(func=cmd_dominance)
-
-    sp = sub.add_parser("ramify", help="compute the ramification locus of a projection")
-    _add_io_options(sp, needs_center=True)
-    sp.set_defaults(func=cmd_ramify)
-
-    sp = sub.add_parser("recover", help="recover a projection center from its ramification locus")
-    _add_io_options(sp, needs_center=True)
-    sp.set_defaults(func=cmd_recover)
-
+    sub.add_parser("examples", help="list the built-in example varieties")
+    for name, (_, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("file", nargs="?", help="variety definition file")
+        sp.add_argument("--example", help="use a built-in example instead of a file")
+        sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        for option, default in options.items():
+            kind, text = OPTION_FLAGS[option]
+            required = default is None
+            text = text if required else f"{text} (default {default})"
+            sp.add_argument(f"--{option}", type=kind, default=default, required=required, help=text)
+        sp.add_argument("--out", help="also write the machine-readable report to this path")
+        sp.add_argument(
+            "--format", choices=("human", "machine"), default="human", help="stdout format"
+        )
     return parser
 
 
@@ -502,7 +437,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_center(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        return list_examples() if args.subcommand == "examples" else run_command(args)
     except (VarietyFileError, PolyParseError, ValueError, KeyError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         sys.stderr.write(f"error: {msg}\n")

@@ -73,8 +73,3 @@ class InsufficientPointsError(TansecError):
 
 class NoConsensusError(TansecError):
     """Pairwise tangent intersections do not agree on a dominant cluster."""
-
-
-class HypothesisNotMetError(TansecError):
-    """The tangent variety does not fill the ambient space, so recovery
-    claims do not apply."""

@@ -87,6 +87,58 @@ def test_nonpositive_option_values_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_exactly_one_input_or_exit_2(capsys):
+    # the file need not exist: naming two inputs is rejected before either is read
+    code, out, err = run(capsys, "tan-check", "/tmp/none.var", "--example", "conic")
+    assert code == 2
+    assert out == ""
+    assert "/tmp/none.var" in err and "conic" in err
+    code, out, err = run(capsys, "tan-check")
+    assert code == 2
+    assert out == "" and err == "error: provide a variety file or --example NAME\n"
+
+
+# -- option contract ---------------------------------------------------------------------
+
+# each command's tuning flags; the report's options block holds exactly these
+DECLARED = {
+    "tan-check": {"trials"},
+    "secant-dim": {"trials"},
+    "dominance": {"trials", "box"},
+    "ramify": {"center", "starts", "box", "tol"},
+    "recover": {"center", "starts", "box", "tol", "trials"},
+}
+FLAG_VALUES = {"trials": "5", "box": "2", "tol": "1e-10", "starts": "5"}
+
+
+def _input_args(command, source):
+    center = ["--center", "3,5"] if "center" in DECLARED[command] else []
+    return [*source, *center]
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
+def test_undeclared_flags_exit_2(capsys, command):
+    for flag in sorted(set(FLAG_VALUES) - DECLARED[command]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_input_args(command, ["--example", "conic"]), f"--{flag}", FLAG_VALUES[flag]])
+        assert exc.value.code == 2, flag
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
+def test_options_block_is_the_declared_flags(tmp_path, capsys, command):
+    param = tmp_path / "scaled.var"
+    param.write_text("n = 1\nkind = param\nf1 = 2*u1\nf2 = u1^2\n")
+    for source, extra in ((["--example", "conic"], set()), ([str(param)], {"chart_base_point"})):
+        flags = [f"--{f}={FLAG_VALUES[f]}" for f in sorted(DECLARED[command] - {"center"})]
+        argv = [command, *_input_args(command, source), *flags, "--format", "machine"]
+        _, out, _ = run(capsys, *argv)
+        options = json.loads(out)["options"]
+        assert set(options) == DECLARED[command] | extra
+        for flag in DECLARED[command] - {"center"}:
+            assert options[flag] == json.loads(FLAG_VALUES[flag])
+
+
 def test_bad_center_exits_2(capsys):
     code, _, err = run(capsys, "ramify", "--example", "conic", "--center", "1,2,3,4")
     assert code == 2
@@ -161,6 +213,19 @@ def test_dominance_command(capsys):
     assert code == 1
 
 
+def test_dominance_cross_check_counts_evaluation_failures(capsys):
+    # the cylinder's graph-map Jacobian is singular everywhere, so every
+    # finite-difference sample raises; the check must say so rather than
+    # report a clean zero error
+    code, out, _ = run(capsys, "dominance", "--example", "cylinder", "--trials", "20", "--format", "machine")
+    assert code == 1
+    check = json.loads(out)["checks"]["jacobian_agreement"]
+    assert check["samples"] == check["evaluation_failures"] == 20
+    assert check["agreeing"] == 0 and check["verdict"] == "fails"
+    code, out, _ = run(capsys, "dominance", "--example", "mixed-surface", "--trials", "20", "--format", "machine")
+    assert "evaluation_failures" not in json.loads(out)["checks"]["jacobian_agreement"]
+
+
 def test_dominance_cross_check_on_cubic_graph(tmp_path, capsys):
     # with the plain central difference alone, one of these ten samples
     # disagrees with the closed form by 2.7e-6 and the verdict is "fails"
@@ -198,6 +263,59 @@ def test_machine_reports_are_byte_identical_given_seed(tmp_path, argv):
     report = json.loads(first)
     assert report["seed"] == 7
     assert "elapsed" not in first.decode()
+
+
+GOLDEN_TAN_CHECK_QUADRIC_PAIR = """\
+{
+  "checks": {
+    "bundle_rank_cross_check": {
+      "matches": 100,
+      "trials": 100,
+      "verdict": "holds"
+    },
+    "tangent_fullness": {
+      "details": {
+        "determinant": "4*u1*u2",
+        "determinant_at_witness": "4"
+      },
+      "error_bound": null,
+      "method": "exact_symbolic",
+      "successes": 1,
+      "tolerance": null,
+      "trials": 1,
+      "verdict": "holds",
+      "witness": [
+        "1",
+        "1"
+      ]
+    }
+  },
+  "command": "tan-check",
+  "input": {
+    "components": [
+      "u1^2",
+      "u2^2"
+    ],
+    "digest": "891445e521767e42b9fcdd8847983bfbc26c570e23a5145010d990126e431b20",
+    "kind": "graph",
+    "n": 2,
+    "name": "quadric-pair"
+  },
+  "options": {
+    "trials": 100
+  },
+  "seed": 7,
+  "verdict": "holds"
+}
+"""
+
+
+def test_exact_machine_report_matches_golden(tmp_path):
+    # exact Gaussian-rational output with no floats, so it is the same on
+    # every platform; pins the certificate serialization and the options block
+    code, report = machine(tmp_path, "tan-check", "--example", "quadric-pair", "--seed", "7")
+    assert code == 0
+    assert report.decode() == GOLDEN_TAN_CHECK_QUADRIC_PAIR
 
 
 def test_machine_report_records_input_digest(tmp_path, capsys):
