@@ -40,9 +40,8 @@ import numpy as np
 
 from . import registry
 from .errors import PolyParseError, RankDeficientJacobianError, TansecError, VarietyFileError
-from .linalg import exact_rank, numerical_rank
 from .newton import NewtonConfig
-from .poly import GaussianRational, random_point, random_rational_point
+from .poly import GaussianRational, random_rational_point
 from .projection import (
     Center,
     RamificationSet,
@@ -51,23 +50,18 @@ from .projection import (
     tangent_membership,
 )
 from .tangent import (
+    FAILS,
     HOLDS,
+    bundle_rank_cross_check,
     dominance_certificate,
-    hessian_contraction,
-    hessian_contraction_exact,
-    p_jacobian_closed,
-    p_jacobian_fd,
+    jacobian_agreement,
     secant_dim_estimate,
     tan_is_full,
-    tangent_bundle_rank_check,
 )
 from .variety import GraphVariety, NormalizedChart, normalize_at
 from .varfile import VarietyFile, parse_variety_file
 
 SUCCESS_VERDICTS = ("holds", "success")
-# step and tolerance of the finite-difference check of the differential of p
-FD_STEP = 1e-5
-FD_TOL = 1e-6
 
 
 # -- serialization -------------------------------------------------------------------
@@ -201,33 +195,11 @@ def input_block(vf: VarietyFile) -> dict:
 # -- commands: (G, args) -> (checks, verdict) ----------------------------------------
 
 
-def _bundle_cross_check(G, trials: int, rng: random.Random) -> dict:
-    """rank [[E,E],[H(xi),0]] must equal n + rank H(xi) on every sample."""
-    n = G.n
-    matches = 0
-    for _ in range(trials):
-        if isinstance(G, GraphVariety):
-            xi = random_rational_point(n, 100, rng)
-            block_rank = tangent_bundle_rank_check(G, xi).rank
-            h_rank = exact_rank(hessian_contraction_exact(G.hessian0_exact(), xi))
-        else:
-            xi = random_point(n, 1.0, rng)
-            block_rank = tangent_bundle_rank_check(G, xi).rank
-            h_rank = numerical_rank(hessian_contraction(G.hessian0(), xi)).rank
-        if block_rank == n + h_rank:
-            matches += 1
-    return {
-        "trials": trials,
-        "matches": matches,
-        "verdict": HOLDS if matches == trials else "fails",
-    }
-
-
 def tan_check(G, args):
     target = G.normalized_at_origin() if isinstance(G, GraphVariety) else G
     cert = tan_is_full(target, trials=args.trials, rng=random.Random(args.seed))
-    cross = _bundle_cross_check(target, args.trials, random.Random(args.seed + 1))
-    verdict = cert.verdict if cross["verdict"] == HOLDS else "fails"
+    cross = bundle_rank_cross_check(target, args.trials, random.Random(args.seed + 1))
+    verdict = cert.verdict if cross["verdict"] == HOLDS else FAILS
     return {"tangent_fullness": cert, "bundle_rank_cross_check": cross}, verdict
 
 
@@ -236,47 +208,12 @@ def secant_dim(G, args):
     return {"secant_dimension": {"estimate": estimate, "certificate": cert}}, cert.verdict
 
 
-def _jacobian_agreement(G, trials: int, box: float, rng: random.Random) -> dict:
-    """Independent validation of the closed-form differential of p by finite
-    differences; samples where evaluation raises are counted, not compared."""
-    agree = failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        u = random_point(G.n, box, rng)
-        try:
-            closed = p_jacobian_closed(G, u)
-            fd = p_jacobian_fd(G, u, h=FD_STEP)
-            scale = max(1.0, float(np.abs(closed).max()))
-            err = float(np.abs(closed - fd).max()) / scale
-            if err > FD_TOL:
-                # cancel the O(h^2) truncation error of the central difference
-                # (Richardson): (4 D(h/2) - D(h)) / 3
-                fd = (4 * p_jacobian_fd(G, u, h=FD_STEP / 2) - fd) / 3
-                err = float(np.abs(closed - fd).max()) / scale
-        except TansecError:
-            failures += 1
-            continue
-        worst = max(worst, err)
-        if err <= FD_TOL:
-            agree += 1
-    check = {
-        "samples": trials,
-        "agreeing": agree,
-        "max_relative_error": worst,
-        "verdict": HOLDS if agree >= int(np.ceil(0.95 * trials)) else "fails",
-    }
-    if failures:
-        check["evaluation_failures"] = failures
-    return check
-
-
 def dominance(G, args):
     if isinstance(G, GraphVariety):
         G = G.normalized_at_origin()
     cert = dominance_certificate(G, trials=args.trials, rng=random.Random(args.seed), box=args.box)
-    jac_check = _jacobian_agreement(G, args.trials, args.box, random.Random(args.seed + 1))
-    both = cert.holds and jac_check["verdict"] == HOLDS
-    verdict = cert.verdict if not cert.holds else (HOLDS if both else "fails")
+    jac_check = jacobian_agreement(G, args.trials, args.box, random.Random(args.seed + 1))
+    verdict = cert.verdict if not cert.holds else jac_check["verdict"]
     return {"dominance": cert, "jacobian_agreement": jac_check}, verdict
 
 

@@ -4,7 +4,7 @@ Float path: complex numpy arrays, SVD-backed rank/nullspace/solve.  Rank
 tolerances are relative to the largest singular value because projective data
 has no natural scale.
 
-Exact path: Gaussian elimination with full pivoting over Gaussian rationals,
+Exact path: Gaussian elimination with row swaps over Gaussian rationals,
 used to cross-check the float path and to make the symbolic fullness tests
 deterministic.
 """
@@ -12,7 +12,6 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -39,20 +38,25 @@ class RankResult:
 # -- float path ----------------------------------------------------------------
 
 
-def numerical_rank(A, tol: float | None = None, eps: float = RANK_EPS) -> RankResult:
+def _svd_rank(s: np.ndarray, shape) -> tuple[int, float]:
+    """Count of the singular values s (descending) above the relative
+    threshold RANK_EPS * s_max * max(shape), and that threshold."""
+    tol = RANK_EPS * float(s[0]) * max(shape) if s.size else 0.0
+    return int(np.sum(s > tol)), tol
+
+
+def numerical_rank(A) -> RankResult:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
     if A.size == 0:
         return RankResult(0, (), 0.0)
     s = np.linalg.svd(A, compute_uv=False)
-    if tol is None:
-        tol = eps * float(s[0]) * max(A.shape)
-    rank = int(np.sum(s > tol))
-    return RankResult(rank, tuple(float(x) for x in s), float(tol))
+    rank, tol = _svd_rank(s, A.shape)
+    return RankResult(rank, tuple(float(x) for x in s), tol)
 
 
-def solve(A, b, eps: float = RANK_EPS):
+def solve(A, b):
     """Solve A x = b for square A via SVD.
 
     Raises SingularMatrixError when the smallest singular value falls below
@@ -65,7 +69,7 @@ def solve(A, b, eps: float = RANK_EPS):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     u, s, vh = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0 or s[-1] <= eps * s[0] * max(A.shape):
+    if s.size == 0 or _svd_rank(s, A.shape)[0] < s.size:
         raise SingularMatrixError("numerically singular matrix")
     vector_rhs = b.ndim == 1
     rhs = b[:, None] if vector_rhs else b
@@ -77,31 +81,25 @@ def solve(A, b, eps: float = RANK_EPS):
     return x[:, 0] if vector_rhs else x
 
 
-def nullspace(A, tol: float | None = None, eps: float = RANK_EPS) -> np.ndarray:
+def nullspace(A) -> np.ndarray:
     """Orthonormal columns spanning ker(A); shape (n, n - rank)."""
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         return np.eye(A.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(A, full_matrices=True)
-    if tol is None:
-        tol = eps * float(s[0]) * max(A.shape) if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T
+    return vh[_svd_rank(s, A.shape)[0] :].conj().T
 
 
-def orthonormal_rows(A, tol: float | None = None, eps: float = RANK_EPS) -> np.ndarray:
+def orthonormal_rows(A) -> np.ndarray:
     """Orthonormal rows spanning the row space of A; shape (rank, d)."""
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         return np.zeros((0, A.shape[1] if A.ndim == 2 else 0), dtype=complex)
     u, s, vh = np.linalg.svd(A)
-    if tol is None:
-        tol = eps * float(s[0]) * max(A.shape) if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    return vh[:rank]
+    return vh[: _svd_rank(s, A.shape)[0]]
 
 
-def subspace_intersection(A, B, tol: float | None = None) -> np.ndarray:
+def subspace_intersection(A, B) -> np.ndarray:
     """Orthonormal rows spanning (row span of A) ∩ (row span of B).
 
     Computed from the nullspace of the stacked system [A^T | -B^T]: a kernel
@@ -113,14 +111,14 @@ def subspace_intersection(A, B, tol: float | None = None) -> np.ndarray:
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("row-span matrices must share the column count")
     a, b = A.shape[0], B.shape[0]
-    if numerical_rank(A, tol).rank < a or numerical_rank(B, tol).rank < b:
+    if numerical_rank(A).rank < a or numerical_rank(B).rank < b:
         raise DegenerateInputError("input rows are not linearly independent")
     stacked = np.hstack([A.T, -B.T])
-    kernel = nullspace(stacked, tol)
+    kernel = nullspace(stacked)
     if kernel.shape[1] == 0:
         return np.zeros((0, A.shape[1]), dtype=complex)
     vectors = (A.T @ kernel[:a, :]).T
-    return orthonormal_rows(vectors, tol)
+    return orthonormal_rows(vectors)
 
 
 def chordal_distance(x, y) -> float:
@@ -153,53 +151,43 @@ def to_exact_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
 
 
 def _eliminate(rows: ExactMatrix, rhs: list[GaussianRational] | None):
-    """Full-pivot elimination; returns (rank, sign, echelon, rhs', col_order)."""
+    """Row echelon form by elimination with row swaps only: exact arithmetic
+    needs only a nonzero pivot, so each column's pivot is its first nonzero
+    entry at or below the current row.  Returns (pivot columns, sign of the
+    row permutation, echelon, rhs')."""
     a = [row[:] for row in rows]
     b = rhs[:] if rhs is not None else None
     m = len(a)
     n = len(a[0]) if m else 0
-    col_order = list(range(n))
     sign = 1
-    rank = 0
-    for k in range(min(m, n)):
-        best = None
-        best_mag = Fraction(0)
-        for i in range(k, m):
-            for j in range(k, n):
-                mag = a[i][j].l1()
-                if mag > best_mag:
-                    best, best_mag = (i, j), mag
-        if best is None:
-            break
-        bi, bj = best
-        if bi != k:
-            a[k], a[bi] = a[bi], a[k]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, m) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
             if b is not None:
-                b[k], b[bi] = b[bi], b[k]
+                b[r], b[p] = b[p], b[r]
             sign = -sign
-        if bj != k:
-            for row in a:
-                row[k], row[bj] = row[bj], row[k]
-            col_order[k], col_order[bj] = col_order[bj], col_order[k]
-            sign = -sign
-        pivot = a[k][k]
-        rank += 1
-        for i in range(k + 1, m):
-            if a[i][k]:
-                f = a[i][k] / pivot
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
+        pivot = a[r][col]
+        for i in range(r + 1, m):
+            if a[i][col]:
+                f = a[i][col] / pivot
+                for j in range(col, n):
+                    a[i][j] = a[i][j] - f * a[r][j]
                 if b is not None:
-                    b[i] = b[i] - f * b[k]
-    return rank, sign, a, b, col_order
+                    b[i] = b[i] - f * b[r]
+        pivots.append(col)
+    return pivots, sign, a, b
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
     mat = to_exact_matrix(rows)
     if not mat or not mat[0]:
         return 0
-    rank, _, _, _, _ = _eliminate(mat, None)
-    return rank
+    return len(_eliminate(mat, None)[0])
 
 
 def exact_rank_result(rows: Sequence[Sequence]) -> RankResult:
@@ -207,9 +195,9 @@ def exact_rank_result(rows: Sequence[Sequence]) -> RankResult:
     mat = to_exact_matrix(rows)
     if not mat or not mat[0]:
         return RankResult(0, (), 0.0)
-    rank, _, echelon, _, _ = _eliminate(mat, None)
-    pivots = sorted((float(echelon[k][k].l1()) for k in range(rank)), reverse=True)
-    return RankResult(rank, tuple(pivots), 0.0)
+    pivots, _, echelon, _ = _eliminate(mat, None)
+    mags = sorted((float(echelon[r][c].l1()) for r, c in enumerate(pivots)), reverse=True)
+    return RankResult(len(pivots), tuple(mags), 0.0)
 
 
 def exact_det(rows: Sequence[Sequence]) -> GaussianRational:
@@ -219,8 +207,8 @@ def exact_det(rows: Sequence[Sequence]) -> GaussianRational:
         raise ValueError("matrix must be square")
     if n == 0:
         return GaussianRational(1)
-    rank, sign, echelon, _, _ = _eliminate(mat, None)
-    if rank < n:
+    pivots, sign, echelon, _ = _eliminate(mat, None)
+    if len(pivots) < n:
         return GaussianRational(0)
     det = GaussianRational(sign)
     for k in range(n):
@@ -234,16 +222,13 @@ def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list[GaussianRationa
     if any(len(row) != n for row in mat) or len(rhs) != n:
         raise ValueError("need a square system")
     b = [GaussianRational.coerce(x) for x in rhs]
-    rank, _, a, b2, col_order = _eliminate(mat, b)
-    if rank < n:
+    pivots, _, a, b = _eliminate(mat, b)
+    if len(pivots) < n:
         raise SingularMatrixError("exactly singular matrix")
-    x_perm = [GaussianRational(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = b2[k]
-        for j in range(k + 1, n):
-            acc = acc - a[k][j] * x_perm[j]
-        x_perm[k] = acc / a[k][k]
     x = [GaussianRational(0)] * n
-    for k in range(n):
-        x[col_order[k]] = x_perm[k]
+    for k in range(n - 1, -1, -1):
+        acc = b[k]
+        for j in range(k + 1, n):
+            acc = acc - a[k][j] * x[j]
+        x[k] = acc / a[k][k]
     return x

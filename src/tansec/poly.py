@@ -583,9 +583,6 @@ class PolyMap:
         hessian[:, k, j] = second
         return Jet2(value=flat[:m], jacobian=flat[m : m + m * n].reshape(m, n), hessian=hessian)
 
-    def value_exact(self, point: Sequence[ScalarLike]) -> list[GaussianRational]:
-        return [p.eval_exact(point) for p in self.components]
-
     def jacobian_exact(self, point: Sequence[ScalarLike]) -> list[list[GaussianRational]]:
         grad, _ = self._derivatives()
         return [[g.eval_exact(point) for g in row] for row in grad]

@@ -79,7 +79,7 @@ class Center:
         return f"Center({self.proj.tolist()!r})"
 
 
-def project(P: Center, x, tol: float = 1e-9) -> np.ndarray:
+def project(P: Center, x) -> np.ndarray:
     """Image of a projective point under the linear projection from P.
 
     The projection is the fixed surjection C^(2n+1) -> C^(2n) that deletes
@@ -92,7 +92,7 @@ def project(P: Center, x, tol: float = 1e-9) -> np.ndarray:
     k = int(np.argmax(np.abs(P.proj)))
     q = P.proj / P.proj[k]
     y = x - x[k] * q
-    if np.linalg.norm(y) <= tol * np.linalg.norm(x):
+    if np.linalg.norm(y) <= 1e-9 * np.linalg.norm(x):
         raise CenterHitError("point coincides with the projection center")
     return np.delete(y, k)
 
@@ -206,18 +206,18 @@ def ramification_points(
     )
 
 
-def tangent_membership(G, P: Center, u, tol: float | None = None) -> bool:
+def tangent_membership(G, P: Center, u) -> bool:
     """Check that P lies in the tangent space at (u, f(u)): appending P to
     the tangent frame must not raise the rank."""
     frame = tangent_frame(G, u)
     stacked = np.vstack([frame.matrix, P.proj[None, :]])
-    return numerical_rank(stacked, tol).rank == G.n + 1
+    return numerical_rank(stacked).rank == G.n + 1
 
 
 # -- recovery ----------------------------------------------------------------------
 
 
-def recover_center(G, R: RamificationSet, tol: float = CONSENSUS_RADIUS):
+def recover_center(G, R: RamificationSet):
     """Recover the projection center from its ramification locus.
 
     Every transverse pair of tangent frames at points of R is intersected;
@@ -242,7 +242,7 @@ def recover_center(G, R: RamificationSet, tol: float = CONSENSUS_RADIUS):
     clusters: list[list[int]] = []
     for idx, pt in enumerate(pair_points):
         for cluster in clusters:
-            if chordal_distance(pt, pair_points[cluster[0]]) <= tol:
+            if chordal_distance(pt, pair_points[cluster[0]]) <= CONSENSUS_RADIUS:
                 cluster.append(idx)
                 break
         else:
@@ -291,7 +291,6 @@ def roundtrip(
     cfg: NewtonConfig | None = None,
     rng: random.Random | None = None,
     trials: int = 100,
-    tol: float = RECOVERY_TOL,
 ) -> RoundtripReport:
     """Chordal distance between P and the center recovered from its own
     ramification locus.
@@ -311,7 +310,7 @@ def roundtrip(
         return RoundtripReport(status="no_consensus", fullness=fullness, ramification=ram)
     distance = chordal_distance(recovered, P.proj)
     return RoundtripReport(
-        status="success" if distance <= tol else "failed",
+        status="success" if distance <= RECOVERY_TOL else "failed",
         fullness=fullness,
         ramification=ram,
         recovered=recovered,

@@ -32,6 +32,7 @@ from .linalg import (
     RANK_EPS,
     RankResult,
     exact_det,
+    exact_rank,
     exact_rank_result,
     numerical_rank,
     solve,
@@ -56,6 +57,9 @@ FLOAT_SAMPLING = "float_sampling"
 
 # fraction of trials that must succeed before a sampled claim is certified
 SUCCESS_FRACTION = 0.95
+# step and tolerance of the finite-difference check of the differential of p
+FD_STEP = 1e-5
+FD_TOL = 1e-6
 
 
 @dataclass
@@ -83,8 +87,13 @@ class Certificate:
         return self.verdict == HOLDS
 
 
+def _meets_success_fraction(successes: int, trials: int) -> bool:
+    """The 95% rule: successes >= ceil(SUCCESS_FRACTION * trials) > 0."""
+    return trials > 0 and successes >= math.ceil(SUCCESS_FRACTION * trials)
+
+
 def _sampled_verdict(successes: int, trials: int) -> str:
-    if trials > 0 and successes >= math.ceil(SUCCESS_FRACTION * trials):
+    if _meets_success_fraction(successes, trials):
         return HOLDS
     if successes == 0:
         return FAILS
@@ -129,7 +138,7 @@ def tangent_frame(G, u) -> TangentFrame:
     return TangentFrame(point=u, matrix=M)
 
 
-def tangent_intersection(F1: TangentFrame, F2: TangentFrame, tol: float | None = None) -> np.ndarray:
+def tangent_intersection(F1: TangentFrame, F2: TangentFrame) -> np.ndarray:
     """The unique projective point where two tangent spans meet.
 
     Normalized so the largest-modulus coordinate is 1.  Raises NonTransverse
@@ -137,7 +146,7 @@ def tangent_intersection(F1: TangentFrame, F2: TangentFrame, tol: float | None =
     the caller resamples, since single-point intersections are only promised
     for generic pairs.
     """
-    X = subspace_intersection(F1.matrix, F2.matrix, tol)
+    X = subspace_intersection(F1.matrix, F2.matrix)
     if X.shape[0] != 1:
         raise NonTransverseError(X.shape[0])
     x = X[0]
@@ -285,6 +294,23 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None, max_symb
     )
 
 
+def _bundle_ranks(G, xi) -> tuple[RankResult, int]:
+    """Ranks of the block matrix [[E_n, E_n], [H(xi), 0]] and of H(xi), from
+    one contraction H(xi): exact for a graph at an exact point, float
+    otherwise."""
+    require_normalized(G)
+    n = G.n
+    exact_point = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
+    if isinstance(G, GraphVariety) and exact_point:
+        H = hessian_contraction_exact(G.hessian0_exact(), xi)
+        block_rank, h_rank = exact_rank_result, exact_rank(H)
+    else:
+        H = hessian_contraction(G.hessian0(), np.asarray(xi, dtype=complex)).tolist()
+        block_rank, h_rank = numerical_rank, numerical_rank(H).rank
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return block_rank([row + row for row in eye] + [row + [0] * n for row in H]), h_rank
+
+
 def tangent_bundle_rank_check(G, xi) -> RankResult:
     """Rank of the block matrix [[E_n, E_n], [H(xi), 0]].
 
@@ -292,34 +318,33 @@ def tangent_bundle_rank_check(G, xi) -> RankResult:
     chart origin; its rank must equal n + rank H(xi), which cross-checks the
     fullness test.  Exact inputs take the exact path.
     """
-    require_normalized(G)
+    return _bundle_ranks(G, xi)[0]
+
+
+def bundle_rank_cross_check(G, trials: int, rng: random.Random) -> dict:
+    """rank [[E,E],[H(xi),0]] must equal n + rank H(xi) on every sample; graphs
+    are sampled at integer points (exact ranks), charts at complex points."""
     n = G.n
-    exact_point = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
-    if isinstance(G, GraphVariety) and exact_point:
-        H = hessian_contraction_exact(G.hessian0_exact(), xi)
-        zero = GaussianRational(0)
-        one = GaussianRational(1)
-        block = []
-        for i in range(n):
-            row = [one if j == i else zero for j in range(n)]
-            block.append(row + row[:])
-        for i in range(n):
-            block.append(H[i] + [zero] * n)
-        return exact_rank_result(block)
-    H = hessian_contraction(G.hessian0(), np.asarray(xi, dtype=complex))
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = np.eye(n)
-    block[:n, n:] = np.eye(n)
-    block[n:, :n] = H
-    return numerical_rank(block)
+    matches = 0
+    for _ in range(trials):
+        if isinstance(G, GraphVariety):
+            xi = random_rational_point(n, 100, rng)
+        else:
+            xi = random_point(n, 1.0, rng)
+        block, h_rank = _bundle_ranks(G, xi)
+        if block.rank == n + h_rank:
+            matches += 1
+    return {
+        "trials": trials,
+        "matches": matches,
+        "verdict": HOLDS if matches == trials else FAILS,
+    }
 
 
 # -- secant dimension ------------------------------------------------------------------
 
 
-def secant_dim_estimate(
-    G, trials: int = 100, rng: random.Random | None = None, box: float = 1.0
-) -> tuple[int, Certificate]:
+def secant_dim_estimate(G, trials: int = 100, rng: random.Random | None = None) -> tuple[int, Certificate]:
     """Estimate dim Sec X as (max rank of two stacked tangent frames) - 1.
 
     The tangent space to the secant variety at a generic point of a secant
@@ -332,8 +357,8 @@ def secant_dim_estimate(
     distribution: dict[int, int] = {}
     failures = 0
     for _ in range(trials):
-        u = random_point(n, box, rng)
-        v = random_point(n, box, rng)
+        u = random_point(n, 1.0, rng)
+        v = random_point(n, 1.0, rng)
         try:
             stacked = np.vstack([tangent_frame(G, u).matrix, tangent_frame(G, v).matrix])
         except TansecError:
@@ -401,7 +426,7 @@ def p_jacobian_closed(G, u) -> np.ndarray:
         raise SingularTangentJacobianError(str(exc)) from exc
 
 
-def p_jacobian_fd(G, u, h: float = 1e-5) -> np.ndarray:
+def p_jacobian_fd(G, u, h: float = FD_STEP) -> np.ndarray:
     """Independent central-difference approximation of the differential of p."""
     u = np.asarray(u, dtype=complex)
     n = G.n
@@ -456,3 +481,37 @@ def dominance_certificate(
         witness=witness,
         details=details,
     )
+
+
+def jacobian_agreement(G, trials: int, box: float, rng: random.Random) -> dict:
+    """Independent validation of the closed-form differential of p by finite
+    differences; samples where evaluation raises are counted, not compared."""
+    agree = failures = 0
+    worst = 0.0
+    for _ in range(trials):
+        u = random_point(G.n, box, rng)
+        try:
+            closed = p_jacobian_closed(G, u)
+            fd = p_jacobian_fd(G, u)
+            scale = max(1.0, float(np.abs(closed).max()))
+            err = float(np.abs(closed - fd).max()) / scale
+            if err > FD_TOL:
+                # cancel the O(h^2) truncation error of the central difference
+                # (Richardson): (4 D(h/2) - D(h)) / 3
+                fd = (4 * p_jacobian_fd(G, u, h=FD_STEP / 2) - fd) / 3
+                err = float(np.abs(closed - fd).max()) / scale
+        except TansecError:
+            failures += 1
+            continue
+        worst = max(worst, err)
+        if err <= FD_TOL:
+            agree += 1
+    check = {
+        "samples": trials,
+        "agreeing": agree,
+        "max_relative_error": worst,
+        "verdict": HOLDS if _meets_success_fraction(agree, trials) else FAILS,
+    }
+    if failures:
+        check["evaluation_failures"] = failures
+    return check

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PolyParseError, VarietyFileError
-from .poly import parse_map
+from .poly import PolyMap, parse_map
 from .variety import GraphVariety, ParamVariety
 
 KINDS = ("graph", "param")
@@ -30,13 +30,15 @@ class VarietyFile:
     exprs: list[str]
     name: str | None = None
     description: str | None = None
+    # the components as parsed by parse_variety_file; built-ins parse in to_variety
+    parsed: PolyMap | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def expected_components(self) -> int:
         return self.n if self.kind == "graph" else 2 * self.n
 
     def to_variety(self):
-        the_map = parse_map(self.exprs, self.n)
+        the_map = self.parsed or parse_map(self.exprs, self.n)
         return GraphVariety(the_map) if self.kind == "graph" else ParamVariety(the_map)
 
     def render(self) -> str:
@@ -110,12 +112,14 @@ def parse_variety_file(text: str) -> VarietyFile:
             max(seen.values(), default=1),
         )
 
-    exprs = []
+    polys = []
     for idx in indices:
         expr, lineno, col = components[idx]
         try:
-            parse_map([expr], n)
+            polys.extend(parse_map([expr], n).components)
         except PolyParseError as exc:
             raise VarietyFileError(str(exc), lineno, col + exc.position) from exc
-        exprs.append(expr)
-    return VarietyFile(n=n, kind=kind, exprs=exprs, name=name, description=description)
+    exprs = [components[idx][0] for idx in indices]
+    vf = VarietyFile(n=n, kind=kind, exprs=exprs, name=name, description=description)
+    vf.parsed = PolyMap(polys)
+    return vf

@@ -22,7 +22,7 @@ import random
 import numpy as np
 
 from .errors import NewtonDivergedError, RankDeficientJacobianError
-from .linalg import numerical_rank, solve
+from .linalg import exact_rank, numerical_rank, solve
 from .newton import NewtonConfig, NewtonResult, damped_newton
 from .poly import Jet2, PolyMap, Polynomial, random_rational_point
 
@@ -109,8 +109,6 @@ class ParamVariety:
             raise ValueError("parametrization must have 2n components for n variables")
         self.psi = psi
         point = random_rational_point(psi.num_vars, self._CERT_BOUND, random.Random(self._CERT_SEED))
-        from .linalg import exact_rank
-
         if exact_rank(psi.jacobian_exact(point)) < psi.num_vars:
             raise RankDeficientJacobianError(
                 "parametrization jacobian is rank deficient at a random rational point"
@@ -132,7 +130,7 @@ class NormalizedChart:
     inverse of A (the completed matrix the chart was built from).
     """
 
-    __slots__ = ("psi", "u0", "A", "back", "psi0")
+    __slots__ = ("psi", "u0", "A", "back", "psi0", "_hess0")
 
     def __init__(self, psi: PolyMap, u0: np.ndarray, A: np.ndarray, back: np.ndarray):
         self.psi = psi
@@ -140,6 +138,7 @@ class NormalizedChart:
         self.A = A
         self.back = back
         self.psi0 = psi.value_at(u0)
+        self._hess0 = None
 
     @property
     def n(self) -> int:
@@ -150,7 +149,7 @@ class NormalizedChart:
         w = np.asarray(w, dtype=complex)
         return self.A @ (self.psi.value_at(w) - self.psi0)
 
-    def _solve_parameter(self, v: np.ndarray, cfg: NewtonConfig) -> np.ndarray:
+    def _solve_parameter(self, v: np.ndarray) -> np.ndarray:
         n = self.n
 
         def residual(w):
@@ -159,21 +158,20 @@ class NormalizedChart:
         def jacobian(w):
             return (self.A @ self.psi.jacobian_at(w))[:n]
 
-        result: NewtonResult = damped_newton(residual, jacobian, self.u0 + v, cfg)
+        result: NewtonResult = damped_newton(residual, jacobian, self.u0 + v, NewtonConfig())
         if not result.converged:
             raise NewtonDivergedError(
                 f"chart inversion stalled at residual {result.residual:.3e}"
             )
         return result.point
 
-    def graph_eval(self, v, cfg: NewtonConfig | None = None) -> np.ndarray:
+    def graph_eval(self, v) -> np.ndarray:
         """Value of the implied graph map at v (last n chart coordinates)."""
-        cfg = cfg or NewtonConfig()
         v = np.asarray(v, dtype=complex)
-        w = self._solve_parameter(v, cfg)
+        w = self._solve_parameter(v)
         return self.forward(w)[self.n :]
 
-    def jet_at(self, v, cfg: NewtonConfig | None = None) -> Jet2:
+    def jet_at(self, v) -> Jet2:
         """Second-order jet of the implied graph map at v.
 
         With phi = A (psi - psi(u0)) split into blocks (phi1, phi2) and
@@ -182,10 +180,9 @@ class NormalizedChart:
             jac  = Dphi2 K
             hess = D2phi2[K., K.] - (Dphi2 K) D2phi1[K., K.]
         """
-        cfg = cfg or NewtonConfig()
         v = np.asarray(v, dtype=complex)
         n = self.n
-        w = self._solve_parameter(v, cfg)
+        w = self._solve_parameter(v)
         jet = self.psi.jet2(w)
         AJ = self.A @ jet.jacobian
         AH = np.einsum("ab,bjk->ajk", self.A, jet.hessian)
@@ -199,11 +196,12 @@ class NormalizedChart:
         return Jet2(value=value, jacobian=jac, hessian=hess)
 
     def hessian0(self) -> np.ndarray:
-        """Second-order jet of the graph map at 0, in closed form."""
-        jet = self.psi.jet2(self.u0)
-        AH = np.einsum("ab,bjk->ajk", self.A, jet.hessian)
-        H = AH[self.n :]
-        return (H + H.transpose(0, 2, 1)) / 2
+        """Second-order jet of the graph map at 0, in closed form; built once."""
+        if self._hess0 is None:
+            AH = np.einsum("ab,bjk->ajk", self.A, self.psi.jet2(self.u0).hessian)
+            H = AH[self.n :]
+            self._hess0 = (H + H.transpose(0, 2, 1)) / 2
+        return self._hess0
 
     def to_chart_point(self, x_proj) -> np.ndarray:
         """Transform a projective point of the ambient P^(2n) into chart

@@ -9,6 +9,7 @@ from tansec.linalg import (
     chordal_distance,
     exact_det,
     exact_rank,
+    exact_rank_result,
     exact_solve,
     numerical_rank,
     nullspace,
@@ -212,6 +213,22 @@ def test_exact_det_leibniz_oracle():
                 term = term * GaussianRational.coerce(rows[i][perm[i]])
             expected = expected + term
         assert exact_det(rows) == expected
+
+
+def test_exact_elimination_skips_a_zero_column():
+    assert exact_rank([[0, 1], [0, 2]]) == 1
+    assert exact_rank_result([[0, 1], [0, 2]]).rank == 1
+    assert exact_det([[0, 1], [0, 2]]) == GaussianRational(0)
+
+
+def test_exact_det_sign_of_a_row_swap():
+    assert exact_det([[0, 1], [1, 0]]) == GaussianRational(-1)
+    assert exact_det([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == GaussianRational(30)
+
+
+def test_exact_solve_with_zero_leading_entry():
+    # x2 = 1 and 2 x1 + 3 x2 = 5
+    assert exact_solve([[0, 1], [2, 3]], [1, 5]) == [GaussianRational(1), GaussianRational(1)]
 
 
 def test_exact_det_gaussian_entries():

@@ -1,6 +1,8 @@
 import pytest
 
+from tansec import poly
 from tansec.errors import VarietyFileError
+from tansec.poly import parse_map
 from tansec.varfile import VarietyFile, parse_variety_file
 from tansec.variety import GraphVariety, ParamVariety
 from tansec import registry
@@ -28,6 +30,16 @@ def test_parse_param_file():
     vf = parse_variety_file(text)
     assert vf.expected_components == 2
     assert isinstance(vf.to_variety(), ParamVariety)
+
+
+def test_file_expressions_are_parsed_once(monkeypatch):
+    calls = []
+    parse_poly = poly.parse_poly
+    monkeypatch.setattr(poly, "parse_poly", lambda text, n: calls.append(text) or parse_poly(text, n))
+    vf = parse_variety_file("n = 2\nkind = graph\nf1 = u1^2\nf2 = u1*u2\n")
+    g = vf.to_variety()
+    assert calls == ["u1^2", "u1*u2"]
+    assert g.f == parse_map(["u1^2", "u1*u2"], 2)
 
 
 def test_render_parse_round_trip():
