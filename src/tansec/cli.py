@@ -10,7 +10,7 @@ appears only in the human-readable output for that reason.
 ``COMMANDS`` declares each subcommand's options and their defaults; those are
 the only tuning flags the subcommand accepts, and the report's ``options``
 block records exactly them (plus ``chart_base_point`` for parametrized
-inputs):
+inputs, whose certificates run on a graph chart at that point):
 
     tan-check, secant-dim   --trials 100
     dominance               --trials 100  --box 0.1
@@ -19,6 +19,12 @@ inputs):
 
 Every subcommand but ``examples`` also takes a variety file or ``--example``,
 and ``--seed``, ``--format`` and ``--out``.
+
+``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
+a parametrized input in parameter space, so their points are parameter
+values w and ``recovered`` is the ambient center; the ``ramification`` block
+says how many starts ran, the system's Bezout number and whether the root
+set is complete.
 
 Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
 (including no-consensus and unmet hypotheses), 2 on input errors.
@@ -58,7 +64,7 @@ from .tangent import (
     secant_dim_estimate,
     tan_is_full,
 )
-from .variety import GraphVariety, NormalizedChart, normalize_at
+from .variety import GraphVariety, normalize_at
 from .varfile import VarietyFile, parse_variety_file
 
 SUCCESS_VERDICTS = ("holds", "success")
@@ -133,7 +139,7 @@ def load_variety_file(args) -> VarietyFile:
 
 
 def build_geometry(vf: VarietyFile, seed: int):
-    """Return the object the tangent/projection operations run on.
+    """(variety, the object the certificates run on, chart base point).
 
     Graph varieties are used directly.  Parametrized ones are reduced to a
     normalized chart at the origin, or at the first immersive point of a
@@ -141,7 +147,7 @@ def build_geometry(vf: VarietyFile, seed: int):
     """
     v = vf.to_variety()
     if isinstance(v, GraphVariety):
-        return v, None
+        return v, v, None
     rng = random.Random(seed)
     candidates = [np.zeros(v.n)] + [
         np.array([float(x) for x in random_rational_point(v.n, 10, rng)])
@@ -149,8 +155,7 @@ def build_geometry(vf: VarietyFile, seed: int):
     ]
     for u0 in candidates:
         try:
-            chart = normalize_at(v, u0)
-            return chart, u0
+            return v, normalize_at(v, u0), u0
         except RankDeficientJacobianError:
             continue
     raise RankDeficientJacobianError("no immersive base point found for the parametrization")
@@ -174,14 +179,6 @@ def parse_center(text: str, n: int) -> Center:
     )
 
 
-def chart_center(G, text: str) -> Center:
-    """The ``--center`` value in the coordinates G works in."""
-    center = parse_center(text, G.n)
-    if isinstance(G, NormalizedChart):
-        center = Center(G.to_chart_point(center.proj), G.n)
-    return center
-
-
 def input_block(vf: VarietyFile) -> dict:
     return {
         "name": vf.name,
@@ -192,10 +189,11 @@ def input_block(vf: VarietyFile) -> dict:
     }
 
 
-# -- commands: (G, args) -> (checks, verdict) ----------------------------------------
+# -- commands: (V, G, args) -> (checks, verdict) -------------------------------------
+# V is the variety as given, G the graph or chart the certificates run on.
 
 
-def tan_check(G, args):
+def tan_check(V, G, args):
     target = G.normalized_at_origin() if isinstance(G, GraphVariety) else G
     cert = tan_is_full(target, trials=args.trials, rng=random.Random(args.seed))
     cross = bundle_rank_cross_check(target, args.trials, random.Random(args.seed + 1))
@@ -203,12 +201,12 @@ def tan_check(G, args):
     return {"tangent_fullness": cert, "bundle_rank_cross_check": cross}, verdict
 
 
-def secant_dim(G, args):
+def secant_dim(V, G, args):
     estimate, cert = secant_dim_estimate(G, trials=args.trials, rng=random.Random(args.seed))
     return {"secant_dimension": {"estimate": estimate, "certificate": cert}}, cert.verdict
 
 
-def dominance(G, args):
+def dominance(V, G, args):
     if isinstance(G, GraphVariety):
         G = G.normalized_at_origin()
     cert = dominance_certificate(G, trials=args.trials, rng=random.Random(args.seed), box=args.box)
@@ -221,11 +219,11 @@ def _ramification_block(R: RamificationSet) -> dict:
     return {"count": len(R), **to_jsonable(R)}
 
 
-def ramify(G, args):
-    center = chart_center(G, args.center)
+def ramify(V, G, args):
+    center = parse_center(args.center, V.n)
     cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
-    R = ramification_points(G, center, cfg, rng=random.Random(args.seed))
-    verified = sum(1 for u in R.points if tangent_membership(G, center, u))
+    R = ramification_points(V, center, cfg, rng=random.Random(args.seed))
+    verified = sum(1 for u in R.points if tangent_membership(V, center, u))
     verdict = "success" if R.found and verified == len(R) else ("no_solutions" if not R.found else "fails")
     checks = {
         "ramification": _ramification_block(R),
@@ -234,10 +232,10 @@ def ramify(G, args):
     return checks, verdict
 
 
-def recover(G, args):
-    center = chart_center(G, args.center)
+def recover(V, G, args):
+    center = parse_center(args.center, V.n)
     cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
-    rt = roundtrip(G, center, cfg, rng=random.Random(args.seed), trials=args.trials)
+    rt = roundtrip(V, center, cfg, rng=random.Random(args.seed), trials=args.trials, chart=G)
     checks = {
         "tangent_fullness": rt.fullness,
         "roundtrip": {
@@ -249,8 +247,6 @@ def recover(G, args):
     }
     if rt.ramification is not None:
         checks["ramification"] = _ramification_block(rt.ramification)
-    if rt.recovered is not None and isinstance(G, NormalizedChart):
-        checks["roundtrip"]["recovered_ambient"] = G.to_ambient_point(rt.recovered)
     return checks, rt.status
 
 
@@ -275,8 +271,8 @@ def run_command(args) -> int:
     started = time.perf_counter()
     checks_of, _, options = COMMANDS[args.subcommand]
     vf = load_variety_file(args)
-    G, base = build_geometry(vf, args.seed)
-    checks, verdict = checks_of(G, args)
+    V, G, base = build_geometry(vf, args.seed)
+    checks, verdict = checks_of(V, G, args)
     report = {
         "command": args.subcommand,
         "input": input_block(vf),

@@ -1,20 +1,22 @@
 """Linear projection from a point, ramification loci, and center recovery.
 
-For a center P with graph-chart affine coordinates (P1, P2), membership of P
-in the tangent space at (u, f(u)) is the equation
+P lies in the tangent space at a point of the variety exactly when a square
+system vanishes there: for a graph and a center with affine blocks (P1, P2),
 
     g_P(u) = f(u) + f_u(u) (P1 - u) - P2 = 0,
 
-so the ramification locus of the projection from P is computed by multi-start
-damped Newton on g_P — no completeness guarantee, but the start statistics
-make partiality visible.  Recovery then intersects tangent frames pairwise at
-the found points and takes the consensus cluster; a legitimate run on a
-generic center has one dominant cluster, so a split vote is surfaced as
-NoConsensus rather than papered over.
+and for a parametrization psi, in the 2n unknowns (w, a) with P affine,
+F(w, a) = psi(w) + Dpsi(w) a - P = 0.  One multi-start damped Newton loop
+solves either, and stops once it holds as many isolated roots as the Bezout
+number, which makes the root set complete.  Recovery then intersects tangent
+frames pairwise at the found points and takes the consensus cluster; a
+legitimate run on a generic center has one dominant cluster, so a split vote
+is surfaced as NoConsensus rather than papered over.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -25,13 +27,14 @@ from .errors import (
     CenterHitError,
     InsufficientPointsError,
     NoConsensusError,
+    NonTransverseError,
     TansecError,
 )
-from .linalg import chordal_distance, numerical_rank
+from .linalg import RANK_EPS, chordal_distance, numerical_rank
 from .newton import NewtonConfig, NewtonResult, damped_newton
 from .poly import Jet2, random_point
 from .tangent import Certificate, tan_is_full, tangent_frame, tangent_intersection
-from .errors import NonTransverseError
+from .variety import ParamVariety
 
 CONSENSUS_RADIUS = 1e-6
 RECOVERY_TOL = 1e-6
@@ -123,14 +126,23 @@ def ramification_jacobian(G, P: Center, u) -> np.ndarray:
     return _jacobian(G.jet_at(u), p1, u)
 
 
+def _isolated(J: np.ndarray, r: np.ndarray, step: float) -> bool:
+    """Whether a root with system Jacobian J and residual r counts toward the
+    Bezout number: J has full numerical rank and the Newton step J^-1 r is at
+    most ``step``."""
+    u, s, _ = np.linalg.svd(J)
+    return bool(s[-1] > RANK_EPS * s[0] * len(s) and np.linalg.norm((u.conj().T @ r) / s) <= step)
+
+
 @dataclass
 class RamificationSet:
-    """Converged, deduplicated solutions of g_P = 0 plus solver statistics.
+    """Converged, deduplicated roots (graph parameters u, or parameter
+    values w for a ParamVariety) plus solver statistics.
 
-    An empty ``points`` list is the no-solutions verdict, not an exception;
-    ``starts``/``converged`` expose how hard the solver tried, and ``failed``
-    counts the starts abandoned because evaluation raised (a chart-backed
-    jet outside its region), so converged + failed <= starts.
+    An empty ``points`` list is the no-solutions verdict, not an exception.
+    ``starts`` counts the starts run and ``failed`` those abandoned because
+    evaluation raised, so converged + failed <= starts.  ``complete`` says the
+    roots hold ``bezout`` isolated ones, hence every isolated root.
     """
 
     points: list = field(default_factory=list)
@@ -138,6 +150,8 @@ class RamificationSet:
     starts: int = 0
     converged: int = 0
     failed: int = 0
+    bezout: int = 0
+    complete: bool = False
 
     def __len__(self) -> int:
         return len(self.points)
@@ -150,65 +164,88 @@ class RamificationSet:
 def ramification_points(
     G, P: Center, cfg: NewtonConfig | None = None, rng: random.Random | None = None
 ) -> RamificationSet:
-    """Multi-start damped Newton on g_P from complex starts in a box centered
-    at P1 (for quadratic graphs the residual is a quadratic centered there, so
-    its root basins are symmetric around that point).
+    """Multi-start damped Newton on the ramification system of G and P.
 
+    A graph solves g_P(u) = 0 from starts in a box centered at P1 (for
+    quadratic graphs the residual is a quadratic centered there).  A
+    ParamVariety solves F(w, a) = 0 from (w, a) in a box around 0, one
+    ``psi.jet2(w)`` giving F and its Jacobian [Dpsi + D2psi[a, .] | Dpsi].
     Starts are complex because the locus generally contains non-real points.
-    Converged points are sorted lexicographically by (real, imaginary) parts
-    before deduplication, so the output does not depend on completion order.
-    Newton asks for the residual and then the Jacobian at the same point, so
-    the last jet is kept and each point is evaluated once.
+
+    The starts stop once the counted roots reach the Bezout number
+    B = prod max(deg, 1) over the components of f or psi, which bounds the
+    isolated roots with multiplicity.  A new root counts when the system
+    Jacobian has full rank there and the Newton step is below dedup_radius/2B:
+    a root of multiplicity m <= B leaves Newton endpoints about m steps from
+    it, so none is counted twice.  Points are sorted by (real, imaginary)
+    parts, so the output does not depend on completion order.  The last jet
+    is kept: Newton asks for the residual and the Jacobian at one point.
     """
     cfg = cfg or NewtonConfig()
     rng = rng or random.Random(0)
     n = G.n
     p1, p2 = P.affine()
+    if isinstance(G, ParamVariety):
+        poly, dim, center, target = G.psi, 2 * n, 0.0, np.concatenate([p1, p2])
+
+        def jet_of(x):
+            return poly.jet2(x[:n])
+
+        def residual(jet, x):
+            return jet.value + jet.jacobian @ x[n:] - target
+
+        def jacobian(jet, x):
+            return np.hstack([jet.jacobian + np.einsum("ijk,k->ij", jet.hessian, x[n:]), jet.jacobian])
+    else:
+        poly, jet_of, dim, center = G.f, G.jet_at, n, p1
+
+        def residual(jet, u):
+            return _residual(jet, p1, p2, u)
+
+        def jacobian(jet, u):
+            return _jacobian(jet, p1, u)
+
     last: list = [None, None]  # [point, jet at that point]
 
-    def jet(u):
-        if last[0] is None or not np.array_equal(last[0], u):
-            last[:] = [u.copy(), G.jet_at(u)]
+    def jet(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[:] = [x.copy(), jet_of(x)]
         return last[1]
 
-    def g(u):
-        return _residual(jet(u), p1, p2, u)
-
-    def dg(u):
-        return _jacobian(jet(u), p1, u)
-
-    candidates = []
-    converged = 0
-    failed = 0
-    for _ in range(cfg.starts):
-        start = p1 + random_point(n, cfg.box, rng)
+    bezout = math.prod(max(p.degree(), 1) for p in poly.components)
+    reps: list[NewtonResult] = []
+    starts = converged = failed = counted = 0
+    while starts < cfg.starts and counted < bezout:
+        starts += 1
+        x0 = center + random_point(dim, cfg.box, rng)
         try:
-            result = damped_newton(g, dg, start, cfg)
-        except TansecError:
-            # chart-backed jets can fail outside their region; abandon the start
+            result = damped_newton(lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), x0, cfg)
+        except TansecError:  # an evaluation that raised abandons the start
             failed += 1
             continue
-        if result.converged and result.residual <= cfg.tol:
-            candidates.append(result)
-            converged += 1
+        if not (result.converged and result.residual <= cfg.tol):
+            continue
+        converged += 1
+        x = result.point
+        if all(np.linalg.norm(x - r.point) > cfg.dedup_radius for r in reps):
+            reps.append(result)
+            counted += _isolated(jacobian(jet(x), x), residual(jet(x), x), cfg.dedup_radius / (2 * bezout))
 
-    candidates.sort(key=lambda c: tuple((z.real, z.imag) for z in c.point))
-    reps: list[NewtonResult] = []
-    for c in candidates:
-        if all(np.linalg.norm(c.point - r.point) > cfg.dedup_radius for r in reps):
-            reps.append(c)
+    reps.sort(key=lambda r: tuple((z.real, z.imag) for z in r.point))
     return RamificationSet(
-        points=[r.point for r in reps],
+        points=[r.point[:n] for r in reps],
         residuals=[r.residual for r in reps],
-        starts=cfg.starts,
+        starts=starts,
         converged=converged,
         failed=failed,
+        bezout=bezout,
+        complete=counted == bezout,
     )
 
 
 def tangent_membership(G, P: Center, u) -> bool:
-    """Check that P lies in the tangent space at (u, f(u)): appending P to
-    the tangent frame must not raise the rank."""
+    """Check that P lies in the tangent space of G at the point with
+    parameter u: appending P to the tangent frame must not raise the rank."""
     frame = tangent_frame(G, u)
     stacked = np.vstack([frame.matrix, P.proj[None, :]])
     return numerical_rank(stacked).rank == G.n + 1
@@ -291,14 +328,16 @@ def roundtrip(
     cfg: NewtonConfig | None = None,
     rng: random.Random | None = None,
     trials: int = 100,
+    chart=None,
 ) -> RoundtripReport:
     """Chordal distance between P and the center recovered from its own
     ramification locus.
 
-    When the fullness certificate fails, the uniqueness claim does not apply
-    and the report says so instead of asserting recovery.
+    Fullness is certified on ``chart``, the graph chart of a parametrized G
+    (G itself when None).  When the certificate fails, the uniqueness claim
+    does not apply and the report says so instead of asserting recovery.
     """
-    fullness = tan_is_full(G, trials=trials)
+    fullness = tan_is_full(G if chart is None else chart, trials=trials)
     if not fullness.holds:
         return RoundtripReport(status="hypothesis_not_met", fullness=fullness)
     ram = ramification_points(G, P, cfg, rng)

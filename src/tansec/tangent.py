@@ -45,7 +45,7 @@ from .poly import (
     random_point,
     random_rational_point,
 )
-from .variety import GraphVariety
+from .variety import GraphVariety, ParamVariety
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -113,9 +113,10 @@ def require_normalized(G) -> None:
 class TangentFrame:
     """Basis of the affine cone of the projective tangent space at a point.
 
-    Row 0 holds the homogeneous coordinates [1 : u : f(u)] of the point; row
-    j holds the direction [0 : e_j : f_u(u) e_j].  Rows are checked for full
-    rank at construction.
+    Row 0 holds the homogeneous coordinates [1 : x] of the point x and row j
+    the direction [0 : dx/du_j]: x = (u, f(u)) and dx/du_j = (e_j, f_u(u) e_j)
+    on a graph or chart, x = psi(u) and dx/du_j = d_j psi(u) on a
+    ParamVariety.  Rows are checked for full rank at construction.
     """
 
     point: np.ndarray
@@ -125,14 +126,18 @@ class TangentFrame:
 def tangent_frame(G, u) -> TangentFrame:
     u = np.asarray(u, dtype=complex)
     n = G.n
-    jet = G.jet_at(u)
     M = np.zeros((n + 1, 2 * n + 1), dtype=complex)
     M[0, 0] = 1.0
-    M[0, 1 : n + 1] = u
-    M[0, n + 1 :] = jet.value
-    for j in range(n):
-        M[j + 1, 1 + j] = 1.0
-        M[j + 1, n + 1 :] = jet.jacobian[:, j]
+    if isinstance(G, ParamVariety):
+        jet = G.psi.jet2(u)
+        M[0, 1:] = jet.value
+        M[1:, 1:] = jet.jacobian.T
+    else:
+        jet = G.jet_at(u)
+        M[0, 1 : n + 1] = u
+        M[0, n + 1 :] = jet.value
+        M[1:, 1 : n + 1] = np.eye(n)
+        M[1:, n + 1 :] = jet.jacobian.T
     if numerical_rank(M).rank < n + 1:
         raise DegenerateInputError("tangent frame rows are not independent")
     return TangentFrame(point=u, matrix=M)

@@ -1,10 +1,11 @@
 """Variety representations and chart normalization.
 
-The canonical computational form is a graph u -> (u, f(u)) of an n-fold in
-C^(2n); every formula downstream is written in these coordinates.  General
-polynomial parametrizations are reduced to that form by a linear change of
-coordinates A at a base point, chosen so that A maps the tangent directions
-onto the first n coordinates:
+The canonical computational form of the certificates is a graph
+u -> (u, f(u)) of an n-fold in C^(2n).  For them, general polynomial
+parametrizations are reduced to that form by a linear change of coordinates A
+at a base point, chosen so that A maps the tangent directions onto the first
+n coordinates (ramification and recovery solve a parametrization in its own
+parameters instead, see ``projection``):
 
     A . Dpsi(u0) = [I_n; 0]
 
@@ -126,17 +127,15 @@ class NormalizedChart:
     """Local graph chart of a parametrized variety at a base point.
 
     Coordinates are z = A (psi(w) - psi(u0)); the first n entries are the
-    graph parameter v and the last n the graph value.  ``back`` is the exact
-    inverse of A (the completed matrix the chart was built from).
+    graph parameter v and the last n the graph value.
     """
 
-    __slots__ = ("psi", "u0", "A", "back", "psi0", "_hess0")
+    __slots__ = ("psi", "u0", "A", "psi0", "_hess0")
 
-    def __init__(self, psi: PolyMap, u0: np.ndarray, A: np.ndarray, back: np.ndarray):
+    def __init__(self, psi: PolyMap, u0: np.ndarray, A: np.ndarray):
         self.psi = psi
         self.u0 = u0
         self.A = A
-        self.back = back
         self.psi0 = psi.value_at(u0)
         self._hess0 = None
 
@@ -203,16 +202,6 @@ class NormalizedChart:
             self._hess0 = (H + H.transpose(0, 2, 1)) / 2
         return self._hess0
 
-    def to_chart_point(self, x_proj) -> np.ndarray:
-        """Transform a projective point of the ambient P^(2n) into chart
-        projective coordinates."""
-        x = np.asarray(x_proj, dtype=complex)
-        return np.concatenate([[x[0]], self.A @ (x[1:] - x[0] * self.psi0)])
-
-    def to_ambient_point(self, y_proj) -> np.ndarray:
-        y = np.asarray(y_proj, dtype=complex)
-        return np.concatenate([[y[0]], self.back @ y[1:] + y[0] * self.psi0])
-
     def __repr__(self) -> str:
         return f"NormalizedChart(n={self.n}, u0={self.u0!r})"
 
@@ -261,4 +250,4 @@ def normalize_at(V: ParamVariety, u0) -> NormalizedChart:
     residual = np.linalg.norm(A @ J - target)
     if residual > 1e-10 * max(1.0, np.linalg.norm(A) * np.linalg.norm(J)):
         raise RankDeficientJacobianError("chart construction is ill-conditioned")
-    return NormalizedChart(psi, u0, A, M)
+    return NormalizedChart(psi, u0, A)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,15 +158,29 @@ def test_center_starting_with_minus_in_either_form(tmp_path):
 
 @pytest.mark.parametrize("command", ["ramify", "recover"])
 def test_ramification_block_counts_failed_starts(tmp_path, capsys, command):
-    # the ramification points of this center lie where the chart of
-    # w -> (w + w^2, w^2) cannot invert (see test_ramification_counts_abandoned_starts)
+    # w -> (w + w^2, w^2) has its ramification points at complex w, where a
+    # chart inversion started at a real point stalls; in parameter space no
+    # start fails and both finite roots of the Bezout number 4 are found
     f = tmp_path / "bent.var"
     f.write_text("n = 1\nkind = param\nf1 = u1 + u1^2\nf2 = u1^2\n")
-    code, out, _ = run(capsys, command, str(f), "--center", "1/2,1", "--starts", "8", "--format", "machine")
-    assert code == 1
-    ram = json.loads(out)["checks"]["ramification"]
-    assert ram["failed"] > 0
-    assert ram["converged"] + ram["failed"] <= ram["starts"] == 8
+    s = 3**0.5 / 2
+    for center, roots in (("1/2,1", (complex(-0.5, s), complex(-0.5, -s))), ("1,2", (-1 + 1j, -1 - 1j))):
+        argv = [command, str(f), "--center", center, "--starts", "8", "--format", "machine"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        ram = checks["ramification"]
+        assert ram["failed"] == 0 and ram["count"] == 2
+        assert ram["bezout"] == 4 and ram["complete"] is False and ram["starts"] == 8
+        points = [complex(*p[0]) for p in ram["points"]]
+        for root in roots:
+            assert min(abs(w - root) for w in points) < 1e-9
+        if command == "ramify":
+            assert checks["tangent_membership"] == {"verified": 2, "total": 2}
+        else:
+            rec = np.array([complex(re, im) for re, im in checks["roundtrip"]["recovered"]])
+            truth = [1.0] + [float(Fraction(c)) for c in center.split(",")]
+            assert chordal_distance(rec, truth) <= 1e-8
 
 
 def test_recover_conic_center(capsys):
@@ -345,6 +360,6 @@ def test_param_kind_end_to_end(tmp_path, capsys):
     code, out, _ = run(capsys, "recover", str(f), "--center", "3,5", "--format", "machine")
     assert code == 0
     report = json.loads(out)
-    amb = report["checks"]["roundtrip"]["recovered_ambient"]
-    rec = np.array([complex(re, im) for re, im in amb])
+    recovered = report["checks"]["roundtrip"]["recovered"]
+    rec = np.array([complex(re, im) for re, im in recovered])
     assert chordal_distance(rec, [1.0, 3.0, 5.0]) <= 1e-8

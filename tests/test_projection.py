@@ -1,4 +1,5 @@
 import cmath
+import copy
 import random
 
 import numpy as np
@@ -25,7 +26,7 @@ from tansec.projection import (
     roundtrip,
     tangent_membership,
 )
-from tansec.variety import GraphVariety, ParamVariety, normalize_at
+from tansec.variety import GraphVariety, ParamVariety
 
 
 def graph(exprs, n):
@@ -36,6 +37,7 @@ CONIC = graph(["u1^2"], 1)
 QUADRIC_PAIR = graph(["u1^2", "u2^2"], 2)
 MIXED = graph(["u1^2", "u1*u2"], 2)
 CYLINDER = graph(["u1^2", "u1^3"], 2)
+BENT = ParamVariety(parse_map(["u1 + u1^2", "u1^2"], 1))
 
 
 # -- centers and projection ---------------------------------------------------------
@@ -155,9 +157,10 @@ def test_ramification_conic_complex_roots():
     P = Center.from_affine([0.0], [1.0])
     R = ramification_points(CONIC, P, rng=random.Random(1))
     assert len(R) == 2
-    vals = sorted((z[0].real, z[0].imag) for z in R.points)
-    assert abs(vals[0][0]) < 1e-9 and abs(vals[0][1] + 1) < 1e-9
-    assert abs(vals[1][0]) < 1e-9 and abs(vals[1][1] - 1) < 1e-9
+    # the real parts are round-off of either sign, so order by imaginary part
+    vals = sorted(R.points, key=lambda z: z[0].imag)
+    assert abs(vals[0][0].real) < 1e-9 and abs(vals[0][0].imag + 1) < 1e-9
+    assert abs(vals[1][0].real) < 1e-9 and abs(vals[1][0].imag - 1) < 1e-9
 
 
 def test_ramification_quadric_pair_separable_oracle():
@@ -198,12 +201,13 @@ def test_ramification_no_solutions_is_a_verdict():
 
 
 class CountingJets:
-    """Delegates to a graph or chart and records every point its jet is
-    evaluated at, and how many evaluations raised."""
+    """Delegates to a graph and records every point its jet is evaluated at,
+    and how many evaluations raised; ``f`` gives the Bezout number."""
 
     def __init__(self, G):
         self.G = G
         self.n = G.n
+        self.f = G.f
         self.points: list[bytes] = []
         self.raised = 0
 
@@ -216,17 +220,37 @@ class CountingJets:
             raise
 
 
+class CountingMap:
+    """Delegates psi.jet2 of a parametrization and records every point."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.num_vars = psi.num_vars
+        self.components = psi.components
+        self.points: list[bytes] = []
+
+    def jet2(self, w):
+        self.points.append(np.asarray(w, dtype=complex).tobytes())
+        return self.psi.jet2(w)
+
+
 @pytest.mark.parametrize(
     "G,center",
     [
         (MIXED, Center.from_affine([0.4, -0.3], [-0.5, 0.7])),
         (graph(["u1^2 + u1^3"], 1), Center.from_affine([0.3], [0.8])),
+        (BENT, Center.from_affine([1.0], [2.0])),
     ],
 )
 def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     # split the recorded points by Newton start: different starts may end on
-    # the same root, but within one start no point is evaluated twice
-    counting = CountingJets(G)
+    # the same root, but within one start no point is evaluated twice; a
+    # parametrization makes one psi.jet2 per point of its (w, a) system
+    if isinstance(G, ParamVariety):
+        G = copy.copy(G)
+        G.psi = counting = CountingMap(G.psi)
+    else:
+        G = counting = CountingJets(G)
     starts: list[int] = []
 
     def newton(*args):
@@ -234,25 +258,124 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
         return damped_newton(*args)
 
     monkeypatch.setattr(projection, "damped_newton", newton)
-    R = ramification_points(counting, center, NewtonConfig(starts=16), random.Random(6))
-    assert R.converged > 0 and len(starts) == 16
+    R = ramification_points(G, center, NewtonConfig(starts=16), random.Random(6))
+    assert R.converged > 0 and len(starts) == R.starts
     for lo, hi in zip(starts, starts[1:] + [len(counting.points)]):
         run = counting.points[lo:hi]
         assert len(run) == len(set(run)) > 0
 
 
-def test_ramification_counts_abandoned_starts():
-    # the chart of w -> (w + w^2, w^2) at 0 inverts v = w + w^2 by Newton
-    # from w = v, which cannot converge for real v < -1/4 (both preimages are
-    # complex); both ramification points of this center lie over v = -1, so
-    # every start fails as its iterates close in on them
-    chart = normalize_at(ParamVariety(parse_map(["u1 + u1^2", "u1^2"], 1)), [0.0])
-    P = Center(chart.to_chart_point(np.array([1.0, 0.5, 1.0])), 1)
-    counting = CountingJets(chart)
-    R = ramification_points(counting, P, NewtonConfig(starts=8), random.Random(0))
+def test_ramification_counts_abandoned_starts(monkeypatch):
+    # a jet that raises away from the origin abandons the starts that reach
+    # there; each is counted, and none is counted as converged
+    jet_at = GraphVariety.jet_at
+
+    def bounded(G, u):
+        if np.linalg.norm(u) > 2.0:
+            raise TansecError("outside the region")
+        return jet_at(G, u)
+
+    monkeypatch.setattr(GraphVariety, "jet_at", bounded)
+    counting = CountingJets(QUADRIC_PAIR)
+    P = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
+    R = ramification_points(counting, P, NewtonConfig(starts=16), random.Random(0))
     assert R.failed > 0
     assert R.failed == counting.raised
     assert R.converged + R.failed <= R.starts
+
+
+@pytest.mark.parametrize(
+    "p,roots",
+    [
+        ([0.5, 1.0], [complex(-0.5, 3**0.5 / 2), complex(-0.5, -(3**0.5) / 2)]),
+        ([1.0, 2.0], [-1 + 1j, -1 - 1j]),
+    ],
+)
+def test_ramification_param_roots_where_the_chart_stalled(p, roots):
+    # w -> (w + w^2, w^2): the tangent line at w passes through P exactly
+    # when w^2 - 2 (P1 - P2) w + P2 = 0, whose roots are complex here; a
+    # chart inversion started at a real point never reaches them
+    P = Center.from_affine([p[0]], [p[1]])
+    R = ramification_points(BENT, P, NewtonConfig(starts=8), random.Random(0))
+    assert len(R) == 2 and R.failed == 0
+    for target in roots:
+        assert min(abs(w[0] - target) for w in R.points) < 1e-9
+    assert all(tangent_membership(BENT, P, w) for w in R.points)
+
+
+# -- the Bezout stop ------------------------------------------------------------------
+
+
+def test_bezout_stop_on_quadric_pair():
+    a, b, c, d = 0.4, -0.3, -0.5, 0.7
+    R = ramification_points(QUADRIC_PAIR, Center.from_affine([a, b], [c, d]), NewtonConfig(starts=64))
+    assert R.complete and R.bezout == 4 and len(R) == 4
+    assert R.starts < 64
+    exp1 = {a + cmath.sqrt(a * a - c), a - cmath.sqrt(a * a - c)}
+    exp2 = {b + cmath.sqrt(b * b - d), b - cmath.sqrt(b * b - d)}
+    for pt in R.points:
+        assert min(abs(pt[0] - e) for e in exp1) < 1e-9
+        assert min(abs(pt[1] - e) for e in exp2) < 1e-9
+
+
+def test_bezout_stop_needs_every_isolated_root():
+    # B = 2 * 2 = 4, but only two roots are finite: every start runs and the
+    # set does not claim to be complete
+    R = ramification_points(BENT, Center.from_affine([1.0], [2.0]), NewtonConfig(starts=16))
+    assert R.bezout == 4 and len(R) == 2
+    assert R.starts == 16 and not R.complete
+
+
+def test_bezout_stop_ignores_a_double_root():
+    # P on the curve: g_P = -(u - 1)^2, a double root that Newton reaches
+    # from both sides; it is not simple, so it never counts toward B = 2
+    R = ramification_points(CONIC, Center.from_affine([1.0], [1.0]), NewtonConfig(starts=16))
+    assert R.bezout == 2 and len(R) == 1
+    assert R.starts == 16 and not R.complete
+
+
+def test_bezout_stop_ignores_a_triple_root():
+    # f = u^3 and P at its inflection point: g_P = -2 u^3, whose Newton
+    # endpoints stay ~1e-4 apart, too far to merge; none of them may count
+    # toward B = 3
+    R = ramification_points(graph(["u1^3"], 1), Center.from_affine([0.0], [0.0]), NewtonConfig(starts=16))
+    assert R.bezout == 3 and len(R) > 1
+    assert R.starts == 16 and not R.complete
+
+
+def test_bezout_stop_ignores_a_solution_curve():
+    # f = 0 with P2 = 0: g_P vanishes everywhere, so every start is a root,
+    # none of them isolated; B = 1 must not be reached
+    R = ramification_points(graph(["0"], 1), Center.from_affine([2.0], [0.0]), NewtonConfig(starts=8))
+    assert R.bezout == 1 and R.converged == 8
+    assert R.starts == 8 and not R.complete
+
+
+def _dense_quadratic_graph(n, rng):
+    exprs = [
+        " + ".join(f"({rng.randint(-4, 4)}/{rng.randint(1, 3)})*u{j + 1}*u{k + 1}" for j in range(n) for k in range(j, n))
+        for _ in range(n)
+    ]
+    return graph(exprs, n)
+
+
+@pytest.mark.parametrize(
+    "G,P",
+    [
+        (QUADRIC_PAIR, Center.from_affine([0.4, -0.3], [-0.5, 0.7])),
+        (MIXED, Center.from_affine([0.7, -0.4], [0.3, 0.5])),
+        (_dense_quadratic_graph(3, random.Random(3)), Center.from_affine([0.5, -0.25, 0.75], [1.0, -0.5, 0.25])),
+    ],
+)
+def test_as_param_gives_the_graph_roots(G, P):
+    # psi = (u, f(u)) forces a = P1 - u, and F(w, a) reduces to g_P(w)
+    cfg = NewtonConfig(starts=256)
+    on_graph = ramification_points(G, P, cfg, random.Random(0))
+    on_param = ramification_points(G.as_param(), P, cfg, random.Random(1))
+    assert on_param.bezout == on_graph.bezout
+    assert len(on_param) == len(on_graph) > 0
+    for u in on_graph.points:
+        assert min(np.linalg.norm(w - u) for w in on_param.points) < 1e-9
 
 
 def test_ramification_deterministic_given_seed():

@@ -145,14 +145,6 @@ def test_chart_jet_matches_finite_differences():
         assert np.abs(fd2 - jet.hessian[:, :, k]).max() < 1e-5
 
 
-def test_chart_point_transforms_round_trip():
-    V = ParamVariety(parse_map(["2*u1", "u1^2"], 1))
-    chart = normalize_at(V, [0.5])
-    x = np.array([1.0, 0.7, 0.3], dtype=complex)
-    back = chart.to_ambient_point(chart.to_chart_point(x))
-    assert np.allclose(back, x, atol=1e-12)
-
-
 def test_newton_divergence_is_reported_not_silent(monkeypatch):
     V = ParamVariety(parse_map(["u1 + u1^3", "u1^2"], 1))
     chart = normalize_at(V, [0.0])
