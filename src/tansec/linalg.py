@@ -4,20 +4,26 @@ Float path: complex numpy arrays, SVD-backed rank/nullspace/solve.  Rank
 tolerances are relative to the largest singular value because projective data
 has no natural scale.
 
-Exact path: Gaussian elimination with row swaps over Gaussian rationals,
-used to cross-check the float path and to make the symbolic fullness tests
-deterministic.
+Exact path: every row of Gaussian rationals is scaled once by the lcm of
+its denominators (``poly.gaussian_integer_rows``), and one fraction-free (Bareiss) elimination with row swaps
+runs over the Gaussian integers, as pairs of Python ints with exact division
+by the previous pivot (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  It serves
+rank, determinant and solve; determinants are divided by the row scales at
+the end.  The exact path cross-checks the float path and makes the symbolic
+fullness tests deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, SingularMatrixError
-from .poly import GaussianRational
+from .poly import GaussianRational, gaussian_integer_rows
 
 RANK_EPS = 1e-10
 
@@ -26,8 +32,11 @@ RANK_EPS = 1e-10
 class RankResult:
     """Numerical rank plus the evidence it was computed from.
 
-    ``values`` are singular values (float path) or pivot magnitudes (exact
-    path), descending; ``rank`` counts values above ``tol_used``.
+    ``values`` are singular values (float path) or the magnitudes
+    |re| + |im| of the fraction-free pivots (exact path; they are minors of
+    the row-scaled input, not the pivots of ordinary elimination, and no
+    report reads them), descending; ``rank`` counts values above
+    ``tol_used``.
     """
 
     rank: int
@@ -143,92 +152,95 @@ def chordal_distance(x, y) -> float:
 
 # -- exact path ----------------------------------------------------------------
 
-ExactMatrix = list[list[GaussianRational]]
 
-
-def to_exact_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
-    return [[GaussianRational.coerce(x) for x in row] for row in rows]
-
-
-def _eliminate(rows: ExactMatrix, rhs: list[GaussianRational] | None):
-    """Row echelon form by elimination with row swaps only: exact arithmetic
-    needs only a nonzero pivot, so each column's pivot is its first nonzero
-    entry at or below the current row.  Returns (pivot columns, sign of the
-    row permutation, echelon, rhs')."""
-    a = [row[:] for row in rows]
-    b = rhs[:] if rhs is not None else None
-    m = len(a)
-    n = len(a[0]) if m else 0
+def _bareiss(re: list[list[int]], im: list[list[int]], pivot_cols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form over Z[i], in place, with row
+    swaps; pivots are sought in the first ``pivot_cols`` columns and every
+    column is updated.  Each step replaces the rows below the pivot by
+    (pivot * a_ij - a_ic * a_rj) / previous pivot, a division that is exact
+    because every entry is then a minor of the input (Sylvester's identity),
+    so the last pivot of a square nonsingular matrix is its determinant up to
+    the swaps' sign.  Entries below the pivots are left as they were.
+    Returns (pivot columns, sign of the row permutation)."""
+    m = len(re)
+    n = len(re[0]) if m else 0
+    qr, qi, qn = 1, 0, 1  # previous pivot and its norm
     sign = 1
     pivots: list[int] = []
-    for col in range(n):
+    for col in range(pivot_cols):
         r = len(pivots)
-        p = next((i for i in range(r, m) if a[i][col]), None)
+        p = next((i for i in range(r, m) if re[i][col] or im[i][col]), None)
         if p is None:
             continue
         if p != r:
-            a[r], a[p] = a[p], a[r]
-            if b is not None:
-                b[r], b[p] = b[p], b[r]
+            re[r], re[p] = re[p], re[r]
+            im[r], im[p] = im[p], im[r]
             sign = -sign
-        pivot = a[r][col]
+        Pr, Pi = re[r], im[r]
+        pr, pi = Pr[col], Pi[col]
         for i in range(r + 1, m):
-            if a[i][col]:
-                f = a[i][col] / pivot
-                for j in range(col, n):
-                    a[i][j] = a[i][j] - f * a[r][j]
-                if b is not None:
-                    b[i] = b[i] - f * b[r]
+            Ar, Ai = re[i], im[i]
+            fr, fi = Ar[col], Ai[col]
+            for j in range(col + 1, n):
+                xr = pr * Ar[j] - pi * Ai[j] - fr * Pr[j] + fi * Pi[j]
+                xi = pr * Ai[j] + pi * Ar[j] - fr * Pi[j] - fi * Pr[j]
+                Ar[j] = (xr * qr + xi * qi) // qn
+                Ai[j] = (xi * qr - xr * qi) // qn
+        qr, qi, qn = pr, pi, pr * pr + pi * pi
         pivots.append(col)
-    return pivots, sign, a, b
+    return pivots, sign
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
-    mat = to_exact_matrix(rows)
-    if not mat or not mat[0]:
+    re, im, _ = gaussian_integer_rows(rows)
+    if not re or not re[0]:
         return 0
-    return len(_eliminate(mat, None)[0])
+    return len(_bareiss(re, im, len(re[0]))[0])
 
 
 def exact_rank_result(rows: Sequence[Sequence]) -> RankResult:
-    """Exact rank packaged with float pivot magnitudes for reporting."""
-    mat = to_exact_matrix(rows)
-    if not mat or not mat[0]:
+    """Exact rank packaged with float magnitudes of the fraction-free pivots."""
+    re, im, _ = gaussian_integer_rows(rows)
+    if not re or not re[0]:
         return RankResult(0, (), 0.0)
-    pivots, _, echelon, _ = _eliminate(mat, None)
-    mags = sorted((float(echelon[r][c].l1()) for r, c in enumerate(pivots)), reverse=True)
+    pivots, _ = _bareiss(re, im, len(re[0]))
+    mags = sorted((float(abs(re[r][c]) + abs(im[r][c])) for r, c in enumerate(pivots)), reverse=True)
     return RankResult(len(pivots), tuple(mags), 0.0)
 
 
 def exact_det(rows: Sequence[Sequence]) -> GaussianRational:
-    mat = to_exact_matrix(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     if n == 0:
         return GaussianRational(1)
-    pivots, sign, echelon, _ = _eliminate(mat, None)
+    re, im, scales = gaussian_integer_rows(rows)
+    pivots, sign = _bareiss(re, im, n)
     if len(pivots) < n:
         return GaussianRational(0)
-    det = GaussianRational(sign)
-    for k in range(n):
-        det = det * echelon[k][k]
-    return det
+    return GaussianRational(sign * re[-1][-1], sign * im[-1][-1]) / math.prod(scales)
 
 
 def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list[GaussianRational]:
-    mat = to_exact_matrix(rows)
-    n = len(mat)
-    if any(len(row) != n for row in mat) or len(rhs) != n:
+    """x with A x = b, by elimination of [A | b] and fraction-free back
+    substitution: y = d x, d the last pivot, is a Gaussian integer vector
+    (Cramer's rule), so each y_k is an exact quotient."""
+    n = len(rows)
+    if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError("need a square system")
-    b = [GaussianRational.coerce(x) for x in rhs]
-    pivots, _, a, b = _eliminate(mat, b)
-    if len(pivots) < n:
+    re, im, _ = gaussian_integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+    if len(_bareiss(re, im, n)[0]) < n:
         raise SingularMatrixError("exactly singular matrix")
-    x = [GaussianRational(0)] * n
+    dr, di = re[-1][n - 1], im[-1][n - 1]
+    yr, yi = [0] * n, [0] * n
     for k in range(n - 1, -1, -1):
-        acc = b[k]
+        xr = dr * re[k][n] - di * im[k][n]
+        xi = dr * im[k][n] + di * re[k][n]
         for j in range(k + 1, n):
-            acc = acc - a[k][j] * x[j]
-        x[k] = acc / a[k][k]
-    return x
+            xr -= re[k][j] * yr[j] - im[k][j] * yi[j]
+            xi -= re[k][j] * yi[j] + im[k][j] * yr[j]
+        pr, pi = re[k][k], im[k][k]
+        pn = pr * pr + pi * pi
+        yr[k], yi[k] = (xr * pr + xi * pi) // pn, (xi * pr - xr * pi) // pn
+    d = GaussianRational(dr, di)
+    return [GaussianRational(a, b) / d for a, b in zip(yr, yi)]

@@ -3,6 +3,10 @@
 Coefficients are Gaussian rationals (complex numbers with Fraction real and
 imaginary parts), so polynomial identities are decided exactly; floating
 complex evaluation is a separate code path used by the numeric solvers.
+The exact kernels (``linalg``'s elimination, ``poly_matrix_det`` and the
+Hessian contractions in ``tangent``) run on Gaussian integers instead:
+``gaussian_integer_rows`` scales each row of exact scalars by the lcm of its
+denominators and returns the real and imaginary parts as Python ints.
 
 A polynomial in variables u1..un is a mapping from exponent tuples to nonzero
 coefficients:
@@ -25,6 +29,7 @@ the leading term):
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,10 +106,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def l1(self) -> Fraction:
-        """|re| + |im|; exact magnitude proxy used for pivot selection."""
-        return abs(self.re) + abs(self.im)
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -117,6 +118,29 @@ class GaussianRational:
         if self.re == 0:
             return f"{self.im}*i" if self.im != 1 else "i"
         return f"({self.re} {'+' if self.im > 0 else '-'} {abs(self.im)}*i)"
+
+
+def gaussian_integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Each row of exact scalars (int, Fraction or GaussianRational) scaled
+    by the lcm of its entries' denominators: the real and the imaginary
+    parts as integer rows, and the scales.  Row i of the input is
+    (re[i] + i im[i]) / scales[i]."""
+    re_rows, im_rows, scales = [], [], []
+    for row in rows:
+        re = [x.re if isinstance(x, GaussianRational) else x for x in row]
+        im = [x.im if isinstance(x, GaussianRational) else 0 for x in row]
+        scale = math.lcm(*(x.denominator for x in re), *(x.denominator for x in im))
+        re_rows.append([x.numerator * (scale // x.denominator) for x in re])
+        im_rows.append([x.numerator * (scale // x.denominator) for x in im])
+        scales.append(scale)
+    return re_rows, im_rows, scales
+
+
+def integer_tensor(T) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """An exact n x n x n tensor with each component's denominators cleared:
+    ``gaussian_integer_rows`` of the flattened slices T_i, so that
+    T_i[j][k] = (re[i][j*n + k] + i im[i][j*n + k]) / scales[i]."""
+    return gaussian_integer_rows([[x for row in Ti for x in row] for Ti in T])
 
 
 ZERO = GaussianRational(0)
@@ -621,28 +645,57 @@ def parse_map(exprs: Sequence[str], num_vars: int) -> PolyMap:
 
 def poly_matrix_det(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Symbolic determinant by cofactor expansion; meant for small matrices
-    (the exact fullness test caps the dimension at 4)."""
+    (the exact fullness test caps the dimension at 4).
+
+    Each row is scaled by the lcm of its coefficients' denominators, so the
+    expansion multiplies polynomials with Gaussian integer coefficients (int
+    pairs); the minor of each column subset of the trailing rows is computed
+    once, and the result is divided by the row scales at the end.
+    """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise ValueError("matrix must be square")
     if n == 0:
         raise ValueError("empty matrix")
     num_vars = entries[0][0].num_vars
-    if n == 1:
-        return entries[0][0]
+    rows, scale = [], 1
+    for row in entries:
+        (re,), (im,), (s,) = gaussian_integer_rows([[c for p in row for c in p.terms.values()]])
+        pairs = zip(re, im)
+        rows.append([{e: next(pairs) for e in p.terms} for p in row])
+        scale *= s
 
-    def minor(rows: list[int], cols: list[int]) -> Polynomial:
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        total = Polynomial.zero(num_vars)
-        r = rows[0]
+    def product(p: dict, q: dict) -> dict:
+        out: dict[tuple, tuple[int, int]] = {}
+        for e1, (a, b) in p.items():
+            for e2, (c, d) in q.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                re, im = out.get(e, (0, 0))
+                out[e] = (re + a * c - b * d, im + a * d + b * c)
+        return out
+
+    minors: dict[tuple, dict] = {}
+
+    def minor(cols: tuple) -> dict:
+        """Determinant of the last len(cols) rows restricted to cols."""
+        if cols in minors:
+            return minors[cols]
+        r = n - len(cols)
+        if len(cols) == 1:
+            return rows[r][cols[0]]
+        total: dict[tuple, tuple[int, int]] = {}
         for pos, c in enumerate(cols):
-            sub = minor(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = entries[r][c] * sub
-            total = total + term if pos % 2 == 0 else total - term
+            if not rows[r][c]:
+                continue
+            sign = -1 if pos % 2 else 1
+            for e, (a, b) in product(rows[r][c], minor(cols[:pos] + cols[pos + 1 :])).items():
+                re, im = total.get(e, (0, 0))
+                total[e] = (re + sign * a, im + sign * b)
+        minors[cols] = total
         return total
 
-    return minor(list(range(n)), list(range(n)))
+    det = minor(tuple(range(n)))
+    return Polynomial(num_vars, {e: GaussianRational(Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in det.items()})
 
 
 # -- random sampling ----------------------------------------------------------

@@ -41,6 +41,8 @@ from .linalg import (
 from .poly import (
     GaussianRational,
     Polynomial,
+    gaussian_integer_rows,
+    integer_tensor,
     poly_matrix_det,
     random_point,
     random_rational_point,
@@ -170,19 +172,39 @@ def hessian_contraction(T, u) -> np.ndarray:
     return np.einsum("ijk,k->ij", T, u)
 
 
+def integer_contraction(T, xi) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """H(xi)[i][j] = sum_k T_i[j][k] xi_k as integer dot products.
+
+    T is a tensor with its denominators cleared per component, as
+    ``integer_tensor`` returns it; xi is scaled by the lcm of
+    its own denominators.  Returns the real and imaginary integer rows and
+    the row scales: row i of H(xi) is (re[i] + i im[i]) / scales[i].
+    """
+    t_re, t_im, t_scales = T
+    (x_re,), (x_im,), (x_scale,) = gaussian_integer_rows([xi])
+    n = len(x_re)
+    offsets = range(0, n * n, n)
+    h_re, h_im = [], []
+    for tr, ti in zip(t_re, t_im):
+        h_re.append([sum(tr[o + k] * x_re[k] - ti[o + k] * x_im[k] for k in range(n)) for o in offsets])
+        h_im.append([sum(tr[o + k] * x_im[k] + ti[o + k] * x_re[k] for k in range(n)) for o in offsets])
+    return h_re, h_im, [s * x_scale for s in t_scales]
+
+
+def _exact_entries(re, im) -> list[list]:
+    """Gaussian integer rows as exact scalars: ints where the imaginary part
+    is zero."""
+    return [[a if not b else GaussianRational(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)]
+
+
 def hessian_contraction_exact(T, xi) -> list[list[GaussianRational]]:
-    n = len(xi)
-    xs = [GaussianRational.coerce(x) for x in xi]
-    out = []
-    for Ti in T:
-        row = []
-        for j in range(n):
-            acc = GaussianRational(0)
-            for k in range(n):
-                acc = acc + Ti[j][k] * xs[k]
-            row.append(acc)
-        out.append(row)
-    return out
+    """H(xi) over Gaussian rationals for an exact tensor T: the integer
+    contraction divided back by its row scales."""
+    re, im, scales = integer_contraction(integer_tensor(T), xi)
+    return [
+        [GaussianRational(Fraction(a, s), Fraction(b, s)) for a, b in zip(r, i)]
+        for r, i, s in zip(re, im, scales)
+    ]
 
 
 def hessian_poly_matrix(G: GraphVariety) -> list[list[Polynomial]]:
@@ -228,9 +250,8 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None, max_symb
     if isinstance(G, GraphVariety):
         Gn = G.normalized_at_origin()
         n = Gn.n
-        Hpoly = hessian_poly_matrix(Gn)
         if n <= max_symbolic_dim:
-            det = poly_matrix_det(Hpoly)
+            det = poly_matrix_det(hessian_poly_matrix(Gn))
             if det.is_zero:
                 return Certificate(
                     verdict=FAILS,
@@ -252,12 +273,14 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None, max_symb
                 details=details,
             )
         rng = rng or random.Random(0)
-        T = Gn.hessian0_exact()
+        T = Gn.hessian0_integer()
         B = 2 * n * trials
         for t in range(trials):
             xi = random_rational_point(n, B, rng)
-            d = exact_det(hessian_contraction_exact(T, xi))
+            re, im, scales = integer_contraction(T, xi)
+            d = exact_det(_exact_entries(re, im))
             if d:
+                d = d / math.prod(scales)
                 return Certificate(
                     verdict=HOLDS,
                     method=SCHWARTZ_ZIPPEL,
@@ -301,13 +324,13 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None, max_symb
 
 def _bundle_ranks(G, xi) -> tuple[RankResult, int]:
     """Ranks of the block matrix [[E_n, E_n], [H(xi), 0]] and of H(xi), from
-    one contraction H(xi): exact for a graph at an exact point, float
-    otherwise."""
+    one contraction H(xi): exact for a graph at an exact point (the integer
+    contraction, whose row scales change neither rank), float otherwise."""
     require_normalized(G)
     n = G.n
     exact_point = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
     if isinstance(G, GraphVariety) and exact_point:
-        H = hessian_contraction_exact(G.hessian0_exact(), xi)
+        H = _exact_entries(*integer_contraction(G.hessian0_integer(), xi)[:2])
         block_rank, h_rank = exact_rank_result, exact_rank(H)
     else:
         H = hessian_contraction(G.hessian0(), np.asarray(xi, dtype=complex)).tolist()

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +332,20 @@ def test_exact_machine_report_matches_golden(tmp_path):
     code, report = machine(tmp_path, "tan-check", "--example", "quadric-pair", "--seed", "7")
     assert code == 0
     assert report.decode() == GOLDEN_TAN_CHECK_QUADRIC_PAIR
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["dense-n4", "dense-n5"])
+def test_tan_check_determinants_match_golden(tmp_path, name):
+    # dense graphs with mixed denominators and an imaginary coefficient: the
+    # n = 4 report pins the symbolic determinant (exact_symbolic), the n = 5
+    # one the Schwartz-Zippel determinant at its witness, so a determinant
+    # that is not divided back by its row scales changes the bytes
+    code, report = machine(tmp_path, "tan-check", str(GOLDEN / f"{name}.var"), "--seed=3", "--trials=10")
+    assert code == 0
+    assert report == (GOLDEN / f"{name}.tan-check.json").read_bytes()
 
 
 def test_machine_report_records_input_digest(tmp_path, capsys):

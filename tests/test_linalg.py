@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import random_gaussian, reference_det, reference_rank, reference_solve
 from tansec.errors import DegenerateInputError, SingularMatrixError
 from tansec.linalg import (
     chordal_distance,
@@ -236,6 +237,98 @@ def test_exact_det_gaussian_entries():
     one = GaussianRational(1)
     # det [[i, 1], [1, i]] = i*i - 1 = -2
     assert exact_det([[i, one], [one, i]]) == GaussianRational(-2)
+
+
+# -- fraction-free kernel against the Gaussian-rational reference --------------------
+
+
+def _random_exact_matrix(rng, m, n, zero_prob=0.0):
+    """Complex entries with mixed denominators, each zero with probability
+    zero_prob."""
+    return [
+        [GaussianRational(0) if rng.random() < zero_prob else random_gaussian(rng, bound=9, imag_prob=0.5) for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+def test_exact_kernel_matches_reference_on_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_exact_matrix(rng, m, n, zero_prob=rng.choice([0.0, 0.3, 0.6]))
+        assert exact_rank(rows) == reference_rank(rows)
+        assert exact_rank_result(rows).rank == reference_rank(rows)
+        if m == n:
+            assert exact_det(rows) == reference_det(rows)
+
+
+def test_exact_kernel_on_zero_columns_and_rank_deficiency():
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(2, 6)
+        rows = _random_exact_matrix(rng, m, n)
+        zero_col = rng.randrange(n)
+        for row in rows:
+            row[zero_col] = GaussianRational(0)
+        # a row that is a Gaussian-rational combination of two others
+        a, b = random_gaussian(rng, imag_prob=0.5), random_gaussian(rng, imag_prob=0.5)
+        i, j = rng.randrange(m), rng.randrange(m)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        assert exact_rank(rows) == exact_rank_result(rows).rank == reference_rank(rows)
+        assert reference_rank(rows) <= min(m, n - 1)
+        if m + 1 == n:
+            assert exact_det(rows) == reference_det(rows) == GaussianRational(0)
+        without_zero_col = [row[:zero_col] + row[zero_col + 1 :] for row in rows]
+        assert exact_rank(without_zero_col) == exact_rank(rows)
+
+
+def test_exact_kernel_on_one_by_one_and_empty():
+    for x in (0, 3, Fraction(-2, 7), GaussianRational(Fraction(1, 2), Fraction(-5, 3))):
+        x = GaussianRational.coerce(x)
+        assert exact_rank([[x]]) == (1 if x else 0)
+        assert exact_det([[x]]) == x
+    assert exact_rank([]) == 0
+    assert exact_rank([[]]) == 0
+    assert exact_rank_result([]).rank == 0
+    assert exact_det([]) == GaussianRational(1)
+
+
+def test_exact_det_sign_after_random_row_swaps():
+    rng = random.Random(77)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        rows = _random_exact_matrix(rng, n, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        swapped = [rows[p] for p in perm]
+        expected = reference_det(rows) * (-1 if inversions % 2 else 1)
+        assert exact_det(swapped) == reference_det(swapped) == expected
+        # a zero leading column block forces swaps inside the kernel itself
+        shifted = [[GaussianRational(0)] + row[:-1] for row in swapped[1:]] + [swapped[0]]
+        assert exact_det(shifted) == reference_det(shifted)
+
+
+def test_exact_solve_complex_round_trip_against_reference():
+    rng = random.Random(31)
+    solved = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = _random_exact_matrix(rng, n, n, zero_prob=0.2)
+        rhs = [random_gaussian(rng, imag_prob=0.5) for _ in range(n)]
+        if reference_rank(rows) < n:
+            with pytest.raises(SingularMatrixError):
+                exact_solve(rows, rhs)
+            continue
+        x = exact_solve(rows, rhs)
+        for i in range(n):
+            acc = GaussianRational(0)
+            for j in range(n):
+                acc = acc + rows[i][j] * x[j]
+            assert acc == rhs[i]
+        assert x == reference_solve(rows, rhs)
+        solved += 1
+    assert solved >= 20
 
 
 def test_nullspace_annihilates():

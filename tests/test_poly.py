@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_gaussian, random_polynomial
+from helpers import leibniz_det, random_gaussian, random_polynomial
 from tansec.errors import PolyParseError
 from tansec.poly import (
     GaussianRational,
@@ -289,6 +289,28 @@ def test_poly_matrix_det_3x3_against_leibniz():
             term = term * entries[i][perm[i]]
         total = total + term
     assert det == total
+
+
+def _quadratic_entry(rng, num_vars):
+    """A polynomial of total degree at most 2 with complex coefficients of
+    mixed denominators; zero now and then."""
+    exps = [e for e in np.ndindex(*(3,) * num_vars) if sum(e) <= 2]
+    terms = {exps[rng.randrange(len(exps))]: random_gaussian(rng, bound=6, imag_prob=0.5) for _ in range(rng.randint(0, 4))}
+    return Polynomial(num_vars, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poly_matrix_det_complex_quadratic_entries_against_leibniz(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        entries = [[_quadratic_entry(rng, 3) for _ in range(n)] for _ in range(n)]
+        expected = leibniz_det(entries, Polynomial.zero(3), Polynomial.const(3, 1))
+        assert poly_matrix_det(entries) == expected
+
+
+def test_poly_matrix_det_of_a_singular_matrix_is_zero():
+    row = [parse_poly("1/2*u1 + i*u2^2", 2), parse_poly("u1*u2 - 3/4", 2)]
+    assert poly_matrix_det([row, [p * GaussianRational(Fraction(2, 3), 1) for p in row]]).is_zero
 
 
 # -- random sampling ---------------------------------------------------------------

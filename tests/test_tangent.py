@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tansec.errors import NonTransverseError, NotNormalizedError, SingularTangentJacobianError
-from tansec.linalg import chordal_distance, exact_rank, numerical_rank
+from helpers import reference_contraction, reference_det, reference_rank
+from tansec.linalg import chordal_distance, exact_det, exact_rank, numerical_rank
 from tansec.poly import GaussianRational, parse_map, parse_poly, random_rational_point
 from tansec.tangent import (
     EXACT_SYMBOLIC,
@@ -93,6 +94,42 @@ def test_contraction_linearity_exact():
         for i in range(2):
             for j in range(2):
                 assert left[i][j] == Hu[i][j] * a + Hv[i][j] * b
+
+
+# a dense quadratic graph with mixed denominators and complex coefficients
+DENSE3 = graph(
+    [
+        "1/2*u1^2 - 2/3*u1*u2 + i*u2*u3 + 5/4*u3^2",
+        "(1/3 - 1/2*i)*u1*u3 + u2^2 - 3/5*u2*u3",
+        "-7/6*u1^2 + 2/7*i*u1*u2 + u3^2 - 1/4*u1*u3",
+    ],
+    3,
+)
+# points with non-integer and complex entries
+FRACTIONAL_POINTS = [
+    (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)),
+    (GaussianRational(Fraction(1, 3), Fraction(-1, 2)), Fraction(3, 4), 2),
+    (Fraction(-9, 10), GaussianRational(0, Fraction(2, 5)), Fraction(1, 6)),
+]
+
+
+def test_contraction_exact_matches_reference_at_fractional_points():
+    for g in (MIXED, CYLINDER, DENSE3):
+        T = g.hessian0_exact()
+        for xi in FRACTIONAL_POINTS:
+            xi = xi[: g.n]
+            assert hessian_contraction_exact(T, xi) == reference_contraction(T, xi)
+
+
+def test_exact_det_and_bundle_rank_at_fractional_points():
+    T = DENSE3.hessian0_exact()
+    for xi in FRACTIONAL_POINTS:
+        H = reference_contraction(T, xi)
+        assert exact_det(hessian_contraction_exact(T, xi)) == reference_det(H)
+        assert tangent_bundle_rank_check(DENSE3, xi).rank == 3 + reference_rank(H)
+    # the cylinder's contraction has rank 1 at every point
+    for xi in FRACTIONAL_POINTS:
+        assert tangent_bundle_rank_check(CYLINDER, xi[:2]).rank == 3
 
 
 # -- fullness test -------------------------------------------------------------------
