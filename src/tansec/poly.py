@@ -25,6 +25,14 @@ the leading term):
     base     := rational | 'i' | var | '(' expr ')'
     var      := 'u' nat
     rational := nat ('/' nat)?
+
+The parser builds each polynomial once, as a term map, in time linear in the
+number of terms: a sum adds its terms into one map, with the insertion order
+that ``Polynomial.__add__`` would give (that order fixes the columns of the
+compiled float table, and so its bits); a product or power of single terms
+adds or scales exponent tuples.  Only products and powers of parenthesised
+sums go through ``Polynomial`` arithmetic.  First and second partials are
+built term by term in the same way and cached per ``PolyMap``.
 """
 
 from __future__ import annotations
@@ -94,6 +102,17 @@ class GaussianRational:
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) / self
 
+    def __pow__(self, exponent: int) -> "GaussianRational":
+        """Square-and-multiply, for a non-negative int exponent."""
+        result, base = ONE, self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
             o = GaussianRational.coerce(other)
@@ -101,7 +120,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals the int or Fraction it coerces from, so it
+        # hashes as that number
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -154,6 +175,13 @@ class Polynomial:
     ``terms`` maps exponent tuples (length ``num_vars``, entries >= 0) to
     nonzero GaussianRational coefficients; no two terms share an exponent
     vector.  Do not mutate after construction.
+
+    The public constructor checks and canonicalizes any mapping.  Code that
+    builds a term map already in that form (tuples of ints of the right
+    length, nonzero GaussianRational values: the parser, ``partial`` and
+    negation) wraps it with ``_from_canonical``, which trusts it and does not
+    copy it.  Insertion order of ``terms`` is kept by both and fixes the
+    column order of ``PolyMap``'s compiled table.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -176,6 +204,14 @@ class Polynomial:
                     del canon[exps]
         self.num_vars = num_vars
         self.terms = canon
+
+    @classmethod
+    def _from_canonical(cls, num_vars: int, terms: dict[tuple, GaussianRational]) -> "Polynomial":
+        """Wrap a term map that already holds the class invariant."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = terms
+        return p
 
     @staticmethod
     def zero(num_vars: int) -> "Polynomial":
@@ -224,7 +260,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_canonical(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -281,12 +317,10 @@ class Polynomial:
         out: dict[tuple, GaussianRational] = {}
         for exps, c in self.terms.items():
             e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            out[tuple(new)] = c * e
-        return Polynomial(self.num_vars, out)
+            if e:
+                lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
+                out[lowered] = c if e == 1 else GaussianRational(c.re * e, c.im * e)
+        return Polynomial._from_canonical(self.num_vars, out)
 
     def eval_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
         if len(point) != self.num_vars:
@@ -373,10 +407,18 @@ class Polynomial:
 
 
 class _ExprParser:
+    """Recursive descent over the grammar above.  Each rule returns a fresh
+    canonical term map (see ``Polynomial``): a sum adds its terms into one
+    map in order, a product or power of single terms adds or scales their
+    exponent tuples, and ``Polynomial`` arithmetic runs only where a factor
+    has several terms (a parenthesised sum)."""
+
     def __init__(self, text: str, num_vars: int):
         self.text = text
         self.n = num_vars
         self.pos = 0
+        self.origin = (0,) * num_vars
+        self.units = [tuple(int(v == i) for v in range(num_vars)) for i in range(num_vars)]
 
     def error(self, message: str, pos: int | None = None):
         raise PolyParseError(message, self.pos if pos is None else pos)
@@ -395,40 +437,59 @@ class _ExprParser:
 
     def parse(self) -> Polynomial:
         self.skip_ws()
-        result = self.expr()
+        terms = self.expr()
         self.skip_ws()
         if self.pos < len(self.text):
             self.error(f"unexpected character {self.text[self.pos]!r}")
-        return result
+        return Polynomial._from_canonical(self.n, terms)
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         self.skip_ws()
-        negate = False
-        if self.peek() == "-":
-            negate = True
-            self.pos += 1
-        total = self.term()
+        negate = self.peek() == "-"
         if negate:
-            total = -total
+            self.pos += 1
+        total: dict[tuple, GaussianRational] = {}
         while True:
+            # the insertion and deletion order of Polynomial.__add__
+            for e, c in self.term().items():
+                if negate:
+                    c = -c
+                prev = total.get(e)
+                if prev is None:
+                    total[e] = c
+                else:
+                    c = prev + c
+                    if c:
+                        total[e] = c
+                    else:
+                        del total[e]
             self.skip_ws()
             op = self.peek()
             if op not in ("+", "-"):
                 return total
             self.pos += 1
-            rhs = self.term()
-            total = total + rhs if op == "+" else total - rhs
+            negate = op == "-"
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         total = self.factor()
         while True:
             self.skip_ws()
             if self.peek() != "*":
                 return total
             self.pos += 1
-            total = total * self.factor()
+            rhs = self.factor()
+            if len(total) > 1 or len(rhs) > 1:
+                product = Polynomial._from_canonical(self.n, total) * Polynomial._from_canonical(self.n, rhs)
+                total = product.terms
+            elif total and rhs:
+                ((e1, c1),) = total.items()
+                ((e2, c2),) = rhs.items()
+                c = c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
+                total = {tuple(a + b for a, b in zip(e1, e2)): c}
+            else:
+                total = {}
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.base()
         self.skip_ws()
         if self.peek() == "^":
@@ -437,10 +498,14 @@ class _ExprParser:
             if self.peek() == "^":
                 self.error("unexpected '^'")
             exponent = self.nat("exponent")
-            return base ** exponent
+            if len(base) > 1:
+                return (Polynomial._from_canonical(self.n, base) ** exponent).terms
+            if exponent == 0:
+                return {self.origin: ONE}
+            return {tuple(exponent * a for a in e): c if c == ONE else c**exponent for e, c in base.items()}
         return base
 
-    def base(self) -> Polynomial:
+    def base(self) -> dict:
         self.skip_ws()
         ch = self.peek()
         if ch == "(":
@@ -451,14 +516,14 @@ class _ExprParser:
             return inner
         if ch == "i":
             self.pos += 1
-            return Polynomial.const(self.n, I_UNIT)
+            return {self.origin: I_UNIT}
         if ch == "u":
             start = self.pos
             self.pos += 1
             index = self.nat("variable index")
             if not 1 <= index <= self.n:
                 self.error(f"variable u{index} out of range for {self.n} variables", start)
-            return Polynomial.variable(self.n, index - 1)
+            return {self.units[index - 1]: ONE}
         if ch.isdigit():
             num = self.nat("number")
             self.skip_ws()
@@ -469,8 +534,8 @@ class _ExprParser:
                 den = self.nat("denominator")
                 if den == 0:
                     self.error("zero denominator", slash)
-                return Polynomial.const(self.n, Fraction(num, den))
-            return Polynomial.const(self.n, num)
+                num = Fraction(num, den)
+            return {self.origin: GaussianRational(num)} if num else {}
         self.error("expected a number, 'i', a variable, or '('")
 
     def nat(self, what: str) -> int:
@@ -612,18 +677,16 @@ class PolyMap:
         return [[g.eval_exact(point) for g in row] for row in grad]
 
     def hessian0_exact(self) -> list[list[list[GaussianRational]]]:
-        """Exact second-derivative tensor at the origin, symmetric in (j, k)."""
+        """Exact second-derivative tensor at the origin, symmetric in (j, k):
+        the constant terms of the cached second partials."""
         _, hess = self._derivatives()
         n = self.num_vars
-        origin = [0] * n
+        origin = (0,) * n
         out = []
         for row in hess:
             mat = [[ZERO] * n for _ in range(n)]
-            for j in range(n):
-                for k in range(j, n):
-                    v = row[(j, k)].eval_exact(origin)
-                    mat[j][k] = v
-                    mat[k][j] = v
+            for (j, k), h in row.items():
+                mat[j][k] = mat[k][j] = h.terms.get(origin, ZERO)
             out.append(mat)
         return out
 

@@ -1,11 +1,25 @@
-"""Shared test helpers: seeded random polynomials and exact scalars."""
+"""Shared test helpers: seeded random polynomials and exact scalars, reference
+implementations of the exact kernels, and the benchmark's modules."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from tansec.errors import PolyParseError
 from tansec.poly import GaussianRational, Polynomial
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """A module of ``perfbench/`` loaded by path (it is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_fraction(rng: random.Random, bound: int = 10, den: int = 4) -> Fraction:
@@ -133,3 +147,136 @@ def leibniz_det(entries, zero, one):
             term = term * entries[i][perm[i]]
         total = total + term if inversions % 2 == 0 else total - term
     return total
+
+
+# -- reference polynomial construction ------------------------------------------
+#
+# The expression parser as it was before term-map parsing: every sum, product
+# and power is Polynomial arithmetic.  Kept as an independent reference for
+# the parser's terms, their order and its errors.
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, num_vars: int):
+        self.text = text
+        self.n = num_vars
+        self.pos = 0
+
+    def error(self, message: str, pos: int | None = None):
+        raise PolyParseError(message, self.pos if pos is None else pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            self.error(f"expected '{char}'")
+        self.pos += 1
+
+    def parse(self) -> Polynomial:
+        self.skip_ws()
+        result = self.expr()
+        self.skip_ws()
+        if self.pos < len(self.text):
+            self.error(f"unexpected character {self.text[self.pos]!r}")
+        return result
+
+    def expr(self) -> Polynomial:
+        self.skip_ws()
+        negate = False
+        if self.peek() == "-":
+            negate = True
+            self.pos += 1
+        total = self.term()
+        if negate:
+            total = -total
+        while True:
+            self.skip_ws()
+            op = self.peek()
+            if op not in ("+", "-"):
+                return total
+            self.pos += 1
+            rhs = self.term()
+            total = total + rhs if op == "+" else total - rhs
+
+    def term(self) -> Polynomial:
+        total = self.factor()
+        while True:
+            self.skip_ws()
+            if self.peek() != "*":
+                return total
+            self.pos += 1
+            total = total * self.factor()
+
+    def factor(self) -> Polynomial:
+        base = self.base()
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            if self.peek() == "^":
+                self.error("unexpected '^'")
+            exponent = self.nat("exponent")
+            return base ** exponent
+        return base
+
+    def base(self) -> Polynomial:
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            self.skip_ws()
+            self.expect(")")
+            return inner
+        if ch == "i":
+            self.pos += 1
+            return Polynomial.const(self.n, GaussianRational(0, 1))
+        if ch == "u":
+            start = self.pos
+            self.pos += 1
+            index = self.nat("variable index")
+            if not 1 <= index <= self.n:
+                self.error(f"variable u{index} out of range for {self.n} variables", start)
+            return Polynomial.variable(self.n, index - 1)
+        if ch.isdigit():
+            num = self.nat("number")
+            self.skip_ws()
+            if self.peek() == "/":
+                slash = self.pos
+                self.pos += 1
+                self.skip_ws()
+                den = self.nat("denominator")
+                if den == 0:
+                    self.error("zero denominator", slash)
+                return Polynomial.const(self.n, Fraction(num, den))
+            return Polynomial.const(self.n, num)
+        self.error("expected a number, 'i', a variable, or '('")
+
+    def nat(self, what: str) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.error(f"expected {what}")
+        return int(self.text[start : self.pos])
+
+
+def reference_parse_poly(text: str, num_vars: int) -> Polynomial:
+    return _ReferenceParser(text, num_vars).parse()
+
+
+def reference_partial(p: Polynomial, index: int) -> Polynomial:
+    """d p / d u_{index+1} through the public, validating constructor."""
+    out = {}
+    for exps, c in p.terms.items():
+        if exps[index]:
+            lowered = list(exps)
+            lowered[index] -= 1
+            out[tuple(lowered)] = c * exps[index]
+    return Polynomial(p.num_vars, out)

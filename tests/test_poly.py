@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import leibniz_det, random_gaussian, random_polynomial
+from helpers import (
+    leibniz_det,
+    load_perfbench,
+    random_gaussian,
+    random_polynomial,
+    reference_parse_poly,
+    reference_partial,
+)
 from tansec.errors import PolyParseError
 from tansec.poly import (
     GaussianRational,
@@ -17,6 +25,7 @@ from tansec.poly import (
     random_point,
     random_rational_point,
 )
+from tansec.varfile import parse_variety_file
 
 
 # -- scalars ------------------------------------------------------------------
@@ -32,6 +41,18 @@ def test_gaussian_rational_field_ops():
     assert bool(GaussianRational(0, 0)) is False
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
+    assert a**0 == 1 and a**1 == a and a**5 == a * a * a * a * a
+
+
+def test_gaussian_rational_hashes_like_the_numbers_it_equals():
+    for value in (3, -7, 0, Fraction(5, 3), Fraction(-1, 2)):
+        g = GaussianRational(value)
+        assert g == value and hash(g) == hash(value)
+        assert value in {g} and g in {value}
+        assert {value: "x"}[g] == "x"
+    z = GaussianRational(Fraction(1, 2), 3)
+    assert z in {GaussianRational(Fraction(2, 4), 3)}
+    assert z not in {Fraction(1, 2)}
 
 
 # -- parsing ------------------------------------------------------------------
@@ -102,6 +123,142 @@ def test_parse_print_parse_fixpoint():
         assert reparsed == p
         assert reparsed.to_expr() == printed
     assert parse_poly("0", 2).to_expr() == "0"
+
+
+# -- the parser against the Polynomial-arithmetic reference ---------------------
+
+
+def random_expr(rng: random.Random, n: int, depth: int = 2) -> str:
+    """A random expression of the grammar: sums (with an optional unary
+    minus) of products of small numbers, zeros, fractions, i, variables and
+    parenthesised sums, each factor possibly raised to a power 0..3.  Few
+    distinct coefficients and variables make terms cancel and come back."""
+
+    def factor(d: int) -> str:
+        kinds = ["num", "zero", "frac", "i", "var", "var", "var"] + ["paren"] * (d > 0)
+        kind = rng.choice(kinds)
+        if kind == "num":
+            text = str(rng.randint(1, 2))
+        elif kind == "zero":
+            text = "0"
+        elif kind == "frac":
+            text = f"{rng.randint(0, 3)}/{rng.randint(1, 3)}"
+        elif kind == "i":
+            text = "i"
+        elif kind == "var":
+            text = f"u{rng.randint(1, n)}"
+        else:
+            text = f"({expr(d - 1)})"
+        if rng.random() < 0.3:
+            text += f"^{rng.randint(0, 3)}"
+        return text
+
+    def term(d: int) -> str:
+        return "*".join(factor(d) for _ in range(rng.randint(1, 3)))
+
+    def expr(d: int) -> str:
+        text = ("-" if rng.random() < 0.3 else "") + term(d)
+        for _ in range(rng.randint(0, 4)):
+            text += rng.choice((" + ", " - ")) + term(d)
+        return text
+
+    return expr(depth)
+
+
+def assert_same_compiled(got: PolyMap, want: PolyMap) -> None:
+    """The compiled tables agree bit for bit: same monomial columns in the
+    same order, and the same complex coefficients."""
+    (index, coeffs, degree, pairs), (w_index, w_coeffs, w_degree, w_pairs) = got._compiled(), want._compiled()
+    assert np.array_equal(index, w_index) and index.shape == w_index.shape
+    assert coeffs.shape == w_coeffs.shape and coeffs.tobytes() == w_coeffs.tobytes()
+    assert degree == w_degree
+    assert all(np.array_equal(a, b) for a, b in zip(pairs, w_pairs))
+
+
+def assert_same_terms(got: Polynomial, want: Polynomial) -> None:
+    assert got.terms == want.terms
+    assert list(got.terms) == list(want.terms)
+
+
+CANCELLING = [
+    ("u1 + u2 - u1 + u1", 2),
+    ("u1*u2 - u2*u1 + 3 + u2*u1", 2),
+    ("(u1 + i)^0 + 0*u1 + 0", 1),
+    ("-(u1 - u2)^2 + u1^2 + u2^2", 2),
+    ("i*i + 1 + u1 - u1", 1),
+    ("(u1 + u2)^3 - (u1 + u2)^2*(u1 + u2)", 2),
+    ("(1/2 + 3*i)^3*u1^2 - (1/2 + 3*i)*u1*(1/2 + 3*i)*u1*(1/2 + 3*i)", 1),
+    ("2*u1*0*u2 + 0^0 + (u1 - u1)^0 - 1", 2),
+]
+
+
+@pytest.mark.parametrize("text,n", CANCELLING)
+def test_parser_matches_reference_on_cancellation(text, n):
+    assert_same_terms(parse_poly(text, n), reference_parse_poly(text, n))
+
+
+def test_parser_matches_reference_on_random_expressions():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        texts = [random_expr(rng, n) for _ in range(n)]
+        got = [parse_poly(t, n) for t in texts]
+        want = [reference_parse_poly(t, n) for t in texts]
+        for g, w in zip(got, want):
+            assert_same_terms(g, w)
+        assert_same_compiled(PolyMap(got), PolyMap(want))
+
+
+def test_parse_errors_match_reference():
+    """Malformed variants of random expressions (one character deleted or
+    inserted) fail with the reference's message at its position, or parse
+    to its terms."""
+    rng = random.Random(12)
+    failures = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        text = random_expr(rng, n, depth=1)
+        pos = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5 and pos < len(text):
+            text = text[:pos] + text[pos + 1 :]
+        else:
+            text = text[:pos] + rng.choice("+-*^()/ iu07x") + text[pos:]
+        try:
+            want = reference_parse_poly(text, n)
+        except PolyParseError as exc:
+            failures += 1
+            with pytest.raises(PolyParseError) as got:
+                parse_poly(text, n)
+            assert (str(got.value), got.value.position) == (str(exc), exc.position)
+        else:
+            assert_same_terms(parse_poly(text, n), want)
+    assert failures > 100
+
+
+@pytest.mark.parametrize("workload", ["recover", "certify"])
+def test_parser_matches_reference_on_benchmark_inputs(tmp_path, workload):
+    gen = load_perfbench("gen")
+    for job in gen.make_jobs(workload, 1, tmp_path, rounds=1):
+        vf = parse_variety_file(Path(job["argv"][1]).read_text())
+        want = PolyMap([reference_parse_poly(e, vf.n) for e in vf.exprs])
+        for g, w in zip(vf.parsed.components, want.components, strict=True):
+            assert_same_terms(g, w)
+        assert_same_compiled(vf.parsed, want)
+
+
+def test_parsing_a_sum_makes_no_polynomial_addition(monkeypatch):
+    calls = []
+    add = Polynomial.__add__
+
+    def counting_add(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(Polynomial, "__add__", counting_add)
+    k = 60
+    text = " - ".join(f"{j}/7*u{j % 3 + 1}^{j}*u{(j + 1) % 3 + 1}" for j in range(1, k + 1))
+    assert len(parse_poly(text, 3).terms) == k
+    assert calls == []
 
 
 # -- arithmetic and invariants --------------------------------------------------
@@ -257,6 +414,58 @@ def test_compiled_evaluation_matches_exact(F):
             assert_close(got, exact)
         assert_close(F.value_at(u), value)
         assert_close(F.jacobian_at(u), jac)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_derivatives_match_reference_without_rebuilding(monkeypatch, n):
+    """partial, _derivatives and hessian0_exact give the terms, in the order,
+    of derivatives built through the validating constructor and of
+    eval_exact at the origin, and call neither."""
+    rng = random.Random(60 + n)
+    comps = [
+        random_cubic(rng, n)
+        + Polynomial.const(n, GaussianRational(Fraction(7, 3), -1))
+        + Polynomial.variable(n, k % n) * GaussianRational(Fraction(-1, 2), Fraction(3, 4))
+        for k in range(n)
+    ]
+    for p in comps:
+        assert any(sum(e) == 0 for e in p.terms) and any(sum(e) == 1 for e in p.terms)
+        assert any(c.im for c in p.terms.values())
+        assert len({c.re.denominator for c in p.terms.values()}) > 1
+    F = PolyMap(comps)
+    origin = [0] * n
+    grad_ref = [[reference_partial(p, k) for k in range(n)] for p in comps]
+    hess_ref = [{(j, k): reference_partial(row[j], k) for j in range(n) for k in range(j, n)} for row in grad_ref]
+    h0_ref = [
+        [[reference_partial(reference_partial(p, j), k).eval_exact(origin) for k in range(n)] for j in range(n)]
+        for p in comps
+    ]
+
+    calls = []
+
+    def counting(name):
+        original = getattr(Polynomial, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("__init__", "eval_exact"):
+        monkeypatch.setattr(Polynomial, name, counting(name))
+    grad, hess = F._derivatives()
+    h0 = F.hessian0_exact()
+    assert calls == []
+
+    for row, row_ref in zip(grad, grad_ref, strict=True):
+        for g, w in zip(row, row_ref, strict=True):
+            assert_same_terms(g, w)
+    for row, row_ref in zip(hess, hess_ref, strict=True):
+        assert list(row) == list(row_ref)
+        for pair in row:
+            assert_same_terms(row[pair], row_ref[pair])
+    assert h0 == h0_ref
 
 
 # -- symbolic determinant ---------------------------------------------------------
