@@ -29,9 +29,10 @@ the leading term):
 The parser builds each polynomial once, as a term map, in time linear in the
 number of terms: a sum adds its terms into one map, with the insertion order
 that ``Polynomial.__add__`` would give (that order fixes the columns of the
-compiled float table, and so its bits); a product or power of single terms
-adds or scales exponent tuples.  Only products and powers of parenthesised
-sums go through ``Polynomial`` arithmetic.  First and second partials are
+compiled float table, and so its bits); a product of single terms adds
+exponent tuples and a power of a monic monomial scales them.  Only products
+of parenthesised sums and other powers go through ``Polynomial``
+arithmetic.  First and second partials are
 built term by term in the same way and cached per ``PolyMap``.
 """
 
@@ -101,17 +102,6 @@ class GaussianRational:
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        """Square-and-multiply, for a non-negative int exponent."""
-        result, base = ONE, self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -409,9 +399,10 @@ class Polynomial:
 class _ExprParser:
     """Recursive descent over the grammar above.  Each rule returns a fresh
     canonical term map (see ``Polynomial``): a sum adds its terms into one
-    map in order, a product or power of single terms adds or scales their
-    exponent tuples, and ``Polynomial`` arithmetic runs only where a factor
-    has several terms (a parenthesised sum)."""
+    map in order, a product of single terms adds their exponent tuples, a
+    power of a monic monomial scales them, and ``Polynomial`` arithmetic runs
+    only for a factor with several terms (a parenthesised sum) and for any
+    other power."""
 
     def __init__(self, text: str, num_vars: int):
         self.text = text
@@ -498,11 +489,11 @@ class _ExprParser:
             if self.peek() == "^":
                 self.error("unexpected '^'")
             exponent = self.nat("exponent")
-            if len(base) > 1:
-                return (Polynomial._from_canonical(self.n, base) ** exponent).terms
-            if exponent == 0:
-                return {self.origin: ONE}
-            return {tuple(exponent * a for a in e): c if c == ONE else c**exponent for e, c in base.items()}
+            if len(base) == 1:
+                ((e, c),) = base.items()
+                if c == ONE:
+                    return {tuple(exponent * a for a in e): ONE}
+            return (Polynomial._from_canonical(self.n, base) ** exponent).terms
         return base
 
     def base(self) -> dict:

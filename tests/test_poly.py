@@ -41,7 +41,6 @@ def test_gaussian_rational_field_ops():
     assert bool(GaussianRational(0, 0)) is False
     with pytest.raises(ZeroDivisionError):
         a / GaussianRational(0)
-    assert a**0 == 1 and a**1 == a and a**5 == a * a * a * a * a
 
 
 def test_gaussian_rational_hashes_like_the_numbers_it_equals():
