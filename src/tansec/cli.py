@@ -10,7 +10,8 @@ appears only in the human-readable output for that reason.
 ``COMMANDS`` declares each subcommand's options and their defaults; those are
 the only tuning flags the subcommand accepts, and the report's ``options``
 block records exactly them (plus ``chart_base_point`` for parametrized
-inputs, whose certificates run on a graph chart at that point):
+inputs, whose fullness and dominance certificates run on a graph chart at
+that point):
 
     tan-check, secant-dim   --trials 100
     dominance               --trials 100  --box 0.1
@@ -19,6 +20,10 @@ inputs, whose certificates run on a graph chart at that point):
 
 Every subcommand but ``examples`` also takes a variety file or ``--example``,
 and ``--seed``, ``--format`` and ``--out``.
+
+For parametrized inputs, ``dominance --box`` is a radius in parameter space
+around ``chart_base_point`` and its ``witness`` is a parameter point w, as
+``ramify`` points are; ``secant-dim`` takes its frames from psi itself.
 
 ``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
 a parametrized input in parameter space, so their points are parameter
@@ -202,7 +207,7 @@ def tan_check(V, G, args):
 
 
 def secant_dim(V, G, args):
-    estimate, cert = secant_dim_estimate(G, trials=args.trials, rng=random.Random(args.seed))
+    estimate, cert = secant_dim_estimate(V, trials=args.trials, rng=random.Random(args.seed))
     return {"secant_dimension": {"estimate": estimate, "certificate": cert}}, cert.verdict
 
 

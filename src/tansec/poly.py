@@ -57,8 +57,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is kept as it is: Fraction() of one takes the slow
+        # numbers.Rational branch, and every exact operation ends here
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def coerce(x: ScalarLike) -> "GaussianRational":

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .linalg import (
 )
 from .poly import (
     GaussianRational,
+    Jet2,
     Polynomial,
     gaussian_integer_rows,
     integer_tensor,
@@ -47,7 +49,7 @@ from .poly import (
     random_point,
     random_rational_point,
 )
-from .variety import GraphVariety, ParamVariety
+from .variety import GraphVariety, NormalizedChart, ParamVariety
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -421,6 +423,11 @@ def secant_dim_estimate(G, trials: int = 100, rng: random.Random | None = None) 
 
 
 # -- the chart-origin projection map p ---------------------------------------------------
+#
+# The certificates sample p at points x: on a graph x = u in a box around the
+# origin; on a chart x is a parameter point w in a box around the base point
+# u0, where one jet of psi gives the chart point v(w) and the graph map's jet
+# there, so no sample inverts the chart.
 
 
 def p_map(G, u) -> np.ndarray:
@@ -435,6 +442,15 @@ def p_map(G, u) -> np.ndarray:
     return u - correction
 
 
+def _p_differential(jet: Jet2) -> np.ndarray:
+    try:
+        w = solve(jet.jacobian, jet.value)
+        contracted = np.einsum("ikl,k->il", jet.hessian, w)
+        return solve(jet.jacobian, contracted)
+    except SingularMatrixError as exc:
+        raise SingularTangentJacobianError(str(exc)) from exc
+
+
 def p_jacobian_closed(G, u) -> np.ndarray:
     """Differential of p in closed form.
 
@@ -444,27 +460,52 @@ def p_jacobian_closed(G, u) -> np.ndarray:
 
     (the identity terms cancel); the scalar case f = u^2 reproduces 1/2.
     """
-    u = np.asarray(u, dtype=complex)
-    jet = G.jet_at(u)
+    return _p_differential(G.jet_at(np.asarray(u, dtype=complex)))
+
+
+def _chart_p(chart, w) -> np.ndarray:
+    """p at the chart point v(w), from its definition.  In chart coordinates
+    z = A (psi - psi(u0)) the tangent space at z(w) is z(w) + A Dpsi(w) a;
+    with the blocks z = (v, z2) and A Dpsi(w) = (C; B) it meets z2 = 0 at
+    v - C B^-1 z2, one solve with no second derivatives."""
+    n = chart.n
+    z = chart.forward(w)
+    AJ = chart.A @ chart.psi.jacobian_at(w)
     try:
-        w = solve(jet.jacobian, jet.value)
-        contracted = np.einsum("ikl,k->il", jet.hessian, w)
-        return solve(jet.jacobian, contracted)
+        a = solve(AJ[n:], z[n:])
     except SingularMatrixError as exc:
         raise SingularTangentJacobianError(str(exc)) from exc
+    return z[:n] - AJ[:n] @ a
 
 
 def p_jacobian_fd(G, u, h: float = FD_STEP) -> np.ndarray:
-    """Independent central-difference approximation of the differential of p."""
+    """Independent central-difference approximation of the differential of p
+    at a sample point: of u -> p(u) on a graph; on a chart u is a parameter
+    point w, and the differential is that of w -> p(v(w))."""
     u = np.asarray(u, dtype=complex)
     n = G.n
+    p = partial(_chart_p, G) if isinstance(G, NormalizedChart) else partial(p_map, G)
     step = h * max(1.0, float(np.linalg.norm(u)))
     cols = []
     for k in range(n):
         e = np.zeros(n)
         e[k] = step
-        cols.append((p_map(G, u + e) - p_map(G, u - e)) / (2 * step))
+        cols.append((p(u + e) - p(u - e)) / (2 * step))
     return np.column_stack(cols)
+
+
+def _sample_point(G, box: float, rng: random.Random) -> np.ndarray:
+    x = random_point(G.n, box, rng)
+    return G.u0 + x if isinstance(G, NormalizedChart) else x
+
+
+def _sampled_differential(G, x) -> tuple[np.ndarray, np.ndarray | None]:
+    """Closed differential of p at the sample point x, and dv/dx: Dp(u) and
+    None on a graph (v = u); Dp(v(w)) and dv/dw on a chart."""
+    if isinstance(G, NormalizedChart):
+        _, dv, jet = G.parameter_jet(x)
+        return _p_differential(jet), dv
+    return p_jacobian_closed(G, x), None
 
 
 def dominance_certificate(
@@ -474,7 +515,9 @@ def dominance_certificate(
 
     The sampling box is small because the underlying argument is local; points
     where the graph Jacobian itself is singular are counted separately (their
-    generic occurrence signals that the tangent variety is not full).
+    generic occurrence signals that the tangent variety is not full).  On a
+    chart the box is in parameter space, around the base point, and the
+    witness is a parameter point.
     """
     require_normalized(G)
     rng = rng or random.Random(0)
@@ -484,9 +527,9 @@ def dominance_certificate(
     failures = 0
     witness = None
     for _ in range(trials):
-        u = random_point(n, box, rng)
+        x = _sample_point(G, box, rng)
         try:
-            Jp = p_jacobian_closed(G, u)
+            Jp = _sampled_differential(G, x)[0]
         except SingularTangentJacobianError:
             singular += 1
             continue
@@ -496,7 +539,7 @@ def dominance_certificate(
         if numerical_rank(Jp).rank == n:
             successes += 1
             if witness is None:
-                witness = u
+                witness = x
     details = {"full_rank": successes, "singular_jacobian": singular}
     if failures:
         details["evaluation_failures"] = failures
@@ -513,20 +556,24 @@ def dominance_certificate(
 
 def jacobian_agreement(G, trials: int, box: float, rng: random.Random) -> dict:
     """Independent validation of the closed-form differential of p by finite
-    differences; samples where evaluation raises are counted, not compared."""
+    differences; samples where evaluation raises are counted, not compared.
+    On a chart both sides are differentials of w -> p(v(w)): the closed one is
+    Dp(v(w)) dv/dw."""
     agree = failures = 0
     worst = 0.0
     for _ in range(trials):
-        u = random_point(G.n, box, rng)
+        x = _sample_point(G, box, rng)
         try:
-            closed = p_jacobian_closed(G, u)
-            fd = p_jacobian_fd(G, u)
+            closed, dv = _sampled_differential(G, x)
+            if dv is not None:
+                closed = closed @ dv
+            fd = p_jacobian_fd(G, x)
             scale = max(1.0, float(np.abs(closed).max()))
             err = float(np.abs(closed - fd).max()) / scale
             if err > FD_TOL:
                 # cancel the O(h^2) truncation error of the central difference
                 # (Richardson): (4 D(h/2) - D(h)) / 3
-                fd = (4 * p_jacobian_fd(G, u, h=FD_STEP / 2) - fd) / 3
+                fd = (4 * p_jacobian_fd(G, x, h=FD_STEP / 2) - fd) / 3
                 err = float(np.abs(closed - fd).max()) / scale
         except TansecError:
             failures += 1

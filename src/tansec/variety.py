@@ -177,29 +177,36 @@ class NormalizedChart:
         w = self._solve_parameter(v)
         return self.forward(w)[self.n :]
 
-    def jet_at(self, v) -> Jet2:
-        """Second-order jet of the implied graph map at v.
+    def parameter_jet(self, w) -> tuple[np.ndarray, np.ndarray, Jet2]:
+        """Chart coordinate v(w), its differential dv/dw and the second-order
+        jet of the implied graph map at v(w), from one jet of psi at the
+        parameter point w and no inversion.
 
         With phi = A (psi - psi(u0)) split into blocks (phi1, phi2) and
-        K = Dphi1(w)^-1, the graph map is phi2 after inverting phi1, so
+        K = Dphi1(w)^-1, v = phi1(w), dv/dw = Dphi1(w), and the graph map is
+        phi2 after inverting phi1, so
 
             jac  = Dphi2 K
             hess = D2phi2[K., K.] - (Dphi2 K) D2phi1[K., K.]
         """
-        v = np.asarray(v, dtype=complex)
+        w = np.asarray(w, dtype=complex)
         n = self.n
-        w = self._solve_parameter(v)
         jet = self.psi.jet2(w)
+        z = self.A @ (jet.value - self.psi0)
         AJ = self.A @ jet.jacobian
         AH = np.einsum("ab,bjk->ajk", self.A, jet.hessian)
         K = solve(AJ[:n], np.eye(n, dtype=complex))
-        value = (self.A @ (jet.value - self.psi0))[n:]
         jac = AJ[n:] @ K
         G1 = np.einsum("ijk,ja,kb->iab", AH[:n], K, K)
         G2 = np.einsum("ijk,ja,kb->iab", AH[n:], K, K)
         hess = G2 - np.einsum("il,lab->iab", jac, G1)
         hess = (hess + hess.transpose(0, 2, 1)) / 2
-        return Jet2(value=value, jacobian=jac, hessian=hess)
+        return z[:n], AJ[:n], Jet2(value=z[n:], jacobian=jac, hessian=hess)
+
+    def jet_at(self, v) -> Jet2:
+        """Second-order jet of the implied graph map at the chart point v:
+        invert the chart, then take the jet at the parameter point."""
+        return self.parameter_jet(self._solve_parameter(np.asarray(v, dtype=complex)))[2]
 
     def hessian0(self) -> np.ndarray:
         """Second-order jet of the graph map at 0, in closed form; built once."""

@@ -1,6 +1,6 @@
-"""The benchmark's correctness gate reads the machine reports of ``ramify``
-and ``recover``; a report change that breaks it must fail here, not only in
-the slow benchmark smoke test."""
+"""The benchmark's correctness gate reads the machine reports of ``ramify``,
+``recover`` and ``dominance``; a report change that breaks it must fail
+here, not only in the slow benchmark smoke test."""
 
 import pytest
 
@@ -18,3 +18,15 @@ def test_benchmark_check_accepts_the_reports(tmp_path, capsys, command, family):
     report, reason = check.check_job(job, code, capsys.readouterr().out, None)
     assert reason is None
     assert check.roots_found(report) == job["bezout"] == 4
+
+
+@pytest.mark.parametrize("family", ["param-flat", "param-bent"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_benchmark_check_accepts_param_dominance(tmp_path, capsys, family, n):
+    gen, check = load_perfbench("gen"), load_perfbench("check")
+    jobs = gen.make_jobs("certify", 1, tmp_path, rounds=1)
+    job = next(j for j in jobs if j["command"] == "dominance" and j["family"] == family and j["n"] == n)
+    code = main(job["argv"])
+    report, reason = check.check_job(job, code, capsys.readouterr().out, None)
+    assert reason is None
+    assert report["verdict"] == "holds"

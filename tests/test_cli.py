@@ -258,6 +258,33 @@ def test_dominance_cross_check_on_cubic_graph(tmp_path, capsys):
     assert check["max_relative_error"] <= 1e-6
 
 
+def test_graph_dominance_report_matches_golden(tmp_path):
+    # the graph path of dominance and its agreement check, byte for byte
+    argv = ["dominance", "--example", "mixed-surface", "--seed", "11", "--trials", "25", "--format", "machine"]
+    code, report = machine(tmp_path, *argv)
+    assert code == 0
+    assert report == (GOLDEN / "mixed-surface.dominance.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["dominance", "secant-dim"])
+def test_param_certificates_never_invert_the_chart(tmp_path, capsys, monkeypatch, command):
+    # dominance samples the chart at parameter points and secant-dim takes
+    # its frames from psi, so neither runs a chart-inversion Newton
+    from tansec import projection, variety
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chart inversion")
+
+    monkeypatch.setattr(variety, "damped_newton", refuse)
+    monkeypatch.setattr(projection, "damped_newton", refuse)
+    monkeypatch.setattr(variety.NormalizedChart, "_solve_parameter", refuse)
+    f = tmp_path / "bent.var"
+    f.write_text("n = 2\nkind = param\nf1 = u1 + u2^2\nf2 = u2 - u1^2\nf3 = u1*u2\nf4 = u1^2 + u2^3\n")
+    code, out, _ = run(capsys, command, str(f), "--trials", "30", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "holds"
+
+
 # -- determinism -------------------------------------------------------------------------
 
 

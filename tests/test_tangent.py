@@ -27,7 +27,7 @@ from tansec.tangent import (
     tangent_frame,
     tangent_intersection,
 )
-from tansec.variety import GraphVariety, normalize_at
+from tansec.variety import GraphVariety, ParamVariety, normalize_at
 
 
 def graph(exprs, n):
@@ -460,3 +460,62 @@ def test_dominance_consistent_with_bundle_rank():
         if tangent_bundle_rank_check(MIXED, xi).rank == 4:
             full += 1
     assert full >= 38
+
+
+# -- charts sampled in parameter space ----------------------------------------------------
+
+
+def _benchmark_charts(tmp_path):
+    """(family, n, chart) for the param-flat and param-bent files of round 0
+    of the benchmark's certify workload, charted as the CLI charts them."""
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.cli import build_geometry
+    from tansec.varfile import parse_variety_file
+
+    jobs = load_perfbench("gen").make_jobs("certify", 1, tmp_path, rounds=1)
+    out = []
+    for job in jobs:
+        if job["command"] == "dominance" and job["kind"] == "param":
+            vf = parse_variety_file(Path(job["argv"][1]).read_text())
+            out.append((job["family"], job["n"], build_geometry(vf, 0)[1]))
+    return out
+
+
+def test_chart_differential_at_parameter_point_matches_chart_coordinates(tmp_path):
+    # the closed differential and p itself taken at a parameter point w, with
+    # no inversion, equal those taken at the chart point v(w) by inverting
+    from tansec.poly import random_point
+    from tansec.tangent import _chart_p, _p_differential
+
+    charts = _benchmark_charts(tmp_path)
+    assert sorted((family, n) for family, n, _ in charts) == [
+        ("param-bent", 1), ("param-bent", 2), ("param-flat", 1), ("param-flat", 2)
+    ]
+    rng = random.Random(5)
+    for _, n, chart in charts:
+        for _ in range(20):
+            w = chart.u0 + random_point(n, 0.1, rng)
+            v, dv, jet = chart.parameter_jet(w)
+            assert np.abs(v - chart.forward(w)[:n]).max() <= 1e-12
+            assert np.abs(dv - (chart.A @ chart.psi.jacobian_at(w))[:n]).max() <= 1e-12
+            closed = p_jacobian_closed(chart, v)
+            scale = max(1.0, float(np.abs(closed).max()))
+            assert np.abs(_p_differential(jet) - closed).max() / scale <= 1e-10
+            assert np.abs(_chart_p(chart, w) - p_map(chart, v)).max() <= 1e-10
+
+
+def test_chart_dominance_samples_parameter_points(tmp_path):
+    # charted away from the origin, the witness is a parameter point in the
+    # box around the base point, not a chart point near 0, and the closed
+    # differential agrees with finite differences in w
+    from tansec.tangent import jacobian_agreement
+
+    for _, n, chart in _benchmark_charts(tmp_path):
+        chart = normalize_at(ParamVariety(chart.psi), np.array([0.5, -0.4])[:n])
+        cert = dominance_certificate(chart, trials=30, rng=random.Random(3), box=0.1)
+        assert cert.verdict == HOLDS and cert.successes == 30
+        assert np.abs(cert.witness - chart.u0).max() <= 0.1 * 2**0.5
+        check = jacobian_agreement(chart, 30, 0.1, random.Random(4))
+        assert check["agreeing"] == 30 and check["max_relative_error"] <= 1e-8
