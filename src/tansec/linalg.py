@@ -2,7 +2,8 @@
 
 Float path: complex numpy arrays, SVD-backed rank/nullspace/solve.  Rank
 tolerances are relative to the largest singular value because projective data
-has no natural scale.
+has no natural scale.  ``stacked_rank`` and ``stacked_solve`` apply the same
+threshold and residual bound to every matrix of an (S, m, k) stack at once.
 
 Exact path: every row of Gaussian rationals is scaled once by the lcm of
 its denominators (``poly.gaussian_integer_rows``), and one fraction-free (Bareiss) elimination with row swaps
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,8 @@ from .errors import DegenerateInputError, SingularMatrixError
 from .poly import GaussianRational, gaussian_integer_rows
 
 RANK_EPS = 1e-10
+# relative residual a solve may leave: ||Ax - b|| <= RESIDUAL_EPS (||A|| ||x|| + ||b||)
+RESIDUAL_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,29 @@ class RankResult:
 # -- float path ----------------------------------------------------------------
 
 
+def _rank_tol(s_max, shape):
+    """The relative rank threshold RANK_EPS * s_max * max(shape) of a matrix
+    of the given shape whose largest singular value is s_max (a float, or
+    an array with one per matrix of a stack)."""
+    return RANK_EPS * s_max * max(shape)
+
+
 def _svd_rank(s: np.ndarray, shape) -> tuple[int, float]:
     """Count of the singular values s (descending) above the relative
-    threshold RANK_EPS * s_max * max(shape), and that threshold."""
-    tol = RANK_EPS * float(s[0]) * max(shape) if s.size else 0.0
+    threshold, and that threshold."""
+    tol = _rank_tol(float(s[0]), shape) if s.size else 0.0
     return int(np.sum(s > tol)), tol
+
+
+def _stack_ranks(s: np.ndarray, shape) -> np.ndarray:
+    """``_svd_rank`` of every row of singular values of a stack."""
+    return np.sum(s > _rank_tol(s[:, :1], shape), axis=1)
+
+
+def _exceeds_residual_bound(residual, norm_a, norm_x, norm_b):
+    """Whether a solve's residual breaks the conditioning bound, floored at
+    1e-300; on scalars or elementwise on the norms of a stack."""
+    return (residual > RESIDUAL_EPS * (norm_a * norm_x + norm_b)) & (residual > 1e-300)
 
 
 def numerical_rank(A) -> RankResult:
@@ -65,13 +87,25 @@ def numerical_rank(A) -> RankResult:
     return RankResult(rank, tuple(float(x) for x in s), tol)
 
 
+def stacked_rank(A) -> np.ndarray:
+    """``numerical_rank(A[s]).rank`` for every matrix of an (S, m, k) stack,
+    from one stacked SVD."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 3:
+        raise ValueError("expected a stack of matrices")
+    if A.size == 0:
+        return np.zeros(len(A), dtype=int)
+    return _stack_ranks(np.linalg.svd(A, compute_uv=False), A.shape[1:])
+
+
 def solve(A, b):
     """Solve A x = b for square A via SVD.
 
     Raises SingularMatrixError when the smallest singular value falls below
     the relative threshold, and double-checks the residual bound
-    ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||) so a poorly conditioned system
-    cannot return silently wrong values.  ``b`` may be a vector or a matrix.
+    ||Ax - b|| <= RESIDUAL_EPS (||A|| ||x|| + ||b||) so a poorly conditioned
+    system cannot return silently wrong values.  ``b`` may be a vector or a
+    matrix.  Newton runs on it; ``stacked_solve`` serves stacks of systems.
     """
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -84,10 +118,37 @@ def solve(A, b):
     rhs = b[:, None] if vector_rhs else b
     x = vh.conj().T @ ((u.conj().T @ rhs) / s[:, None])
     residual = np.linalg.norm(A @ x - rhs)
-    bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(rhs))
-    if residual > max(bound, 1e-300):
+    if _exceeds_residual_bound(residual, np.linalg.norm(A), np.linalg.norm(x), np.linalg.norm(rhs)):
         raise SingularMatrixError("solve residual exceeds the conditioning bound")
     return x[:, 0] if vector_rhs else x
+
+
+def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """``solve`` on every system of a stack, without raising.
+
+    A is an (S, k, k) stack and b an (S, k) stack of vectors or an (S, k, r)
+    stack of matrices.  Returns x, shaped like b, and a boolean mask ok of
+    length S.  ok[s] is False exactly where ``solve(A[s], b[s])`` raises:
+    the rank threshold or the residual bound fails on that slice.  x is zero
+    there.
+    """
+    A = np.asarray(A, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    vector_rhs = b.ndim == 2
+    rhs = b[:, :, None] if vector_rhs else b
+    S, k = A.shape[:2]
+    if S == 0 or k == 0:
+        return np.zeros_like(b), np.zeros(S, dtype=bool)
+    u, s, vh = np.linalg.svd(A)
+    ok = _stack_ranks(s, A.shape[1:]) == k
+    s = np.where(ok[:, None], s, 1.0)
+    x = vh.conj().transpose(0, 2, 1) @ ((u.conj().transpose(0, 2, 1) @ rhs) / s[:, :, None])
+    norm = partial(np.linalg.norm, axis=(1, 2))
+    ok &= ~_exceeds_residual_bound(norm(A @ x - rhs), norm(A), norm(x), norm(rhs))
+    x[~ok] = 0
+    return (x[:, :, 0] if vector_rhs else x), ok
 
 
 def nullspace(A) -> np.ndarray:

@@ -558,9 +558,9 @@ class Jet2:
     tensor is assembled from one formal second partial per unordered pair.
     """
 
-    value: np.ndarray      # (m,)
-    jacobian: np.ndarray   # (m, n)
-    hessian: np.ndarray    # (m, n, n)
+    value: np.ndarray      # (m,), or (S, m) for a stack of S points
+    jacobian: np.ndarray   # (m, n), or (S, m, n)
+    hessian: np.ndarray    # (m, n, n), or (S, m, n, n)
 
 
 class PolyMap:
@@ -572,7 +572,11 @@ class PolyMap:
     polynomial, stacked as the m values, then the m*n first partials
     (row-major), then the m*n(n+1)/2 second partials (pairs j <= k,
     row-major).  A point is evaluated as a power table, a product over the
-    exponent table and one matrix-vector product.
+    exponent table and one matrix-vector product.  ``value_at``,
+    ``jacobian_at`` and ``jet2`` also take an (S, n) stack of points and
+    return every result with a leading axis of length S: one power table of
+    the whole stack, one product over the exponent table and one
+    matrix-matrix product.  The shape of the input selects the path.
     """
 
     __slots__ = ("num_vars", "components", "_grad", "_hess", "_table")
@@ -637,13 +641,27 @@ class PolyMap:
         return self._table
 
     def _eval_rows(self, u: Sequence[complex], rows: slice) -> np.ndarray:
-        """The compiled polynomials in ``rows`` evaluated at the point u."""
+        """The compiled polynomials in ``rows`` evaluated at the point u, or
+        at each point of an (S, n) stack u (one row of results per point)."""
         power_index, coeffs, degree, _ = self._compiled()
         u = np.asarray(u, dtype=complex)
-        if u.shape != (self.num_vars,):
-            raise ValueError("point has wrong length")
+        n = self.num_vars
+        if u.shape != (n,):
+            if u.ndim != 2 or u.shape[1] != n:
+                raise ValueError("point has wrong length")
+            # powers[s, d, v] = u_sv^d
+            powers = np.ones((len(u), degree + 1, n), dtype=complex)
+            powers[:, 1:] = u[:, None]
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            # the product over the exponent table, one variable at a time, so
+            # that no (S, monomials, n) array is formed
+            table = powers.reshape(len(u), (degree + 1) * n)
+            monomials = table[:, power_index[:, 0]]
+            for v in range(1, n):
+                monomials *= table[:, power_index[:, v]]
+            return monomials @ coeffs[rows].T
         # powers[d, v] = u_v^d
-        powers = np.ones((degree + 1, self.num_vars), dtype=complex)
+        powers = np.ones((degree + 1, n), dtype=complex)
         powers[1:] = u
         np.multiply.accumulate(powers, axis=0, out=powers)
         return coeffs[rows] @ powers.take(power_index).prod(axis=1)
@@ -653,17 +671,25 @@ class PolyMap:
 
     def jacobian_at(self, u: Sequence[complex]) -> np.ndarray:
         m, n = self.num_components, self.num_vars
-        return self._eval_rows(u, slice(m, m + m * n)).reshape(m, n)
+        flat = self._eval_rows(u, slice(m, m + m * n))
+        return flat.reshape(m, n) if flat.ndim == 1 else flat.reshape(len(flat), m, n)
 
     def jet2(self, u: Sequence[complex]) -> Jet2:
         m, n = self.num_components, self.num_vars
         j, k = self._compiled()[3]
         flat = self._eval_rows(u, slice(None))
-        second = flat[m + m * n :].reshape(m, len(j))
-        hessian = np.empty((m, n, n), dtype=complex)
-        hessian[:, j, k] = second
-        hessian[:, k, j] = second
-        return Jet2(value=flat[:m], jacobian=flat[m : m + m * n].reshape(m, n), hessian=hessian)
+        if flat.ndim == 1:
+            second = flat[m + m * n :].reshape(m, len(j))
+            hessian = np.empty((m, n, n), dtype=complex)
+            hessian[:, j, k] = second
+            hessian[:, k, j] = second
+            return Jet2(value=flat[:m], jacobian=flat[m : m + m * n].reshape(m, n), hessian=hessian)
+        S = len(flat)
+        second = flat[:, m + m * n :].reshape(S, m, len(j))
+        hessian = np.empty((S, m, n, n), dtype=complex)
+        hessian[:, :, j, k] = second
+        hessian[:, :, k, j] = second
+        return Jet2(value=flat[:, :m], jacobian=flat[:, m : m + m * n].reshape(S, m, n), hessian=hessian)
 
     def jacobian_exact(self, point: Sequence[ScalarLike]) -> list[list[GaussianRational]]:
         grad, _ = self._derivatives()

@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .errors import (
     DegenerateInputError,
     NonTransverseError,
     NotNormalizedError,
-    SingularMatrixError,
     SingularTangentJacobianError,
     TansecError,
 )
@@ -36,7 +34,8 @@ from .linalg import (
     exact_rank,
     exact_rank_result,
     numerical_rank,
-    solve,
+    stacked_rank,
+    stacked_solve,
     subspace_intersection,
 )
 from .poly import (
@@ -427,7 +426,20 @@ def secant_dim_estimate(G, trials: int = 100, rng: random.Random | None = None) 
 # The certificates sample p at points x: on a graph x = u in a box around the
 # origin; on a chart x is a parameter point w in a box around the base point
 # u0, where one jet of psi gives the chart point v(w) and the graph map's jet
-# there, so no sample inverts the chart.
+# there, so no sample inverts the chart.  The points are drawn in order and
+# evaluated as stacks of at most CHUNK: one stacked jet, stacked guarded
+# solves and one stacked rank per stack.  p_map, p_jacobian_closed and
+# p_jacobian_fd at one point are the stacks of one.
+
+# samples evaluated as one stack; bounds what a certificate holds at a time
+CHUNK = 256
+
+
+def _one_point(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The only entry of a stack of one, where it is defined."""
+    if not ok[0]:
+        raise SingularTangentJacobianError("numerically singular tangent jacobian")
+    return values[0]
 
 
 def p_map(G, u) -> np.ndarray:
@@ -435,20 +447,34 @@ def p_map(G, u) -> np.ndarray:
     meets the chart-origin tangent plane C^n x 0: p(u) = u - f_u(u)^-1 f(u)."""
     u = np.asarray(u, dtype=complex)
     jet = G.jet_at(u)
-    try:
-        correction = solve(jet.jacobian, jet.value)
-    except SingularMatrixError as exc:
-        raise SingularTangentJacobianError(str(exc)) from exc
-    return u - correction
+    return u - _one_point(*stacked_solve(jet.jacobian[None], jet.value[None]))
 
 
-def _p_differential(jet: Jet2) -> np.ndarray:
-    try:
-        w = solve(jet.jacobian, jet.value)
-        contracted = np.einsum("ikl,k->il", jet.hessian, w)
-        return solve(jet.jacobian, contracted)
-    except SingularMatrixError as exc:
-        raise SingularTangentJacobianError(str(exc)) from exc
+def _p_samples(G, X) -> tuple[np.ndarray, np.ndarray]:
+    """p at each sample point of the stack X, and where it is defined.
+
+    On a chart p is taken from its definition.  In chart coordinates
+    z = A (psi - psi(u0)) the tangent space at z(w) is z(w) + A Dpsi(w) a;
+    with the blocks z = (v, z2) and A Dpsi(w) = (C; B) it meets z2 = 0 at
+    v - C B^-1 z2, one solve with no second derivatives.
+    """
+    if isinstance(G, NormalizedChart):
+        n = G.n
+        Z = (G.psi.value_at(X) - G.psi0) @ G.A.T
+        AJ = G.A @ G.psi.jacobian_at(X)
+        a, ok = stacked_solve(AJ[:, n:], Z[:, n:])
+        return Z[:, :n] - (AJ[:, :n] @ a[:, :, None])[:, :, 0], ok
+    correction, ok = stacked_solve(G.f.jacobian_at(X), G.f.value_at(X))
+    return X - correction, ok
+
+
+def _p_differentials(jet: Jet2) -> tuple[np.ndarray, np.ndarray]:
+    """Closed differentials of p from a stack of graph-map jets, and where
+    they are defined."""
+    w, ok = stacked_solve(jet.jacobian, jet.value)
+    contracted = np.einsum("sikl,sk->sil", jet.hessian, w)
+    dp, defined = stacked_solve(jet.jacobian, contracted)
+    return dp, ok & defined
 
 
 def p_jacobian_closed(G, u) -> np.ndarray:
@@ -460,52 +486,61 @@ def p_jacobian_closed(G, u) -> np.ndarray:
 
     (the identity terms cancel); the scalar case f = u^2 reproduces 1/2.
     """
-    return _p_differential(G.jet_at(np.asarray(u, dtype=complex)))
-
-
-def _chart_p(chart, w) -> np.ndarray:
-    """p at the chart point v(w), from its definition.  In chart coordinates
-    z = A (psi - psi(u0)) the tangent space at z(w) is z(w) + A Dpsi(w) a;
-    with the blocks z = (v, z2) and A Dpsi(w) = (C; B) it meets z2 = 0 at
-    v - C B^-1 z2, one solve with no second derivatives."""
-    n = chart.n
-    z = chart.forward(w)
-    AJ = chart.A @ chart.psi.jacobian_at(w)
-    try:
-        a = solve(AJ[n:], z[n:])
-    except SingularMatrixError as exc:
-        raise SingularTangentJacobianError(str(exc)) from exc
-    return z[:n] - AJ[:n] @ a
+    jet = G.jet_at(np.asarray(u, dtype=complex))
+    return _one_point(*_p_differentials(Jet2(jet.value[None], jet.jacobian[None], jet.hessian[None])))
 
 
 def p_jacobian_fd(G, u, h: float = FD_STEP) -> np.ndarray:
     """Independent central-difference approximation of the differential of p
     at a sample point: of u -> p(u) on a graph; on a chart u is a parameter
-    point w, and the differential is that of w -> p(v(w))."""
+    point w, and the differential is that of w -> p(v(w)).
+
+    u may also be an (S, n) stack of sample points.  p is then taken at the
+    2S difference points of one direction at a time, and a sample where p is
+    undefined at one of its points gets a NaN matrix instead of raising.
+    """
     u = np.asarray(u, dtype=complex)
     n = G.n
-    p = partial(_chart_p, G) if isinstance(G, NormalizedChart) else partial(p_map, G)
-    step = h * max(1.0, float(np.linalg.norm(u)))
-    cols = []
+    X = u if u.ndim == 2 else u[None]
+    S = len(X)
+    step = h * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    D = np.empty((S, n, n), dtype=complex)
+    ok = np.ones(S, dtype=bool)
     for k in range(n):
         e = np.zeros(n)
-        e[k] = step
-        cols.append((p(u + e) - p(u - e)) / (2 * step))
-    return np.column_stack(cols)
+        e[k] = 1.0
+        shift = step[:, None] * e
+        p, defined = _p_samples(G, np.concatenate([X + shift, X - shift]))
+        D[:, :, k] = (p[:S] - p[S:]) / (2 * step)[:, None]
+        ok &= defined[:S] & defined[S:]
+    if u.ndim == 1:
+        return _one_point(D, ok)
+    D[~ok] = np.nan
+    return D
 
 
-def _sample_point(G, box: float, rng: random.Random) -> np.ndarray:
-    x = random_point(G.n, box, rng)
-    return G.u0 + x if isinstance(G, NormalizedChart) else x
+def _sample_chunks(G, trials: int, box: float, rng: random.Random):
+    """The sample points of a certificate, drawn in order and yielded as
+    stacks of at most CHUNK: points u in the box around the origin on a
+    graph, parameter points w in the box around the base point on a chart."""
+    n = G.n
+    for start in range(0, trials, CHUNK):
+        X = np.array([random_point(n, box, rng) for _ in range(min(CHUNK, trials - start))])
+        yield G.u0 + X if isinstance(G, NormalizedChart) else X
 
 
-def _sampled_differential(G, x) -> tuple[np.ndarray, np.ndarray | None]:
-    """Closed differential of p at the sample point x, and dv/dx: Dp(u) and
-    None on a graph (v = u); Dp(v(w)) and dv/dw on a chart."""
+def _sample_differentials(G, X) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Closed differentials of p at the sample points X, dv/dx, and two
+    masks: the points that evaluate, and those where the differential is
+    defined.  On a graph they are Dp(u), dv/dx is None (v = u) and every
+    point evaluates; on a chart they are Dp(v(w)) and dv/dw, and a point
+    evaluates where the chart's K solve is regular."""
     if isinstance(G, NormalizedChart):
-        _, dv, jet = G.parameter_jet(x)
-        return _p_differential(jet), dv
-    return p_jacobian_closed(G, x), None
+        _, dv, jet, evaluated = G.parameter_jet(X)
+    else:
+        dv, jet, evaluated = None, G.f.jet2(X), np.ones(len(X), dtype=bool)
+    dp, defined = _p_differentials(jet)
+    return dp, dv, evaluated, evaluated & defined
 
 
 def dominance_certificate(
@@ -517,29 +552,21 @@ def dominance_certificate(
     where the graph Jacobian itself is singular are counted separately (their
     generic occurrence signals that the tangent variety is not full).  On a
     chart the box is in parameter space, around the base point, and the
-    witness is a parameter point.
+    witness is a parameter point: the first full-rank sample drawn.
     """
     require_normalized(G)
     rng = rng or random.Random(0)
     n = G.n
-    successes = 0
-    singular = 0
-    failures = 0
+    successes = singular = failures = 0
     witness = None
-    for _ in range(trials):
-        x = _sample_point(G, box, rng)
-        try:
-            Jp = _sampled_differential(G, x)[0]
-        except SingularTangentJacobianError:
-            singular += 1
-            continue
-        except TansecError:
-            failures += 1
-            continue
-        if numerical_rank(Jp).rank == n:
-            successes += 1
-            if witness is None:
-                witness = x
+    for X in _sample_chunks(G, trials, box, rng):
+        dp, _, evaluated, defined = _sample_differentials(G, X)
+        full = defined & (stacked_rank(dp) == n)
+        failures += int(np.count_nonzero(~evaluated))
+        singular += int(np.count_nonzero(evaluated & ~defined))
+        successes += int(np.count_nonzero(full))
+        if witness is None and full.any():
+            witness = X[np.argmax(full)].copy()
     details = {"full_rank": successes, "singular_jacobian": singular}
     if failures:
         details["evaluation_failures"] = failures
@@ -556,31 +583,30 @@ def dominance_certificate(
 
 def jacobian_agreement(G, trials: int, box: float, rng: random.Random) -> dict:
     """Independent validation of the closed-form differential of p by finite
-    differences; samples where evaluation raises are counted, not compared.
-    On a chart both sides are differentials of w -> p(v(w)): the closed one is
-    Dp(v(w)) dv/dw."""
+    differences; samples where either side is undefined are counted, not
+    compared.  On a chart both sides are differentials of w -> p(v(w)): the
+    closed one is Dp(v(w)) dv/dw."""
     agree = failures = 0
     worst = 0.0
-    for _ in range(trials):
-        x = _sample_point(G, box, rng)
-        try:
-            closed, dv = _sampled_differential(G, x)
-            if dv is not None:
-                closed = closed @ dv
-            fd = p_jacobian_fd(G, x)
-            scale = max(1.0, float(np.abs(closed).max()))
-            err = float(np.abs(closed - fd).max()) / scale
-            if err > FD_TOL:
-                # cancel the O(h^2) truncation error of the central difference
-                # (Richardson): (4 D(h/2) - D(h)) / 3
-                fd = (4 * p_jacobian_fd(G, x, h=FD_STEP / 2) - fd) / 3
-                err = float(np.abs(closed - fd).max()) / scale
-        except TansecError:
-            failures += 1
-            continue
-        worst = max(worst, err)
-        if err <= FD_TOL:
-            agree += 1
+    for X in _sample_chunks(G, trials, box, rng):
+        closed, dv, _, defined = _sample_differentials(G, X)
+        if dv is not None:
+            closed = closed @ dv
+        fd = p_jacobian_fd(G, X)
+        scale = np.maximum(1.0, np.abs(closed).max(axis=(1, 2)))
+        err = np.abs(closed - fd).max(axis=(1, 2)) / scale
+        redo = defined & (err > FD_TOL)
+        if redo.any():
+            # cancel the O(h^2) truncation error of the central difference
+            # (Richardson): (4 D(h/2) - D(h)) / 3
+            fine = (4 * p_jacobian_fd(G, X[redo], h=FD_STEP / 2) - fd[redo]) / 3
+            err[redo] = np.abs(closed[redo] - fine).max(axis=(1, 2)) / scale[redo]
+        # the differences are NaN where p is undefined at a difference point
+        compared = defined & ~np.isnan(err)
+        failures += int(np.count_nonzero(~compared))
+        agree += int(np.count_nonzero(compared & (err <= FD_TOL)))
+        if compared.any():
+            worst = max(worst, float(err[compared].max()))
     check = {
         "samples": trials,
         "agreeing": agree,

@@ -22,8 +22,8 @@ import random
 
 import numpy as np
 
-from .errors import NewtonDivergedError, RankDeficientJacobianError
-from .linalg import exact_rank, numerical_rank, solve
+from .errors import NewtonDivergedError, RankDeficientJacobianError, SingularMatrixError
+from .linalg import exact_rank, numerical_rank, stacked_solve
 from .newton import NewtonConfig, NewtonResult, damped_newton
 from .poly import Jet2, PolyMap, Polynomial, integer_tensor, random_rational_point
 
@@ -177,10 +177,11 @@ class NormalizedChart:
         w = self._solve_parameter(v)
         return self.forward(w)[self.n :]
 
-    def parameter_jet(self, w) -> tuple[np.ndarray, np.ndarray, Jet2]:
-        """Chart coordinate v(w), its differential dv/dw and the second-order
-        jet of the implied graph map at v(w), from one jet of psi at the
-        parameter point w and no inversion.
+    def parameter_jet(self, W) -> tuple[np.ndarray, np.ndarray, Jet2, np.ndarray]:
+        """Chart coordinates v(w), their differentials dv/dw and the
+        second-order jets of the implied graph map at v(w), for an (S, n)
+        stack W of parameter points, from one stacked jet of psi and no
+        inversion; the last result flags the points where K below exists.
 
         With phi = A (psi - psi(u0)) split into blocks (phi1, phi2) and
         K = Dphi1(w)^-1, v = phi1(w), dv/dw = Dphi1(w), and the graph map is
@@ -188,25 +189,32 @@ class NormalizedChart:
 
             jac  = Dphi2 K
             hess = D2phi2[K., K.] - (Dphi2 K) D2phi1[K., K.]
+
+        K comes from one guarded ``stacked_solve``; where it is singular the
+        point is flagged False and its jet is meaningless.
         """
-        w = np.asarray(w, dtype=complex)
+        W = np.asarray(W, dtype=complex)
         n = self.n
-        jet = self.psi.jet2(w)
-        z = self.A @ (jet.value - self.psi0)
+        jet = self.psi.jet2(W)
+        Z = (jet.value - self.psi0) @ self.A.T
         AJ = self.A @ jet.jacobian
-        AH = np.einsum("ab,bjk->ajk", self.A, jet.hessian)
-        K = solve(AJ[:n], np.eye(n, dtype=complex))
-        jac = AJ[n:] @ K
-        G1 = np.einsum("ijk,ja,kb->iab", AH[:n], K, K)
-        G2 = np.einsum("ijk,ja,kb->iab", AH[n:], K, K)
-        hess = G2 - np.einsum("il,lab->iab", jac, G1)
-        hess = (hess + hess.transpose(0, 2, 1)) / 2
-        return z[:n], AJ[:n], Jet2(value=z[n:], jacobian=jac, hessian=hess)
+        AH = np.einsum("ab,sbjk->sajk", self.A, jet.hessian)
+        K, ok = stacked_solve(AJ[:, :n], np.broadcast_to(np.eye(n, dtype=complex), AJ[:, :n].shape))
+        jac = AJ[:, n:] @ K
+        G1 = np.einsum("sijk,sja,skb->siab", AH[:, :n], K, K)
+        G2 = np.einsum("sijk,sja,skb->siab", AH[:, n:], K, K)
+        hess = G2 - np.einsum("sil,slab->siab", jac, G1)
+        hess = (hess + hess.transpose(0, 1, 3, 2)) / 2
+        return Z[:, :n], AJ[:, :n], Jet2(value=Z[:, n:], jacobian=jac, hessian=hess), ok
 
     def jet_at(self, v) -> Jet2:
         """Second-order jet of the implied graph map at the chart point v:
         invert the chart, then take the jet at the parameter point."""
-        return self.parameter_jet(self._solve_parameter(np.asarray(v, dtype=complex)))[2]
+        w = self._solve_parameter(np.asarray(v, dtype=complex))
+        _, _, jet, ok = self.parameter_jet(w[None])
+        if not ok[0]:
+            raise SingularMatrixError("numerically singular matrix")
+        return Jet2(value=jet.value[0], jacobian=jet.jacobian[0], hessian=jet.hessian[0])
 
     def hessian0(self) -> np.ndarray:
         """Second-order jet of the graph map at 0, in closed form; built once."""

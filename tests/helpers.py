@@ -1,5 +1,6 @@
 """Shared test helpers: seeded random polynomials and exact scalars, reference
-implementations of the exact kernels, and the benchmark's modules."""
+implementations of the exact kernels, the parser and the dominance sampler,
+and the benchmark's modules."""
 
 from __future__ import annotations
 
@@ -8,8 +9,23 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from tansec.errors import PolyParseError
-from tansec.poly import GaussianRational, Polynomial
+import numpy as np
+
+from tansec.errors import PolyParseError, SingularMatrixError, SingularTangentJacobianError, TansecError
+from tansec.linalg import RANK_EPS, numerical_rank, solve
+from tansec.poly import GaussianRational, Jet2, Polynomial, random_point
+from tansec.tangent import (
+    FAILS,
+    FD_STEP,
+    FD_TOL,
+    FLOAT_SAMPLING,
+    HOLDS,
+    Certificate,
+    _meets_success_fraction,
+    _sampled_verdict,
+    require_normalized,
+)
+from tansec.variety import NormalizedChart
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -280,3 +296,139 @@ def reference_partial(p: Polynomial, index: int) -> Polynomial:
             lowered[index] -= 1
             out[tuple(lowered)] = c * exps[index]
     return Polynomial(p.num_vars, out)
+
+
+# -- reference dominance sampling ------------------------------------------------
+#
+# The dominance certificate and its finite-difference cross-check as they were
+# before stacked evaluation: one sample point at a time, every solve through
+# ``linalg.solve``.  Kept as an independent reference for the stacked sampler.
+
+
+def reference_parameter_jet(chart, w):
+    """v(w), dv/dw and the graph map's jet at v(w) for one parameter point."""
+    w = np.asarray(w, dtype=complex)
+    n = chart.n
+    jet = chart.psi.jet2(w)
+    z = chart.A @ (jet.value - chart.psi0)
+    AJ = chart.A @ jet.jacobian
+    AH = np.einsum("ab,bjk->ajk", chart.A, jet.hessian)
+    K = solve(AJ[:n], np.eye(n, dtype=complex))
+    jac = AJ[n:] @ K
+    G1 = np.einsum("ijk,ja,kb->iab", AH[:n], K, K)
+    G2 = np.einsum("ijk,ja,kb->iab", AH[n:], K, K)
+    hess = G2 - np.einsum("il,lab->iab", jac, G1)
+    hess = (hess + hess.transpose(0, 2, 1)) / 2
+    return z[:n], AJ[:n], Jet2(value=z[n:], jacobian=jac, hessian=hess)
+
+
+def _reference_solve(A, b):
+    """``linalg.solve``, raising SingularTangentJacobianError as p does."""
+    try:
+        return solve(A, b)
+    except SingularMatrixError as exc:
+        raise SingularTangentJacobianError(str(exc)) from exc
+
+
+def _reference_p_differential(jet):
+    w = _reference_solve(jet.jacobian, jet.value)
+    return _reference_solve(jet.jacobian, np.einsum("ikl,k->il", jet.hessian, w))
+
+
+def _reference_p(G, x):
+    """p at one sample point: u on a graph, a parameter point w on a chart."""
+    if isinstance(G, NormalizedChart):
+        n = G.n
+        z = G.forward(x)
+        AJ = G.A @ G.psi.jacobian_at(x)
+        return z[:n] - AJ[:n] @ _reference_solve(AJ[n:], z[n:])
+    jet = G.jet_at(x)
+    return x - _reference_solve(jet.jacobian, jet.value)
+
+
+def reference_p_jacobian_fd(G, u, h):
+    n = G.n
+    step = h * max(1.0, float(np.linalg.norm(u)))
+    cols = []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = step
+        cols.append((_reference_p(G, u + e) - _reference_p(G, u - e)) / (2 * step))
+    return np.column_stack(cols)
+
+
+def _reference_sample(G, box, rng):
+    x = random_point(G.n, box, rng)
+    return G.u0 + x if isinstance(G, NormalizedChart) else x
+
+
+def _reference_differential(G, x):
+    if isinstance(G, NormalizedChart):
+        _, dv, jet = reference_parameter_jet(G, x)
+        return _reference_p_differential(jet), dv
+    return _reference_p_differential(G.jet_at(x)), None
+
+
+def reference_dominance_certificate(G, trials, rng, box):
+    require_normalized(G)
+    n = G.n
+    successes = singular = failures = 0
+    witness = None
+    for _ in range(trials):
+        x = _reference_sample(G, box, rng)
+        try:
+            Jp = _reference_differential(G, x)[0]
+        except SingularTangentJacobianError:
+            singular += 1
+            continue
+        except TansecError:
+            failures += 1
+            continue
+        if numerical_rank(Jp).rank == n:
+            successes += 1
+            if witness is None:
+                witness = x
+    details = {"full_rank": successes, "singular_jacobian": singular}
+    if failures:
+        details["evaluation_failures"] = failures
+    return Certificate(
+        verdict=_sampled_verdict(successes, trials),
+        method=FLOAT_SAMPLING,
+        trials=trials,
+        successes=successes,
+        tolerance=RANK_EPS,
+        witness=witness,
+        details=details,
+    )
+
+
+def reference_jacobian_agreement(G, trials, box, rng) -> dict:
+    agree = failures = 0
+    worst = 0.0
+    for _ in range(trials):
+        x = _reference_sample(G, box, rng)
+        try:
+            closed, dv = _reference_differential(G, x)
+            if dv is not None:
+                closed = closed @ dv
+            fd = reference_p_jacobian_fd(G, x, FD_STEP)
+            scale = max(1.0, float(np.abs(closed).max()))
+            err = float(np.abs(closed - fd).max()) / scale
+            if err > FD_TOL:
+                fd = (4 * reference_p_jacobian_fd(G, x, FD_STEP / 2) - fd) / 3
+                err = float(np.abs(closed - fd).max()) / scale
+        except TansecError:
+            failures += 1
+            continue
+        worst = max(worst, err)
+        if err <= FD_TOL:
+            agree += 1
+    check = {
+        "samples": trials,
+        "agreeing": agree,
+        "max_relative_error": worst,
+        "verdict": HOLDS if _meets_success_fraction(agree, trials) else FAILS,
+    }
+    if failures:
+        check["evaluation_failures"] = failures
+    return check

@@ -30,3 +30,14 @@ def test_benchmark_check_accepts_param_dominance(tmp_path, capsys, family, n):
     report, reason = check.check_job(job, code, capsys.readouterr().out, None)
     assert reason is None
     assert report["verdict"] == "holds"
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_benchmark_check_accepts_graph_dominance(tmp_path, capsys, n):
+    gen, check = load_perfbench("gen"), load_perfbench("check")
+    jobs = gen.make_jobs("certify", 1, tmp_path, rounds=1)
+    job = next(j for j in jobs if j["command"] == "dominance" and j["family"] == "full" and j["n"] == n)
+    code = main(job["argv"])
+    report, reason = check.check_job(job, code, capsys.readouterr().out, None)
+    assert reason is None
+    assert report["verdict"] == "holds"

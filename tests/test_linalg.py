@@ -7,6 +7,7 @@ import pytest
 from helpers import random_gaussian, reference_det, reference_rank, reference_solve
 from tansec.errors import DegenerateInputError, SingularMatrixError
 from tansec.linalg import (
+    RANK_EPS,
     chordal_distance,
     exact_det,
     exact_rank,
@@ -16,6 +17,8 @@ from tansec.linalg import (
     nullspace,
     orthonormal_rows,
     solve,
+    stacked_rank,
+    stacked_solve,
     subspace_intersection,
 )
 from tansec.poly import GaussianRational
@@ -61,6 +64,110 @@ def test_solve_matrix_rhs():
     B = np.eye(2)
     X = solve(A, B)
     assert np.allclose(A @ X, B)
+
+
+# -- stacked solve and rank ----------------------------------------------------------
+
+
+def _solve_or_none(A, b):
+    try:
+        return solve(A, b)
+    except SingularMatrixError:
+        return None
+
+
+def _assert_stacked_solve_is_solve(A, b) -> np.ndarray:
+    """ok is "solve does not raise" on every slice, x matches solve there to
+    1e-13 relative and is zero elsewhere; returns ok."""
+    x, ok = stacked_solve(A, b)
+    assert x.shape == np.shape(b) and ok.shape == (len(A),)
+    for A_s, b_s, x_s, ok_s in zip(A, b, x, ok):
+        expected = _solve_or_none(A_s, b_s)
+        assert ok_s == (expected is not None)
+        if expected is None:
+            assert not x_s.any()
+        else:
+            assert np.abs(x_s - expected).max() <= 1e-13 * np.abs(expected).max()
+    return ok
+
+
+def _unitary(rng, k):
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    return q
+
+
+def _mixed_systems(rng, k):
+    """Regular, exactly singular and (for k > 1) near-threshold k x k
+    matrices, shuffled: the smallest singular value of the last two sits 0.1%
+    above and below the rank threshold RANK_EPS * s_max * k."""
+    stack = list(rng.normal(size=(5, k, k)) + 1j * rng.normal(size=(5, k, k)))
+    stack.append(np.zeros((k, k), dtype=complex))
+    if k > 1:
+        u, v = rng.normal(size=(2, k, 1)) + 1j * rng.normal(size=(2, k, 1))
+        stack.append(u @ v.conj().T)
+        for factor in (1.001, 0.999):
+            s = np.ones(k)
+            s[-1] = RANK_EPS * k * factor
+            stack.append(_unitary(rng, k) @ np.diag(s) @ _unitary(rng, k))
+    order = rng.permutation(len(stack))
+    return np.array([stack[i] for i in order])
+
+
+def test_stacked_solve_matches_solve_on_each_slice():
+    rng = np.random.default_rng(41)
+    for k in (1, 2, 3, 5, 8):
+        A = _mixed_systems(rng, k)
+        b = rng.normal(size=(len(A), k)) + 1j * rng.normal(size=(len(A), k))
+        ok = _assert_stacked_solve_is_solve(A, b)
+        B = rng.normal(size=(len(A), k, 3)) + 1j * rng.normal(size=(len(A), k, 3))
+        assert np.array_equal(_assert_stacked_solve_is_solve(A, B), ok)
+        # the regular systems and the one just above the threshold
+        assert ok.sum() == (5 if k == 1 else 6)
+
+
+def test_stacked_solve_applies_the_residual_bound_of_solve(monkeypatch):
+    # with no residual allowed, only systems that solve exactly (scaled
+    # permutations with power-of-two entries) pass the bound, in both solves
+    from tansec import linalg
+
+    monkeypatch.setattr(linalg, "RESIDUAL_EPS", 0.0)
+    rng = np.random.default_rng(42)
+    exact = [np.diag([2.0, 4.0, 0.5]), 2 * np.eye(3)[[2, 0, 1]], np.eye(3)]
+    generic = list(rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+    singular = [np.ones((3, 3))]
+    A = np.array(exact + generic + singular, dtype=complex)
+    b = np.tile(np.array([1.0, 2.0, 3.0]), (len(A), 1))
+    ok = _assert_stacked_solve_is_solve(A, b)
+    assert ok.tolist() == [True] * 3 + [False] * 4
+    assert [numerical_rank(a).rank for a in A] == [3] * 6 + [1]
+
+
+def test_stacked_solve_empty_stacks():
+    x, ok = stacked_solve(np.zeros((0, 2, 2)), np.zeros((0, 2)))
+    assert x.shape == (0, 2) and ok.shape == (0,)
+    x, ok = stacked_solve(np.zeros((2, 0, 0)), np.zeros((2, 0)))
+    assert x.shape == (2, 0) and not ok.any()
+    with pytest.raises(SingularMatrixError):
+        solve(np.zeros((0, 0)), np.zeros(0))
+    with pytest.raises(ValueError):
+        stacked_solve(np.zeros((2, 2, 3)), np.zeros((2, 2)))
+
+
+def test_stacked_rank_matches_numerical_rank_on_each_slice():
+    rng = np.random.default_rng(43)
+    for m, k in ((1, 1), (2, 2), (3, 5), (5, 3), (8, 8)):
+        stack = []
+        for r in range(min(m, k) + 1):
+            for _ in range(3):
+                left = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+                right = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+                stack.append(left @ right)
+        A = np.array(stack)
+        ranks = stacked_rank(A)
+        assert ranks.tolist() == [numerical_rank(a).rank for a in A]
+        assert ranks.tolist() == [r for r in range(min(m, k) + 1) for _ in range(3)]
+    assert stacked_rank(np.zeros((3, 0, 2))).tolist() == [0, 0, 0]
+    assert stacked_rank(np.zeros((0, 2, 2))).shape == (0,)
 
 
 # -- rank -----------------------------------------------------------------------

@@ -356,6 +356,43 @@ def test_jet2_rejects_wrong_dimension():
             method([1.0, 2.0])
 
 
+def test_stacked_evaluation_matches_one_point_on_the_benchmark_files(tmp_path):
+    # every map of round 0 of both workloads, graphs and parametrizations
+    gen = load_perfbench("gen")
+    rng = random.Random(17)
+    maps = 0
+    for workload in ("recover", "certify"):
+        for job in gen.make_jobs(workload, 1, tmp_path / workload, rounds=1):
+            vf = parse_variety_file(Path(job["argv"][1]).read_text())
+            F = parse_map(vf.exprs, vf.n)
+            U = np.array([random_point(vf.n, 1.0, rng) for _ in range(7)])
+            jet, value, jacobian = F.jet2(U), F.value_at(U), F.jacobian_at(U)
+            assert jet.hessian.shape == (7, F.num_components, vf.n, vf.n)
+            for s, u in enumerate(U):
+                one = F.jet2(u)
+                for stacked, single in (
+                    (jet.value[s], one.value),
+                    (jet.jacobian[s], one.jacobian),
+                    (jet.hessian[s], one.hessian),
+                    (value[s], F.value_at(u)),
+                    (jacobian[s], F.jacobian_at(u)),
+                ):
+                    assert stacked.shape == single.shape
+                    assert np.abs(stacked - single).max() <= 1e-14 * max(1.0, np.abs(single).max())
+            maps += 1
+    assert maps == 46
+
+
+def test_stacked_evaluation_rejects_wrong_shapes():
+    F = parse_map(["u1^2", "u1*u2"], 2)
+    for method in (F.jet2, F.value_at, F.jacobian_at):
+        for bad in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                method(bad)
+        empty = method(np.zeros((0, 2)))
+        assert (empty.value if isinstance(empty, Jet2) else empty).shape[0] == 0
+
+
 def exact_jet(F: PolyMap, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, Jacobian and Hessian of F at the rational point x, evaluated
     exactly term by term and only then cast to complex."""

@@ -486,8 +486,9 @@ def _benchmark_charts(tmp_path):
 def test_chart_differential_at_parameter_point_matches_chart_coordinates(tmp_path):
     # the closed differential and p itself taken at a parameter point w, with
     # no inversion, equal those taken at the chart point v(w) by inverting
+    # (the sampler takes both at a stack of parameter points)
     from tansec.poly import random_point
-    from tansec.tangent import _chart_p, _p_differential
+    from tansec.tangent import _p_differentials, _p_samples
 
     charts = _benchmark_charts(tmp_path)
     assert sorted((family, n) for family, n, _ in charts) == [
@@ -495,15 +496,18 @@ def test_chart_differential_at_parameter_point_matches_chart_coordinates(tmp_pat
     ]
     rng = random.Random(5)
     for _, n, chart in charts:
-        for _ in range(20):
-            w = chart.u0 + random_point(n, 0.1, rng)
-            v, dv, jet = chart.parameter_jet(w)
+        W = chart.u0 + np.array([random_point(n, 0.1, rng) for _ in range(20)])
+        V, dV, jets, evaluated = chart.parameter_jet(W)
+        differentials, defined = _p_differentials(jets)
+        p_at_w, p_defined = _p_samples(chart, W)
+        assert evaluated.all() and defined.all() and p_defined.all()
+        for w, v, dv, differential, p in zip(W, V, dV, differentials, p_at_w):
             assert np.abs(v - chart.forward(w)[:n]).max() <= 1e-12
             assert np.abs(dv - (chart.A @ chart.psi.jacobian_at(w))[:n]).max() <= 1e-12
             closed = p_jacobian_closed(chart, v)
             scale = max(1.0, float(np.abs(closed).max()))
-            assert np.abs(_p_differential(jet) - closed).max() / scale <= 1e-10
-            assert np.abs(_chart_p(chart, w) - p_map(chart, v)).max() <= 1e-10
+            assert np.abs(differential - closed).max() / scale <= 1e-10
+            assert np.abs(p - p_map(chart, v)).max() <= 1e-10
 
 
 def test_chart_dominance_samples_parameter_points(tmp_path):
@@ -519,3 +523,134 @@ def test_chart_dominance_samples_parameter_points(tmp_path):
         assert np.abs(cert.witness - chart.u0).max() <= 0.1 * 2**0.5
         check = jacobian_agreement(chart, 30, 0.1, random.Random(4))
         assert check["agreeing"] == 30 and check["max_relative_error"] <= 1e-8
+
+
+# -- the stacked sampler against the per-sample reference ---------------------------------
+
+
+def _certify_graphs(tmp_path, family, sizes):
+    """(n, graph) for the round-0 files of a graph family of the benchmark's
+    certify workload."""
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.varfile import parse_variety_file
+
+    jobs = load_perfbench("gen").make_jobs("certify", 1, tmp_path, rounds=1)
+    out = []
+    for job in jobs:
+        if job["family"] == family and job["n"] in sizes:
+            vf = parse_variety_file(Path(job["argv"][1]).read_text())
+            out.append((vf.n, graph(vf.exprs, vf.n)))
+    return out
+
+
+class _SingularPsi:
+    """A parametrization whose jets report a zero Jacobian at the parameter
+    points with Re w_1 > cut, so a chart's K solve fails there."""
+
+    def __init__(self, psi, cut):
+        self.psi = psi
+        self.cut = cut
+
+    def __getattr__(self, name):
+        return getattr(self.psi, name)
+
+    def jet2(self, w):
+        jet = self.psi.jet2(w)
+        jet.jacobian[np.asarray(w)[..., 0].real > self.cut] = 0
+        return jet
+
+
+def _assert_matches_reference(G, trials, seed, box=0.1):
+    """Every field of the certificate and of the agreement check equals the
+    per-sample reference's; the worst finite-difference error may move by
+    round-off."""
+    from dataclasses import fields
+
+    from helpers import reference_dominance_certificate, reference_jacobian_agreement
+    from tansec.tangent import jacobian_agreement
+
+    cert = dominance_certificate(G, trials=trials, rng=random.Random(seed), box=box)
+    ref = reference_dominance_certificate(G, trials, random.Random(seed), box)
+    for f in fields(cert):
+        if f.name == "witness":
+            assert (cert.witness is None) == (ref.witness is None)
+            assert ref.witness is None or np.array_equal(cert.witness, ref.witness)
+        else:
+            assert getattr(cert, f.name) == getattr(ref, f.name), f.name
+    check = jacobian_agreement(G, trials, box, random.Random(seed + 1))
+    ref_check = reference_jacobian_agreement(G, trials, box, random.Random(seed + 1))
+    assert abs(check["max_relative_error"] - ref_check["max_relative_error"]) <= 1e-9
+    assert {**check, "max_relative_error": 0} == {**ref_check, "max_relative_error": 0}
+    return cert, check
+
+
+def test_sampler_matches_reference_on_the_example_graphs():
+    for G, seed in ((CONIC, 1), (MIXED, 2), (QUADRIC_PAIR, 3), (CUBIC_CONIC, 4)):
+        cert, check = _assert_matches_reference(G, 60, seed)
+        assert cert.verdict == HOLDS and check["agreeing"] == 60
+    cert, check = _assert_matches_reference(CYLINDER, 40, 5)
+    assert cert.details["singular_jacobian"] == 40 and check["evaluation_failures"] == 40
+
+
+def test_sampler_matches_reference_where_richardson_fires(tmp_path, monkeypatch):
+    # cubic terms leave some central differences over FD_TOL, so the stacked
+    # check extrapolates on those samples only
+    from tansec import tangent
+
+    fine_steps = []
+    original = tangent.p_jacobian_fd
+
+    def spy(G, u, h=tangent.FD_STEP):
+        if h != tangent.FD_STEP:
+            fine_steps.append(len(u))
+        return original(G, u, h)
+
+    monkeypatch.setattr(tangent, "p_jacobian_fd", spy)
+    graphs = _certify_graphs(tmp_path, "cubic", (2, 4))
+    assert sorted(n for n, _ in graphs) == [2, 4]
+    for n, G in graphs:
+        _assert_matches_reference(G, 100, 10 + n)
+    assert fine_steps and all(0 < s < 100 for s in fine_steps)
+
+
+def test_sampler_matches_reference_on_the_benchmark_charts(tmp_path):
+    for family, n, chart in _benchmark_charts(tmp_path):
+        cert, check = _assert_matches_reference(chart, 100, 20 + n)
+        assert cert.verdict == HOLDS and check["agreeing"] == 100
+
+
+def test_sampler_counts_chart_evaluation_failures(tmp_path):
+    from tansec.variety import NormalizedChart
+
+    for _, n, chart in _benchmark_charts(tmp_path):
+        forced = NormalizedChart(_SingularPsi(chart.psi, chart.u0[0].real), chart.u0, chart.A)
+        cert, check = _assert_matches_reference(forced, 50, 30 + n)
+        failed = cert.details["evaluation_failures"]
+        assert 0 < failed < 50 and cert.successes == 50 - failed
+        assert 0 < check["evaluation_failures"] < 50
+
+
+def test_sampler_with_no_trials_and_past_one_chunk():
+    from tansec.tangent import CHUNK
+
+    cert, check = _assert_matches_reference(MIXED, 0, 6)
+    assert cert.verdict == FAILS and cert.witness is None and cert.successes == 0
+    assert check["samples"] == 0 and check["max_relative_error"] == 0.0
+    cert, check = _assert_matches_reference(MIXED, CHUNK + 3, 7)
+    assert cert.successes == CHUNK + 3 and check["agreeing"] == CHUNK + 3
+
+
+def test_stacked_finite_differences_match_one_point_and_mark_undefined_samples():
+    rng = random.Random(8)
+    from tansec.poly import random_point
+
+    U = np.array([random_point(2, 0.2, rng) for _ in range(5)] + [[0.0, 0.3]])
+    D = p_jacobian_fd(MIXED, U)
+    for u, d in zip(U[:-1], D):
+        assert np.abs(d - p_jacobian_fd(MIXED, u)).max() <= 1e-12
+    # u1 = 0 makes f_u singular at every difference point in the u2 direction
+    assert np.isnan(D[-1]).all()
+    with pytest.raises(SingularTangentJacobianError):
+        p_jacobian_fd(MIXED, U[-1])

@@ -145,6 +145,43 @@ def test_chart_jet_matches_finite_differences():
         assert np.abs(fd2 - jet.hessian[:, :, k]).max() < 1e-5
 
 
+def test_stacked_parameter_jet_matches_one_point_reference():
+    from helpers import reference_parameter_jet
+
+    V = ParamVariety(parse_map(["u1 + u2^2", "u2 - u1^2", "u1*u2", "u1^2 + u2^3"], 2))
+    chart = normalize_at(V, [0.25, -0.15])
+    rng = np.random.default_rng(6)
+    W = chart.u0 + 0.1 * (rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))
+    V_, dV, jets, ok = chart.parameter_jet(W)
+    assert ok.all()
+    for s, w in enumerate(W):
+        v, dv, jet = reference_parameter_jet(chart, w)
+        for stacked, single in (
+            (V_[s], v),
+            (dV[s], dv),
+            (jets.value[s], jet.value),
+            (jets.jacobian[s], jet.jacobian),
+            (jets.hessian[s], jet.hessian),
+        ):
+            assert np.abs(stacked - single).max() <= 1e-13 * max(1.0, np.abs(single).max())
+
+
+def test_stacked_parameter_jet_flags_a_singular_k_solve():
+    # phi1 = w + w^2 at base point 0, so dphi1/dw = 1 + 2w vanishes at -1/2
+    from helpers import reference_parameter_jet
+    from tansec.errors import SingularMatrixError
+
+    chart = normalize_at(ParamVariety(parse_map(["u1 + u1^2", "u1^2"], 1)), [0.0])
+    W = np.array([[0.1], [-0.5], [0.2j]], dtype=complex)
+    _, _, jets, ok = chart.parameter_jet(W)
+    assert ok.tolist() == [True, False, True]
+    with pytest.raises(SingularMatrixError):
+        reference_parameter_jet(chart, W[1])
+    for s in (0, 2):
+        jet = reference_parameter_jet(chart, W[s])[2]
+        assert np.abs(jets.hessian[s] - jet.hessian).max() <= 1e-13 * max(1.0, np.abs(jet.hessian).max())
+
+
 def test_newton_divergence_is_reported_not_silent(monkeypatch):
     V = ParamVariety(parse_map(["u1 + u1^3", "u1^2"], 1))
     chart = normalize_at(V, [0.0])
