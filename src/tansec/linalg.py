@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +75,11 @@ def _exceeds_residual_bound(residual, norm_a, norm_x, norm_b):
     return (residual > RESIDUAL_EPS * (norm_a * norm_x + norm_b)) & (residual > 1e-300)
 
 
+def _norms(Z: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of every matrix of an (S, m, k) stack."""
+    return np.sqrt(np.einsum("sij,sij->s", Z, Z.conj()).real)
+
+
 def numerical_rank(A) -> RankResult:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
@@ -101,16 +105,19 @@ def stacked_rank(A) -> np.ndarray:
 def solve(A, b):
     """Solve A x = b for square A via SVD.
 
-    Raises SingularMatrixError when the smallest singular value falls below
-    the relative threshold, and double-checks the residual bound
-    ||Ax - b|| <= RESIDUAL_EPS (||A|| ||x|| + ||b||) so a poorly conditioned
-    system cannot return silently wrong values.  ``b`` may be a vector or a
-    matrix.  Newton runs on it; ``stacked_solve`` serves stacks of systems.
+    Raises SingularMatrixError when A or b holds a NaN or an infinity, when
+    the smallest singular value falls below the relative threshold, and when
+    the residual bound ||Ax - b|| <= RESIDUAL_EPS (||A|| ||x|| + ||b||)
+    fails, so a poorly conditioned system cannot return silently wrong
+    values.  ``b`` may be a vector or a matrix.  ``stacked_solve`` serves
+    stacks of systems.
     """
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise SingularMatrixError("matrix or right-hand side is not finite")
     u, s, vh = np.linalg.svd(A)
     if s.size == 0 or _svd_rank(s, A.shape)[0] < s.size:
         raise SingularMatrixError("numerically singular matrix")
@@ -129,8 +136,8 @@ def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
     A is an (S, k, k) stack and b an (S, k) stack of vectors or an (S, k, r)
     stack of matrices.  Returns x, shaped like b, and a boolean mask ok of
     length S.  ok[s] is False exactly where ``solve(A[s], b[s])`` raises:
-    the rank threshold or the residual bound fails on that slice.  x is zero
-    there.
+    the slice is not finite, or the rank threshold or the residual bound
+    fails on it.  x is zero there.
     """
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -141,12 +148,16 @@ def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
     S, k = A.shape[:2]
     if S == 0 or k == 0:
         return np.zeros_like(b), np.zeros(S, dtype=bool)
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    if not finite.all():  # one NaN would stop the SVD of the whole stack
+        A = np.where(finite[:, None, None], A, np.eye(k))
+        rhs = np.where(finite[:, None, None], rhs, 0)
     u, s, vh = np.linalg.svd(A)
-    ok = _stack_ranks(s, A.shape[1:]) == k
-    s = np.where(ok[:, None], s, 1.0)
+    # full rank exactly when the smallest singular value clears the threshold
+    ok = finite & (s[:, -1] > _rank_tol(s[:, 0], (k, k)))
+    s[~ok] = 1.0
     x = vh.conj().transpose(0, 2, 1) @ ((u.conj().transpose(0, 2, 1) @ rhs) / s[:, :, None])
-    norm = partial(np.linalg.norm, axis=(1, 2))
-    ok &= ~_exceeds_residual_bound(norm(A @ x - rhs), norm(A), norm(x), norm(rhs))
+    ok &= ~_exceeds_residual_bound(_norms(A @ x - rhs), _norms(A), _norms(x), _norms(rhs))
     x[~ok] = 0
     return (x[:, :, 0] if vector_rhs else x), ok
 

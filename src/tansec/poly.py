@@ -615,7 +615,8 @@ class PolyMap:
 
     def _compiled(self):
         """(power-table index per monomial, coefficient rows, max degree,
-        pair indices j, k of the second partials)."""
+        and for each entry (a, b) of an n x n Hessian, row-major, the index
+        of d2/du_a du_b among the second partials)."""
         if self._table is None:
             grad, hess = self._derivatives()
             n = self.num_vars
@@ -634,10 +635,13 @@ class PolyMap:
                 for e, c in p.terms.items():
                     coeffs[r, column[e]] = c.to_complex()
             exps = np.array(list(column), dtype=np.intp).reshape(len(column), n)
-            # entry [t, v] is the flat index of u_v^exps[t, v] in the power table
-            power_index = exps * n + np.arange(n)
-            j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-            self._table = (power_index, coeffs, int(exps.max(initial=0)), (j, k))
+            # entry [v, t] is the flat index of u_v^exps[t, v] in the power table
+            power_index = np.ascontiguousarray((exps * n + np.arange(n)).T)
+            pair_index = {pair: p for p, pair in enumerate(pairs)}
+            symmetric = np.array(
+                [pair_index[min(a, b), max(a, b)] for a in range(n) for b in range(n)], dtype=np.intp
+            )
+            self._table = (power_index, coeffs, int(exps.max(initial=0)), symmetric)
         return self._table
 
     def _eval_rows(self, u: Sequence[complex], rows: slice) -> np.ndarray:
@@ -656,15 +660,15 @@ class PolyMap:
             # the product over the exponent table, one variable at a time, so
             # that no (S, monomials, n) array is formed
             table = powers.reshape(len(u), (degree + 1) * n)
-            monomials = table[:, power_index[:, 0]]
+            monomials = table.take(power_index[0], axis=1)
             for v in range(1, n):
-                monomials *= table[:, power_index[:, v]]
+                monomials *= table.take(power_index[v], axis=1)
             return monomials @ coeffs[rows].T
         # powers[d, v] = u_v^d
         powers = np.ones((degree + 1, n), dtype=complex)
         powers[1:] = u
         np.multiply.accumulate(powers, axis=0, out=powers)
-        return coeffs[rows] @ powers.take(power_index).prod(axis=1)
+        return coeffs[rows] @ powers.take(power_index).prod(axis=0)
 
     def value_at(self, u: Sequence[complex]) -> np.ndarray:
         return self._eval_rows(u, slice(0, self.num_components))
@@ -676,20 +680,15 @@ class PolyMap:
 
     def jet2(self, u: Sequence[complex]) -> Jet2:
         m, n = self.num_components, self.num_vars
-        j, k = self._compiled()[3]
+        symmetric = self._compiled()[3]
         flat = self._eval_rows(u, slice(None))
-        if flat.ndim == 1:
-            second = flat[m + m * n :].reshape(m, len(j))
-            hessian = np.empty((m, n, n), dtype=complex)
-            hessian[:, j, k] = second
-            hessian[:, k, j] = second
-            return Jet2(value=flat[:m], jacobian=flat[m : m + m * n].reshape(m, n), hessian=hessian)
-        S = len(flat)
-        second = flat[:, m + m * n :].reshape(S, m, len(j))
-        hessian = np.empty((S, m, n, n), dtype=complex)
-        hessian[:, :, j, k] = second
-        hessian[:, :, k, j] = second
-        return Jet2(value=flat[:, :m], jacobian=flat[:, m : m + m * n].reshape(S, m, n), hessian=hessian)
+        lead = flat.shape[:-1]  # () for one point, (S,) for a stack
+        second = flat[..., m + m * n :].reshape(*lead, m, n * (n + 1) // 2)
+        return Jet2(
+            value=flat[..., :m],
+            jacobian=flat[..., m : m + m * n].reshape(*lead, m, n),
+            hessian=second.take(symmetric, axis=-1).reshape(*lead, m, n, n),
+        )
 
     def jacobian_exact(self, point: Sequence[ScalarLike]) -> list[list[GaussianRational]]:
         grad, _ = self._derivatives()

@@ -6,9 +6,11 @@ system vanishes there: for a graph and a center with affine blocks (P1, P2),
     g_P(u) = f(u) + f_u(u) (P1 - u) - P2 = 0,
 
 and for a parametrization psi, in the 2n unknowns (w, a) with P affine,
-F(w, a) = psi(w) + Dpsi(w) a - P = 0.  One multi-start damped Newton loop
-solves either, and stops once it holds as many isolated roots as the Bezout
-number, which makes the root set complete.  Recovery then intersects tangent
+F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
+of unknowns gets its residuals and Jacobians from one stacked jet.  One
+multi-start loop solves it, running ``stacked_newton`` on waves of starts,
+and stops once it holds as many isolated roots as the Bezout number, which
+makes the root set complete.  Recovery then intersects tangent
 frames pairwise at the found points and takes the consensus cluster; a
 legitimate run on a generic center has one dominant cluster, so a split vote
 is surfaced as NoConsensus rather than papered over.
@@ -28,11 +30,10 @@ from .errors import (
     InsufficientPointsError,
     NoConsensusError,
     NonTransverseError,
-    TansecError,
 )
 from .linalg import RANK_EPS, chordal_distance, numerical_rank
-from .newton import NewtonConfig, NewtonResult, damped_newton
-from .poly import Jet2, random_point
+from .newton import NewtonConfig, stacked_newton
+from .poly import random_point
 from .tangent import Certificate, tan_is_full, tangent_frame, tangent_intersection
 from .variety import ParamVariety
 
@@ -103,27 +104,46 @@ def project(P: Center, x) -> np.ndarray:
 # -- ramification ------------------------------------------------------------------
 
 
-def _residual(jet: Jet2, p1, p2, u) -> np.ndarray:
-    return jet.value + jet.jacobian @ (p1 - u) - p2
+def _ramification_system(G, P: Center):
+    """The ramification system of G and P as a function of an (S, d) stack of
+    unknowns, returning the (S, d) residuals and (S, d, d) Jacobians from one
+    stacked jet; with d, the center of the start box and the map whose
+    degrees give the Bezout number."""
+    n = G.n
+    p1, p2 = P.affine()
+    if isinstance(G, ParamVariety):
+        target = np.concatenate([p1, p2])
 
+        def system(X):
+            # F(w, a) = psi(w) + Dpsi(w) a - P, Jacobian [Dpsi + D2psi[a, .] | Dpsi]
+            jet, a = G.psi.jet2(X[:, :n]), X[:, n:]
+            F = jet.value + np.einsum("sij,sj->si", jet.jacobian, a) - target
+            K = jet.jacobian + np.einsum("sijk,sk->sij", jet.hessian, a)
+            return F, np.concatenate([K, jet.jacobian], axis=2)
 
-def _jacobian(jet: Jet2, p1, u) -> np.ndarray:
-    return np.einsum("ikl,k->il", jet.hessian, p1 - u)
+        return system, 2 * n, 0.0, G.psi
+
+    def system(U):
+        # g_P(u) = f(u) + f_u(u) a - P2 with a = P1 - u, Jacobian f_uu(u)[a, .]
+        jet, a = G.jet_at(U), p1 - U
+        g = jet.value + np.einsum("sij,sj->si", jet.jacobian, a) - p2
+        return g, np.einsum("sikl,sk->sil", jet.hessian, a)
+
+    return system, n, p1, G.f
 
 
 def ramification_residual(G, P: Center, u) -> np.ndarray:
     """g_P(u) = f(u) + f_u(u) (P1 - u) - P2; zero iff P lies in the tangent
-    space at (u, f(u))."""
-    u = np.asarray(u, dtype=complex)
-    p1, p2 = P.affine()
-    return _residual(G.jet_at(u), p1, p2, u)
+    space at (u, f(u)).  For a parametrization, F at u = (w, a)."""
+    system = _ramification_system(G, P)[0]
+    return system(np.asarray(u, dtype=complex)[None])[0][0]
 
 
 def ramification_jacobian(G, P: Center, u) -> np.ndarray:
-    """dg_P(eta) = f_uu(u)[P1 - u, eta]; the first-order terms cancel."""
-    u = np.asarray(u, dtype=complex)
-    p1, _ = P.affine()
-    return _jacobian(G.jet_at(u), p1, u)
+    """dg_P(eta) = f_uu(u)[P1 - u, eta]; the first-order terms cancel.  For a
+    parametrization, the Jacobian of F at u = (w, a)."""
+    system = _ramification_system(G, P)[0]
+    return system(np.asarray(u, dtype=complex)[None])[1][0]
 
 
 def _isolated(J: np.ndarray, r: np.ndarray, step: float) -> bool:
@@ -140,9 +160,11 @@ class RamificationSet:
     values w for a ParamVariety) plus solver statistics.
 
     An empty ``points`` list is the no-solutions verdict, not an exception.
-    ``starts`` counts the starts run and ``failed`` those abandoned because
-    evaluation raised, so converged + failed <= starts.  ``complete`` says the
-    roots hold ``bezout`` isolated ones, hence every isolated root.
+    ``starts`` counts the starts used, in draw order, up to the stop; the
+    last wave may have run up to ``bezout`` - 1 more, whose results are
+    discarded.  ``failed`` counts the used starts abandoned because an
+    evaluation raised, so converged + failed <= starts.  ``complete`` says
+    the roots hold ``bezout`` isolated ones, hence every isolated root.
     """
 
     points: list = field(default_factory=list)
@@ -169,72 +191,50 @@ def ramification_points(
     A graph solves g_P(u) = 0 from starts in a box centered at P1 (for
     quadratic graphs the residual is a quadratic centered there).  A
     ParamVariety solves F(w, a) = 0 from (w, a) in a box around 0, one
-    ``psi.jet2(w)`` giving F and its Jacobian [Dpsi + D2psi[a, .] | Dpsi].
+    ``psi.jet2`` giving F and its Jacobian [Dpsi + D2psi[a, .] | Dpsi].
     Starts are complex because the locus generally contains non-real points.
 
     The starts stop once the counted roots reach the Bezout number
     B = prod max(deg, 1) over the components of f or psi, which bounds the
-    isolated roots with multiplicity.  A new root counts when the system
-    Jacobian has full rank there and the Newton step is below dedup_radius/2B:
-    a root of multiplicity m <= B leaves Newton endpoints about m steps from
-    it, so none is counted twice.  Points are sorted by (real, imaginary)
-    parts, so the output does not depend on completion order.  The last jet
-    is kept: Newton asks for the residual and the Jacobian at one point.
+    isolated roots with multiplicity.  They are drawn in waves of
+    min(B, starts left), and each wave runs through ``stacked_newton`` at
+    once; its results are read in draw order, so the stop falls at the same
+    start as in a one-at-a-time loop.  A new root counts when the system
+    Jacobian has full rank there and the Newton step is below
+    dedup_radius/2B: a root of multiplicity m <= B leaves Newton endpoints
+    about m steps from it, so none is counted twice.  Points are sorted by
+    (real, imaginary) parts, so the output does not depend on completion
+    order.
     """
     cfg = cfg or NewtonConfig()
     rng = rng or random.Random(0)
-    n = G.n
-    p1, p2 = P.affine()
-    if isinstance(G, ParamVariety):
-        poly, dim, center, target = G.psi, 2 * n, 0.0, np.concatenate([p1, p2])
-
-        def jet_of(x):
-            return poly.jet2(x[:n])
-
-        def residual(jet, x):
-            return jet.value + jet.jacobian @ x[n:] - target
-
-        def jacobian(jet, x):
-            return np.hstack([jet.jacobian + np.einsum("ijk,k->ij", jet.hessian, x[n:]), jet.jacobian])
-    else:
-        poly, jet_of, dim, center = G.f, G.jet_at, n, p1
-
-        def residual(jet, u):
-            return _residual(jet, p1, p2, u)
-
-        def jacobian(jet, u):
-            return _jacobian(jet, p1, u)
-
-    last: list = [None, None]  # [point, jet at that point]
-
-    def jet(x):
-        if last[0] is None or not np.array_equal(last[0], x):
-            last[:] = [x.copy(), jet_of(x)]
-        return last[1]
-
+    system, dim, center, poly = _ramification_system(G, P)
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
-    reps: list[NewtonResult] = []
+    step_bound = cfg.dedup_radius / (2 * bezout)
+    reps: list[tuple[np.ndarray, float]] = []
     starts = converged = failed = counted = 0
     while starts < cfg.starts and counted < bezout:
-        starts += 1
-        x0 = center + random_point(dim, cfg.box, rng)
-        try:
-            result = damped_newton(lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), x0, cfg)
-        except TansecError:  # an evaluation that raised abandons the start
-            failed += 1
-            continue
-        if not (result.converged and result.residual <= cfg.tol):
-            continue
-        converged += 1
-        x = result.point
-        if all(np.linalg.norm(x - r.point) > cfg.dedup_radius for r in reps):
-            reps.append(result)
-            counted += _isolated(jacobian(jet(x), x), residual(jet(x), x), cfg.dedup_radius / (2 * bezout))
+        wave = min(bezout, cfg.starts - starts)
+        out = stacked_newton(system, [center + random_point(dim, cfg.box, rng) for _ in range(wave)], cfg)
+        for i in range(wave):
+            if counted == bezout:
+                break
+            starts += 1
+            if out.errors[i] is not None:  # an evaluation that raised abandons the start
+                failed += 1
+                continue
+            if not (out.converged[i] and out.residuals[i] <= cfg.tol):
+                continue
+            converged += 1
+            x = out.points[i]
+            if all(np.linalg.norm(x - point) > cfg.dedup_radius for point, _ in reps):
+                reps.append((x, float(out.residuals[i])))
+                counted += _isolated(out.jacobians[i], out.values[i], step_bound)
 
-    reps.sort(key=lambda r: tuple((z.real, z.imag) for z in r.point))
+    reps.sort(key=lambda rep: tuple((z.real, z.imag) for z in rep[0]))
     return RamificationSet(
-        points=[r.point[:n] for r in reps],
-        residuals=[r.residual for r in reps],
+        points=[point[:G.n] for point, _ in reps],
+        residuals=[residual for _, residual in reps],
         starts=starts,
         converged=converged,
         failed=failed,

@@ -1,10 +1,11 @@
 """Shared test helpers: seeded random polynomials and exact scalars, reference
-implementations of the exact kernels, the parser and the dominance sampler,
-and the benchmark's modules."""
+implementations of the exact kernels, the parser, the dominance sampler and
+the ramification solver, and the benchmark's modules."""
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,9 @@ import numpy as np
 
 from tansec.errors import PolyParseError, SingularMatrixError, SingularTangentJacobianError, TansecError
 from tansec.linalg import RANK_EPS, numerical_rank, solve
+from tansec.newton import NewtonResult
 from tansec.poly import GaussianRational, Jet2, Polynomial, random_point
+from tansec.projection import RamificationSet, _isolated
 from tansec.tangent import (
     FAILS,
     FD_STEP,
@@ -25,7 +28,7 @@ from tansec.tangent import (
     _sampled_verdict,
     require_normalized,
 )
-from tansec.variety import NormalizedChart
+from tansec.variety import NormalizedChart, ParamVariety
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -432,3 +435,102 @@ def reference_jacobian_agreement(G, trials, box, rng) -> dict:
     if failures:
         check["evaluation_failures"] = failures
     return check
+
+
+# -- reference ramification solving ------------------------------------------------
+#
+# Damped Newton and the multi-start ramification loop as they were before the
+# starts ran in stacked waves: one start at a time, one ``linalg.solve`` per
+# iterate, and a one-entry jet cache so that the residual and the Jacobian at
+# a point come from one jet.  Kept as an independent reference for
+# ``stacked_newton`` and ``ramification_points``.
+
+
+def reference_damped_newton(residual, jacobian, start, cfg):
+    x = np.asarray(start, dtype=complex)
+    r = np.asarray(residual(x), dtype=complex)
+    rn = float(np.linalg.norm(r))
+    for it in range(cfg.max_iters):
+        if rn <= cfg.tol:
+            return NewtonResult(x, rn, True, it)
+        try:
+            step = solve(jacobian(x), r)
+        except SingularMatrixError:
+            return NewtonResult(x, rn, False, it)
+        t = 1.0
+        for _ in range(cfg.max_halvings + 1):
+            x_new = x - t * step
+            r_new = np.asarray(residual(x_new), dtype=complex)
+            rn_new = float(np.linalg.norm(r_new))
+            if rn_new < rn:
+                break
+            t /= 2.0
+        else:
+            return NewtonResult(x, rn, False, it)
+        x, r, rn = x_new, r_new, rn_new
+    return NewtonResult(x, rn, rn <= cfg.tol, cfg.max_iters)
+
+
+def reference_ramification(G, P, cfg, rng):
+    """``ramification_points`` one start at a time; the same RamificationSet."""
+    n = G.n
+    p1, p2 = P.affine()
+    if isinstance(G, ParamVariety):
+        poly, dim, center, target = G.psi, 2 * n, 0.0, np.concatenate([p1, p2])
+
+        def jet_of(x):
+            return poly.jet2(x[:n])
+
+        def residual(jet, x):
+            return jet.value + jet.jacobian @ x[n:] - target
+
+        def jacobian(jet, x):
+            return np.hstack([jet.jacobian + np.einsum("ijk,k->ij", jet.hessian, x[n:]), jet.jacobian])
+
+    else:
+        poly, jet_of, dim, center = G.f, G.jet_at, n, p1
+
+        def residual(jet, u):
+            return jet.value + jet.jacobian @ (p1 - u) - p2
+
+        def jacobian(jet, u):
+            return np.einsum("ikl,k->il", jet.hessian, p1 - u)
+
+    last: list = [None, None]
+
+    def jet(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[:] = [x.copy(), jet_of(x)]
+        return last[1]
+
+    bezout = math.prod(max(p.degree(), 1) for p in poly.components)
+    reps = []
+    starts = converged = failed = counted = 0
+    while starts < cfg.starts and counted < bezout:
+        starts += 1
+        x0 = center + random_point(dim, cfg.box, rng)
+        try:
+            result = reference_damped_newton(
+                lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), x0, cfg
+            )
+        except TansecError:
+            failed += 1
+            continue
+        if not (result.converged and result.residual <= cfg.tol):
+            continue
+        converged += 1
+        x = result.point
+        if all(np.linalg.norm(x - r.point) > cfg.dedup_radius for r in reps):
+            reps.append(result)
+            counted += _isolated(jacobian(jet(x), x), residual(jet(x), x), cfg.dedup_radius / (2 * bezout))
+
+    reps.sort(key=lambda r: tuple((z.real, z.imag) for z in r.point))
+    return RamificationSet(
+        points=[r.point[:n] for r in reps],
+        residuals=[r.residual for r in reps],
+        starts=starts,
+        converged=converged,
+        failed=failed,
+        bezout=bezout,
+        complete=counted == bezout,
+    )

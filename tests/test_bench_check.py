@@ -41,3 +41,20 @@ def test_benchmark_check_accepts_graph_dominance(tmp_path, capsys, n):
     report, reason = check.check_job(job, code, capsys.readouterr().out, None)
     assert reason is None
     assert report["verdict"] == "holds"
+
+
+@pytest.mark.parametrize(
+    "command,family,n", [("recover", "full", 3), ("recover", "full", 4), ("ramify", "param-bent", 2)]
+)
+def test_benchmark_check_accepts_the_larger_root_sets(tmp_path, capsys, command, family, n):
+    # every round-0 job of the kind, complete root set or not
+    gen, check = load_perfbench("gen"), load_perfbench("check")
+    jobs = gen.make_jobs("recover", 1, tmp_path, rounds=1)
+    jobs = [j for j in jobs if j["command"] == command and j["family"] == family and j["n"] == n]
+    assert jobs
+    for job in jobs:
+        code = main(job["argv"])
+        report, reason = check.check_job(job, code, capsys.readouterr().out, None)
+        assert reason is None
+        ram = report["checks"]["ramification"]
+        assert 0 < check.roots_found(report) == ram["count"] <= ram["bezout"]

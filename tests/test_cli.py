@@ -276,7 +276,7 @@ def test_param_certificates_never_invert_the_chart(tmp_path, capsys, monkeypatch
         raise AssertionError("chart inversion")
 
     monkeypatch.setattr(variety, "damped_newton", refuse)
-    monkeypatch.setattr(projection, "damped_newton", refuse)
+    monkeypatch.setattr(projection, "stacked_newton", refuse)
     monkeypatch.setattr(variety.NormalizedChart, "_solve_parameter", refuse)
     f = tmp_path / "bent.var"
     f.write_text("n = 2\nkind = param\nf1 = u1 + u2^2\nf2 = u2 - u1^2\nf3 = u1*u2\nf4 = u1^2 + u2^3\n")

@@ -66,6 +66,16 @@ def test_solve_matrix_rhs():
     assert np.allclose(A @ X, B)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_solve_rejects_non_finite_systems(bad):
+    A, b = np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
+    A_bad, b_bad = A.copy(), b.copy()
+    A_bad[0, 1], b_bad[1] = bad, bad
+    for A_s, b_s in ((A_bad, b), (A, b_bad), (A, np.column_stack([b, b_bad]))):
+        with pytest.raises(SingularMatrixError):
+            solve(A_s, b_s)
+
+
 # -- stacked solve and rank ----------------------------------------------------------
 
 
@@ -140,6 +150,20 @@ def test_stacked_solve_applies_the_residual_bound_of_solve(monkeypatch):
     ok = _assert_stacked_solve_is_solve(A, b)
     assert ok.tolist() == [True] * 3 + [False] * 4
     assert [numerical_rank(a).rank for a in A] == [3] * 6 + [1]
+
+
+def test_stacked_solve_flags_exactly_the_non_finite_slices():
+    # one NaN or infinity fails its own slice only, as solve raises on it,
+    # next to a singular slice and regular ones
+    rng = np.random.default_rng(44)
+    A = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+    b = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    A[1, 0, 2], A[3, 1, 1], b[4, 0], b[5, 2] = np.nan, np.inf, complex(np.nan, 1), -np.inf
+    A[6] = 0
+    ok = _assert_stacked_solve_is_solve(A, b)
+    assert ok.tolist() == [True, False, True, False, False, False, False]
+    B = np.repeat(b[:, :, None], 2, axis=2)
+    assert np.array_equal(_assert_stacked_solve_is_solve(A, B), ok)
 
 
 def test_stacked_solve_empty_stacks():

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import reference_ramification
 from tansec.errors import (
     CenterHitError,
     InsufficientPointsError,
@@ -13,7 +14,7 @@ from tansec.errors import (
 )
 from tansec.linalg import chordal_distance
 from tansec import projection
-from tansec.newton import NewtonConfig, damped_newton
+from tansec.newton import NewtonConfig, stacked_newton
 from tansec.poly import parse_map, random_point
 from tansec.projection import (
     Center,
@@ -201,8 +202,9 @@ def test_ramification_no_solutions_is_a_verdict():
 
 
 class CountingJets:
-    """Delegates to a graph and records every point its jet is evaluated at,
-    and how many evaluations raised; ``f`` gives the Bezout number."""
+    """Delegates to a graph and records every stack of points its jet is
+    evaluated at, and how many one-point evaluations raised; ``f`` gives the
+    Bezout number."""
 
     def __init__(self, G):
         self.G = G
@@ -212,16 +214,18 @@ class CountingJets:
         self.raised = 0
 
     def jet_at(self, u):
-        self.points.append(np.asarray(u, dtype=complex).tobytes())
+        u = np.asarray(u, dtype=complex)
+        self.points.append(u.tobytes())
         try:
             return self.G.jet_at(u)
         except TansecError:
-            self.raised += 1
+            self.raised += len(u) == 1
             raise
 
 
 class CountingMap:
-    """Delegates psi.jet2 of a parametrization and records every point."""
+    """Delegates psi.jet2 of a parametrization and records every stack of
+    points."""
 
     def __init__(self, psi):
         self.psi = psi
@@ -234,6 +238,29 @@ class CountingMap:
         return self.psi.jet2(w)
 
 
+def _record_waves(monkeypatch, counting) -> list:
+    """Route ``ramification_points``' Newton waves through a recorder; each
+    wave appends (its start count, its NewtonStack, and per system call the
+    rows given and the jets ``counting`` recorded during the call)."""
+    waves = []
+
+    def newton(system, starts, cfg):
+        calls = []
+
+        def recorded(X):
+            before = len(counting.points)
+            out = system(X)
+            calls.append((X.copy(), counting.points[before:]))
+            return out
+
+        out = stacked_newton(recorded, starts, cfg)
+        waves.append((len(starts), out, calls))
+        return out
+
+    monkeypatch.setattr(projection, "stacked_newton", newton)
+    return waves
+
+
 @pytest.mark.parametrize(
     "G,center",
     [
@@ -243,45 +270,57 @@ class CountingMap:
     ],
 )
 def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
-    # split the recorded points by Newton start: different starts may end on
-    # the same root, but within one start no point is evaluated twice; a
-    # parametrization makes one psi.jet2 per point of its (w, a) system
+    # every evaluation of the stacked system makes exactly one jet, at
+    # exactly the rows it is given (a parametrization makes one psi.jet2 at
+    # the w part of its (w, a) rows), so residual and Jacobian share it; and
+    # within a wave no point is evaluated twice, in one call or across calls
     if isinstance(G, ParamVariety):
         G = copy.copy(G)
         G.psi = counting = CountingMap(G.psi)
     else:
         G = counting = CountingJets(G)
-    starts: list[int] = []
-
-    def newton(*args):
-        starts.append(len(counting.points))
-        return damped_newton(*args)
-
-    monkeypatch.setattr(projection, "damped_newton", newton)
+    waves = _record_waves(monkeypatch, counting)
     R = ramification_points(G, center, NewtonConfig(starts=16), random.Random(6))
-    assert R.converged > 0 and len(starts) == R.starts
-    for lo, hi in zip(starts, starts[1:] + [len(counting.points)]):
-        run = counting.points[lo:hi]
-        assert len(run) == len(set(run)) > 0
+    assert R.converged > 0
+    run = sum(size for size, _, _ in waves)
+    assert R.starts <= run < R.starts + R.bezout
+    assert len(counting.points) == sum(len(calls) for _, _, calls in waves)
+    for _, _, calls in waves:
+        seen = set()
+        for X, jets in calls:
+            assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]
+            rows = {row.tobytes() for row in X}
+            assert len(rows) == len(X) and not rows & seen
+            seen |= rows
 
 
 def test_ramification_counts_abandoned_starts(monkeypatch):
     # a jet that raises away from the origin abandons the starts that reach
-    # there; each is counted, and none is counted as converged
+    # there: a stack holding such a row raises as a whole, its rows are then
+    # evaluated one at a time, and exactly the starts whose own rows raise
+    # are abandoned; those among the starts used are counted as failed, and
+    # none of them as converged
     jet_at = GraphVariety.jet_at
 
     def bounded(G, u):
-        if np.linalg.norm(u) > 2.0:
+        if (np.linalg.norm(u, axis=-1) > 2.0).any():
             raise TansecError("outside the region")
         return jet_at(G, u)
 
     monkeypatch.setattr(GraphVariety, "jet_at", bounded)
     counting = CountingJets(QUADRIC_PAIR)
+    waves = _record_waves(monkeypatch, counting)
     P = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
     R = ramification_points(counting, P, NewtonConfig(starts=16), random.Random(0))
+    abandoned = [e is not None for _, out, _ in waves for e in out.errors]
     assert R.failed > 0
-    assert R.failed == counting.raised
+    assert counting.raised == sum(abandoned)
+    assert R.failed == sum(abandoned[: R.starts])
     assert R.converged + R.failed <= R.starts
+    monkeypatch.undo()
+    monkeypatch.setattr(GraphVariety, "jet_at", bounded)
+    reference = reference_ramification(QUADRIC_PAIR, P, NewtonConfig(starts=16), random.Random(0))
+    assert (R.starts, R.converged, R.failed) == (reference.starts, reference.converged, reference.failed)
 
 
 @pytest.mark.parametrize(
@@ -301,6 +340,34 @@ def test_ramification_param_roots_where_the_chart_stalled(p, roots):
     for target in roots:
         assert min(abs(w[0] - target) for w in R.points) < 1e-9
     assert all(tangent_membership(BENT, P, w) for w in R.points)
+
+
+@pytest.mark.parametrize(
+    "G,P",
+    [
+        (QUADRIC_PAIR, Center.from_affine([0.4, -0.3], [-0.5, 0.7])),
+        (MIXED, Center.from_affine([0.7, -0.4], [0.3, 0.5])),
+        (graph(["u1^2 + u1^3"], 1), Center.from_affine([0.3], [0.8])),
+        (BENT, Center.from_affine([1.0], [2.0])),
+        (graph(["u1^3"], 1), Center.from_affine([0.0], [0.0])),  # a triple root
+        (graph(["0"], 1), Center.from_affine([2.0], [0.0])),  # a solution curve
+    ],
+)
+@pytest.mark.parametrize("starts", [16, 64])
+def test_ramification_matches_the_one_start_loop(G, P, starts):
+    # waves of stacked starts, read in draw order, stop where the one-start
+    # loop stops and find the same roots (the order of points whose real
+    # parts tie is round-off, so they are matched as sets)
+    cfg = NewtonConfig(starts=starts)
+    for seed in range(3):
+        got = ramification_points(G, P, cfg, random.Random(seed))
+        want = reference_ramification(G, P, cfg, random.Random(seed))
+        fields = ("starts", "converged", "failed", "bezout", "complete")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert len(got) == len(want)
+        for a, b in ((got.points, want.points), (want.points, got.points)):
+            for x in a:
+                assert min(np.abs(x - y).max() for y in b) <= 1e-9
 
 
 # -- the Bezout stop ------------------------------------------------------------------
