@@ -5,7 +5,7 @@ rules.  Each round solves the steps of the slices that just accepted a point
 with one ``stacked_solve`` and evaluates every pending trial point with one
 call of the system, so a wave of ramification starts costs one polynomial
 jet per round instead of one per start and iterate.  ``damped_newton`` is
-its one-start case, which chart inversion uses.
+its one-start case on functions of one point; the solvers run the stack.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class NewtonConfig:
     """Knobs for damped Newton and its multi-start wrapper.
 
     The step is halved while the residual norm does not decrease, up to
-    ``max_halvings`` times, after which the start is abandoned.  ``starts``,
-    ``box`` and ``dedup_radius`` only matter for multi-start root collection.
+    ``max_halvings`` times, after which the start is abandoned.  ``starts``
+    and ``box`` only matter for multi-start root collection.
     """
 
     max_iters: int = 50
@@ -42,9 +42,6 @@ class NewtonConfig:
     max_halvings: int = 20
     starts: int = 64
     box: float = 3.0
-    # double roots are found to ~sqrt(tol) only, so the dedup radius must sit
-    # comfortably above that scale for them to collapse to one point
-    dedup_radius: float = 1e-5
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Coefficients are Gaussian rationals (complex numbers with Fraction real and
 imaginary parts), so polynomial identities are decided exactly; floating
-complex evaluation is a separate code path used by the numeric solvers.
+complex evaluation is a separate code path used by the numeric solvers, and
+it has one implementation, on stacks of points (see ``PolyMap``).
 The exact kernels (``linalg``'s elimination, ``poly_matrix_det`` and the
 Hessian contractions in ``tangent``) run on Gaussian integers instead:
 ``gaussian_integer_rows`` scales each row of exact scalars by the lcm of its
@@ -327,23 +328,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def shift(self, offset: Sequence[ScalarLike]) -> "Polynomial":
-        """Exact substitution u_i -> u_i + offset_i."""
-        if len(offset) != self.num_vars:
-            raise ValueError("offset has wrong length")
-        shifted_vars = [
-            Polynomial.variable(self.num_vars, i) + GaussianRational.coerce(offset[i])
-            for i in range(self.num_vars)
-        ]
-        total = Polynomial.zero(self.num_vars)
-        for exps, c in self.terms.items():
-            term = Polynomial.const(self.num_vars, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * (shifted_vars[i] ** e)
-            total = total + term
-        return total
-
     # -- canonical printing -------------------------------------------------
 
     def _sorted_terms(self):
@@ -571,12 +555,12 @@ class PolyMap:
     and their second partials, and one complex coefficient row per
     polynomial, stacked as the m values, then the m*n first partials
     (row-major), then the m*n(n+1)/2 second partials (pairs j <= k,
-    row-major).  A point is evaluated as a power table, a product over the
-    exponent table and one matrix-vector product.  ``value_at``,
-    ``jacobian_at`` and ``jet2`` also take an (S, n) stack of points and
-    return every result with a leading axis of length S: one power table of
-    the whole stack, one product over the exponent table and one
-    matrix-matrix product.  The shape of the input selects the path.
+    row-major).  ``value_at``, ``jacobian_at`` and ``jet2`` take an (S, n)
+    stack of points and return every result with a leading axis of length S:
+    one power table of the whole stack, one product over the exponent table
+    and one matrix-matrix product.  There is one path: a single point of
+    shape (n,) is evaluated as the stack of one, and its results come back
+    without the leading axis.
     """
 
     __slots__ = ("num_vars", "components", "_grad", "_hess", "_table")
@@ -645,30 +629,27 @@ class PolyMap:
         return self._table
 
     def _eval_rows(self, u: Sequence[complex], rows: slice) -> np.ndarray:
-        """The compiled polynomials in ``rows`` evaluated at the point u, or
-        at each point of an (S, n) stack u (one row of results per point)."""
+        """The compiled polynomials in ``rows`` at each point of an (S, n)
+        stack u, one row of results per point.  A point u is evaluated as the
+        stack of one, and its results lose the leading axis again."""
         power_index, coeffs, degree, _ = self._compiled()
         u = np.asarray(u, dtype=complex)
         n = self.num_vars
-        if u.shape != (n,):
-            if u.ndim != 2 or u.shape[1] != n:
-                raise ValueError("point has wrong length")
-            # powers[s, d, v] = u_sv^d
-            powers = np.ones((len(u), degree + 1, n), dtype=complex)
-            powers[:, 1:] = u[:, None]
-            np.multiply.accumulate(powers, axis=1, out=powers)
-            # the product over the exponent table, one variable at a time, so
-            # that no (S, monomials, n) array is formed
-            table = powers.reshape(len(u), (degree + 1) * n)
-            monomials = table.take(power_index[0], axis=1)
-            for v in range(1, n):
-                monomials *= table.take(power_index[v], axis=1)
-            return monomials @ coeffs[rows].T
-        # powers[d, v] = u_v^d
-        powers = np.ones((degree + 1, n), dtype=complex)
-        powers[1:] = u
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        return coeffs[rows] @ powers.take(power_index).prod(axis=0)
+        U = u[None] if u.shape == (n,) else u
+        if U.ndim != 2 or U.shape[1] != n:
+            raise ValueError("point has wrong length")
+        # powers[s, d, v] = u_sv^d
+        powers = np.ones((len(U), degree + 1, n), dtype=complex)
+        powers[:, 1:] = U[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        # the product over the exponent table, one variable at a time, so
+        # that no (S, monomials, n) array is formed
+        table = powers.reshape(len(U), (degree + 1) * n)
+        monomials = table.take(power_index[0], axis=1)
+        for v in range(1, n):
+            monomials *= table.take(power_index[v], axis=1)
+        out = monomials @ coeffs[rows].T
+        return out[0] if u.ndim == 1 else out
 
     def value_at(self, u: Sequence[complex]) -> np.ndarray:
         return self._eval_rows(u, slice(0, self.num_components))
@@ -676,7 +657,7 @@ class PolyMap:
     def jacobian_at(self, u: Sequence[complex]) -> np.ndarray:
         m, n = self.num_components, self.num_vars
         flat = self._eval_rows(u, slice(m, m + m * n))
-        return flat.reshape(m, n) if flat.ndim == 1 else flat.reshape(len(flat), m, n)
+        return flat.reshape(*flat.shape[:-1], m, n)
 
     def jet2(self, u: Sequence[complex]) -> Jet2:
         m, n = self.num_components, self.num_vars

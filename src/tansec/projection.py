@@ -31,7 +31,7 @@ from .errors import (
     NoConsensusError,
     NonTransverseError,
 )
-from .linalg import RANK_EPS, chordal_distance, numerical_rank
+from .linalg import _rank_tol, chordal_distance, numerical_rank
 from .newton import NewtonConfig, stacked_newton
 from .poly import random_point
 from .tangent import Certificate, tan_is_full, tangent_frame, tangent_intersection
@@ -39,6 +39,9 @@ from .variety import ParamVariety
 
 CONSENSUS_RADIUS = 1e-6
 RECOVERY_TOL = 1e-6
+# double roots are found to ~sqrt(tol) only, so the dedup radius must sit
+# comfortably above that scale for them to collapse to one point
+DEDUP_RADIUS = 1e-5
 
 
 class Center:
@@ -151,7 +154,14 @@ def _isolated(J: np.ndarray, r: np.ndarray, step: float) -> bool:
     Bezout number: J has full numerical rank and the Newton step J^-1 r is at
     most ``step``."""
     u, s, _ = np.linalg.svd(J)
-    return bool(s[-1] > RANK_EPS * s[0] * len(s) and np.linalg.norm((u.conj().T @ r) / s) <= step)
+    return bool(s[-1] > _rank_tol(s[0], J.shape) and np.linalg.norm((u.conj().T @ r) / s) <= step)
+
+
+def _point_order(point: np.ndarray) -> tuple:
+    """Sort key of a root: its (real, imaginary) parts on the DEDUP_RADIUS
+    grid, so that exact ties stay ties under round-off, then the parts."""
+    grid = tuple((round(z.real / DEDUP_RADIUS), round(z.imag / DEDUP_RADIUS)) for z in point)
+    return grid, tuple((z.real, z.imag) for z in point)
 
 
 @dataclass
@@ -201,16 +211,16 @@ def ramification_points(
     once; its results are read in draw order, so the stop falls at the same
     start as in a one-at-a-time loop.  A new root counts when the system
     Jacobian has full rank there and the Newton step is below
-    dedup_radius/2B: a root of multiplicity m <= B leaves Newton endpoints
+    DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
     about m steps from it, so none is counted twice.  Points are sorted by
-    (real, imaginary) parts, so the output does not depend on completion
-    order.
+    their (real, imaginary) parts on the DEDUP_RADIUS grid (``_point_order``),
+    so the output depends neither on completion order nor on round-off.
     """
     cfg = cfg or NewtonConfig()
     rng = rng or random.Random(0)
     system, dim, center, poly = _ramification_system(G, P)
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
-    step_bound = cfg.dedup_radius / (2 * bezout)
+    step_bound = DEDUP_RADIUS / (2 * bezout)
     reps: list[tuple[np.ndarray, float]] = []
     starts = converged = failed = counted = 0
     while starts < cfg.starts and counted < bezout:
@@ -227,11 +237,11 @@ def ramification_points(
                 continue
             converged += 1
             x = out.points[i]
-            if all(np.linalg.norm(x - point) > cfg.dedup_radius for point, _ in reps):
+            if all(np.linalg.norm(x - point) > DEDUP_RADIUS for point, _ in reps):
                 reps.append((x, float(out.residuals[i])))
                 counted += _isolated(out.jacobians[i], out.values[i], step_bound)
 
-    reps.sort(key=lambda rep: tuple((z.real, z.imag) for z in rep[0]))
+    reps.sort(key=lambda rep: _point_order(rep[0]))
     return RamificationSet(
         points=[point[:G.n] for point, _ in reps],
         residuals=[residual for _, residual in reps],

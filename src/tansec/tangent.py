@@ -63,6 +63,8 @@ SUCCESS_FRACTION = 0.95
 # step and tolerance of the finite-difference check of the differential of p
 FD_STEP = 1e-5
 FD_TOL = 1e-6
+# largest dimension whose fullness determinant is expanded symbolically
+SYMBOLIC_MAX_DIM = 4
 
 
 @dataclass
@@ -118,8 +120,8 @@ class TangentFrame:
 
     Row 0 holds the homogeneous coordinates [1 : x] of the point x and row j
     the direction [0 : dx/du_j]: x = (u, f(u)) and dx/du_j = (e_j, f_u(u) e_j)
-    on a graph or chart, x = psi(u) and dx/du_j = d_j psi(u) on a
-    ParamVariety.  Rows are checked for full rank at construction.
+    on a graph, x = psi(u) and dx/du_j = d_j psi(u) on a ParamVariety (a
+    chart is refused).  Rows are checked for full rank at construction.
     """
 
     point: np.ndarray
@@ -127,6 +129,8 @@ class TangentFrame:
 
 
 def tangent_frame(G, u) -> TangentFrame:
+    if isinstance(G, NormalizedChart):
+        raise TypeError("tangent frames of a parametrized variety are taken on its ParamVariety")
     u = np.asarray(u, dtype=complex)
     n = G.n
     M = np.zeros((n + 1, 2 * n + 1), dtype=complex)
@@ -237,11 +241,11 @@ def _symbolic_witness(det: Polynomial, n: int) -> tuple | None:
     return None
 
 
-def tan_is_full(G, trials: int = 100, rng: random.Random | None = None, max_symbolic_dim: int = 4) -> Certificate:
+def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certificate:
     """Decide whether det H(u) vanishes identically.
 
     Exact graph inputs are normalized at the origin first.  Dimensions up to
-    ``max_symbolic_dim`` expand the determinant symbolically over exact
+    SYMBOLIC_MAX_DIM expand the determinant symbolically over exact
     scalars; larger ones use randomized identity testing at integer points
     with coordinates in [-B, B], B = 2*n*trials, where any nonzero exact
     evaluation is a proof and an all-zero run reports failure probability
@@ -251,7 +255,7 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None, max_symb
     if isinstance(G, GraphVariety):
         Gn = G.normalized_at_origin()
         n = Gn.n
-        if n <= max_symbolic_dim:
+        if n <= SYMBOLIC_MAX_DIM:
             det = poly_matrix_det(hessian_poly_matrix(Gn))
             if det.is_zero:
                 return Certificate(
@@ -391,7 +395,7 @@ def secant_dim_estimate(G, trials: int = 100, rng: random.Random | None = None) 
         try:
             stacked = np.vstack([tangent_frame(G, u).matrix, tangent_frame(G, v).matrix])
         except TansecError:
-            # chart-backed jets can fail outside their region
+            # a frame with dependent rows (psi not immersive there) is counted
             failures += 1
             continue
         r = numerical_rank(stacked).rank
@@ -429,7 +433,8 @@ def secant_dim_estimate(G, trials: int = 100, rng: random.Random | None = None) 
 # there, so no sample inverts the chart.  The points are drawn in order and
 # evaluated as stacks of at most CHUNK: one stacked jet, stacked guarded
 # solves and one stacked rank per stack.  p_map, p_jacobian_closed and
-# p_jacobian_fd at one point are the stacks of one.
+# p_jacobian_fd take one sample point x, u or w, as the stacks of one, and
+# both differentials are those of x -> p.
 
 # samples evaluated as one stack; bounds what a certificate holds at a time
 CHUNK = 256
@@ -442,14 +447,6 @@ def _one_point(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return values[0]
 
 
-def p_map(G, u) -> np.ndarray:
-    """Affine coordinates of the point where the tangent space at (u, f(u))
-    meets the chart-origin tangent plane C^n x 0: p(u) = u - f_u(u)^-1 f(u)."""
-    u = np.asarray(u, dtype=complex)
-    jet = G.jet_at(u)
-    return u - _one_point(*stacked_solve(jet.jacobian[None], jet.value[None]))
-
-
 def _p_samples(G, X) -> tuple[np.ndarray, np.ndarray]:
     """p at each sample point of the stack X, and where it is defined.
 
@@ -460,12 +457,19 @@ def _p_samples(G, X) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(G, NormalizedChart):
         n = G.n
-        Z = (G.psi.value_at(X) - G.psi0) @ G.A.T
+        Z = G.forward(X)
         AJ = G.A @ G.psi.jacobian_at(X)
         a, ok = stacked_solve(AJ[:, n:], Z[:, n:])
         return Z[:, :n] - (AJ[:, :n] @ a[:, :, None])[:, :, 0], ok
     correction, ok = stacked_solve(G.f.jacobian_at(X), G.f.value_at(X))
     return X - correction, ok
+
+
+def p_map(G, x) -> np.ndarray:
+    """Affine coordinates of the point where the tangent space at the sample
+    point x meets the chart-origin tangent plane C^n x 0: p(u) = u - f_u(u)^-1 f(u)
+    at u, or at v(w)."""
+    return _one_point(*_p_samples(G, np.asarray(x, dtype=complex)[None]))
 
 
 def _p_differentials(jet: Jet2) -> tuple[np.ndarray, np.ndarray]:
@@ -475,58 +479,6 @@ def _p_differentials(jet: Jet2) -> tuple[np.ndarray, np.ndarray]:
     contracted = np.einsum("sikl,sk->sil", jet.hessian, w)
     dp, defined = stacked_solve(jet.jacobian, contracted)
     return dp, ok & defined
-
-
-def p_jacobian_closed(G, u) -> np.ndarray:
-    """Differential of p in closed form.
-
-    Differentiating p(u) = u - f_u(u)^-1 f(u) directly gives
-
-        dp(eta) = f_u(u)^-1 . f_uu(u)[ f_u(u)^-1 f(u), eta ]
-
-    (the identity terms cancel); the scalar case f = u^2 reproduces 1/2.
-    """
-    jet = G.jet_at(np.asarray(u, dtype=complex))
-    return _one_point(*_p_differentials(Jet2(jet.value[None], jet.jacobian[None], jet.hessian[None])))
-
-
-def p_jacobian_fd(G, u, h: float = FD_STEP) -> np.ndarray:
-    """Independent central-difference approximation of the differential of p
-    at a sample point: of u -> p(u) on a graph; on a chart u is a parameter
-    point w, and the differential is that of w -> p(v(w)).
-
-    u may also be an (S, n) stack of sample points.  p is then taken at the
-    2S difference points of one direction at a time, and a sample where p is
-    undefined at one of its points gets a NaN matrix instead of raising.
-    """
-    u = np.asarray(u, dtype=complex)
-    n = G.n
-    X = u if u.ndim == 2 else u[None]
-    S = len(X)
-    step = h * np.maximum(1.0, np.linalg.norm(X, axis=1))
-    D = np.empty((S, n, n), dtype=complex)
-    ok = np.ones(S, dtype=bool)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        shift = step[:, None] * e
-        p, defined = _p_samples(G, np.concatenate([X + shift, X - shift]))
-        D[:, :, k] = (p[:S] - p[S:]) / (2 * step)[:, None]
-        ok &= defined[:S] & defined[S:]
-    if u.ndim == 1:
-        return _one_point(D, ok)
-    D[~ok] = np.nan
-    return D
-
-
-def _sample_chunks(G, trials: int, box: float, rng: random.Random):
-    """The sample points of a certificate, drawn in order and yielded as
-    stacks of at most CHUNK: points u in the box around the origin on a
-    graph, parameter points w in the box around the base point on a chart."""
-    n = G.n
-    for start in range(0, trials, CHUNK):
-        X = np.array([random_point(n, box, rng) for _ in range(min(CHUNK, trials - start))])
-        yield G.u0 + X if isinstance(G, NormalizedChart) else X
 
 
 def _sample_differentials(G, X) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
@@ -541,6 +493,64 @@ def _sample_differentials(G, X) -> tuple[np.ndarray, np.ndarray | None, np.ndarr
         dv, jet, evaluated = None, G.f.jet2(X), np.ones(len(X), dtype=bool)
     dp, defined = _p_differentials(jet)
     return dp, dv, evaluated, evaluated & defined
+
+
+def _closed_differentials(G, X) -> tuple[np.ndarray, np.ndarray]:
+    """Closed differentials of x -> p at the sample points X, and where
+    they are defined: Dp(u) on a graph, Dp(v(w)) dv/dw on a chart."""
+    dp, dv, _, defined = _sample_differentials(G, X)
+    return (dp if dv is None else dp @ dv), defined
+
+
+def p_jacobian_closed(G, x) -> np.ndarray:
+    """Differential of x -> p at the sample point x, in closed form.
+
+    Differentiating p(u) = u - f_u(u)^-1 f(u) directly gives
+
+        dp(eta) = f_u(u)^-1 . f_uu(u)[ f_u(u)^-1 f(u), eta ]
+
+    (the identity terms cancel); the scalar case f = u^2 reproduces 1/2.  On
+    a chart this is taken at v(w) and composed with dv/dw.
+    """
+    return _one_point(*_closed_differentials(G, np.asarray(x, dtype=complex)[None]))
+
+
+def p_jacobian_fd(G, x, h: float = FD_STEP) -> np.ndarray:
+    """Independent central-difference approximation of the differential of
+    x -> p at the sample point x.
+
+    x may also be an (S, n) stack of sample points.  p is then taken at the
+    2S difference points of one direction at a time, and a sample where p is
+    undefined at one of its points gets a NaN matrix instead of raising.
+    """
+    x = np.asarray(x, dtype=complex)
+    n = G.n
+    X = x if x.ndim == 2 else x[None]
+    S = len(X)
+    step = h * np.maximum(1.0, np.linalg.norm(X, axis=1))
+    D = np.empty((S, n, n), dtype=complex)
+    ok = np.ones(S, dtype=bool)
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        shift = step[:, None] * e
+        p, defined = _p_samples(G, np.concatenate([X + shift, X - shift]))
+        D[:, :, k] = (p[:S] - p[S:]) / (2 * step)[:, None]
+        ok &= defined[:S] & defined[S:]
+    if x.ndim == 1:
+        return _one_point(D, ok)
+    D[~ok] = np.nan
+    return D
+
+
+def _sample_chunks(G, trials: int, box: float, rng: random.Random):
+    """The sample points of a certificate, drawn in order and yielded as
+    stacks of at most CHUNK: points u in the box around the origin on a
+    graph, parameter points w in the box around the base point on a chart."""
+    n = G.n
+    for start in range(0, trials, CHUNK):
+        X = np.array([random_point(n, box, rng) for _ in range(min(CHUNK, trials - start))])
+        yield G.u0 + X if isinstance(G, NormalizedChart) else X
 
 
 def dominance_certificate(
@@ -589,9 +599,7 @@ def jacobian_agreement(G, trials: int, box: float, rng: random.Random) -> dict:
     agree = failures = 0
     worst = 0.0
     for X in _sample_chunks(G, trials, box, rng):
-        closed, dv, _, defined = _sample_differentials(G, X)
-        if dv is not None:
-            closed = closed @ dv
+        closed, defined = _closed_differentials(G, X)
         fd = p_jacobian_fd(G, X)
         scale = np.maximum(1.0, np.abs(closed).max(axis=(1, 2)))
         err = np.abs(closed - fd).max(axis=(1, 2)) / scale

@@ -13,7 +13,9 @@ The implied graph map of the chart then has value and differential zero at
 the origin.  Its second-order jet at 0 equals the second derivatives of the
 last-n block of A.psi at u0 (the chain-rule correction carries the first-order
 block of those coordinates, which vanishes there); jets away from 0 get the
-full correction term.
+full correction term.  A chart is evaluated only at parameter points w: one
+jet of psi at w gives the chart point v(w) and the graph map's jet there, so
+no chart is ever inverted.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import random
 
 import numpy as np
 
-from .errors import NewtonDivergedError, RankDeficientJacobianError, SingularMatrixError
+from .errors import RankDeficientJacobianError, SingularMatrixError
 from .linalg import exact_rank, numerical_rank, stacked_solve
-from .newton import NewtonConfig, NewtonResult, damped_newton
 from .poly import Jet2, PolyMap, Polynomial, integer_tensor, random_rational_point
 
 # relative threshold under which a candidate pivot row is skipped
@@ -86,10 +87,6 @@ class GraphVariety:
             [[[T[i][j][k].to_complex() for k in range(n)] for j in range(n)] for i in range(n)]
         )
 
-    def embed(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        return np.concatenate([u, self.f.value_at(u)])
-
     def as_param(self) -> "ParamVariety":
         n = self.n
         first = [Polynomial.variable(n, i) for i in range(n)]
@@ -150,32 +147,9 @@ class NormalizedChart:
     def n(self) -> int:
         return self.psi.num_vars
 
-    def forward(self, w) -> np.ndarray:
-        """Chart coordinates of the parameter point w."""
-        w = np.asarray(w, dtype=complex)
-        return self.A @ (self.psi.value_at(w) - self.psi0)
-
-    def _solve_parameter(self, v: np.ndarray) -> np.ndarray:
-        n = self.n
-
-        def residual(w):
-            return self.forward(w)[:n] - v
-
-        def jacobian(w):
-            return (self.A @ self.psi.jacobian_at(w))[:n]
-
-        result: NewtonResult = damped_newton(residual, jacobian, self.u0 + v, NewtonConfig())
-        if not result.converged:
-            raise NewtonDivergedError(
-                f"chart inversion stalled at residual {result.residual:.3e}"
-            )
-        return result.point
-
-    def graph_eval(self, v) -> np.ndarray:
-        """Value of the implied graph map at v (last n chart coordinates)."""
-        v = np.asarray(v, dtype=complex)
-        w = self._solve_parameter(v)
-        return self.forward(w)[self.n :]
+    def forward(self, W) -> np.ndarray:
+        """Chart coordinates of each parameter point of an (S, n) stack W."""
+        return (self.psi.value_at(W) - self.psi0) @ self.A.T
 
     def parameter_jet(self, W) -> tuple[np.ndarray, np.ndarray, Jet2, np.ndarray]:
         """Chart coordinates v(w), their differentials dv/dw and the
@@ -207,11 +181,11 @@ class NormalizedChart:
         hess = (hess + hess.transpose(0, 1, 3, 2)) / 2
         return Z[:, :n], AJ[:, :n], Jet2(value=Z[:, n:], jacobian=jac, hessian=hess), ok
 
-    def jet_at(self, v) -> Jet2:
-        """Second-order jet of the implied graph map at the chart point v:
-        invert the chart, then take the jet at the parameter point."""
-        w = self._solve_parameter(np.asarray(v, dtype=complex))
-        _, _, jet, ok = self.parameter_jet(w[None])
+    def jet_at(self, w) -> Jet2:
+        """Second-order jet of the implied graph map at the chart point v(w)
+        of one parameter point w: the stack of one of ``parameter_jet``.
+        Raises SingularMatrixError where K is singular."""
+        _, _, jet, ok = self.parameter_jet(np.asarray(w, dtype=complex)[None])
         if not ok[0]:
             raise SingularMatrixError("numerically singular matrix")
         return Jet2(value=jet.value[0], jacobian=jet.jacobian[0], hessian=jet.hessian[0])

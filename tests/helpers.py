@@ -16,7 +16,7 @@ from tansec.errors import PolyParseError, SingularMatrixError, SingularTangentJa
 from tansec.linalg import RANK_EPS, numerical_rank, solve
 from tansec.newton import NewtonResult
 from tansec.poly import GaussianRational, Jet2, Polynomial, random_point
-from tansec.projection import RamificationSet, _isolated
+from tansec.projection import DEDUP_RADIUS, RamificationSet, _isolated, _point_order
 from tansec.tangent import (
     FAILS,
     FD_STEP,
@@ -342,7 +342,7 @@ def _reference_p(G, x):
     """p at one sample point: u on a graph, a parameter point w on a chart."""
     if isinstance(G, NormalizedChart):
         n = G.n
-        z = G.forward(x)
+        z = G.A @ (G.psi.value_at(x) - G.psi0)
         AJ = G.A @ G.psi.jacobian_at(x)
         return z[:n] - AJ[:n] @ _reference_solve(AJ[n:], z[n:])
     jet = G.jet_at(x)
@@ -520,11 +520,11 @@ def reference_ramification(G, P, cfg, rng):
             continue
         converged += 1
         x = result.point
-        if all(np.linalg.norm(x - r.point) > cfg.dedup_radius for r in reps):
+        if all(np.linalg.norm(x - r.point) > DEDUP_RADIUS for r in reps):
             reps.append(result)
-            counted += _isolated(jacobian(jet(x), x), residual(jet(x), x), cfg.dedup_radius / (2 * bezout))
+            counted += _isolated(jacobian(jet(x), x), residual(jet(x), x), DEDUP_RADIUS / (2 * bezout))
 
-    reps.sort(key=lambda r: tuple((z.real, z.imag) for z in r.point))
+    reps.sort(key=lambda r: _point_order(r.point))
     return RamificationSet(
         points=[r.point[:n] for r in reps],
         residuals=[r.residual for r in reps],

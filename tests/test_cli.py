@@ -268,16 +268,21 @@ def test_graph_dominance_report_matches_golden(tmp_path):
 
 @pytest.mark.parametrize("command", ["dominance", "secant-dim"])
 def test_param_certificates_never_invert_the_chart(tmp_path, capsys, monkeypatch, command):
-    # dominance samples the chart at parameter points and secant-dim takes
-    # its frames from psi, so neither runs a chart-inversion Newton
-    from tansec import projection, variety
+    # variety holds no Newton solver, so no chart can be inverted; dominance
+    # samples the chart at parameter points and secant-dim takes its frames
+    # from psi, so neither runs Newton at all
+    from tansec import newton, projection, variety
+
+    assert not hasattr(variety, "damped_newton") and not hasattr(variety, "stacked_newton")
+    assert all(getattr(obj, "__module__", None) != newton.__name__ for obj in vars(variety).values())
+    assert not hasattr(variety.NormalizedChart, "_solve_parameter")
+    assert not hasattr(variety.NormalizedChart, "graph_eval")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("chart inversion")
+        raise AssertionError("Newton run")
 
-    monkeypatch.setattr(variety, "damped_newton", refuse)
+    monkeypatch.setattr(newton, "damped_newton", refuse)
     monkeypatch.setattr(projection, "stacked_newton", refuse)
-    monkeypatch.setattr(variety.NormalizedChart, "_solve_parameter", refuse)
     f = tmp_path / "bent.var"
     f.write_text("n = 2\nkind = param\nf1 = u1 + u2^2\nf2 = u2 - u1^2\nf3 = u1*u2\nf4 = u1^2 + u2^3\n")
     code, out, _ = run(capsys, command, str(f), "--trials", "30", "--format", "machine")

@@ -291,17 +291,6 @@ def test_partial_examples():
         p.partial(2)
 
 
-def test_shift_matches_translated_evaluation():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 2)
-        p = random_polynomial(rng, n)
-        c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        shifted = p.shift(c)
-        assert shifted.eval_exact(x) == p.eval_exact([xi + ci for xi, ci in zip(x, c)])
-
-
 # -- jets -----------------------------------------------------------------------
 
 
@@ -350,10 +339,15 @@ def test_jet2_matches_central_differences():
 
 
 def test_jet2_rejects_wrong_dimension():
-    F = parse_map(["u1^2"], 1)
-    for method in (F.jet2, F.value_at, F.jacobian_at):
-        with pytest.raises(ValueError):
-            method([1.0, 2.0])
+    # a point is evaluated as the stack of one; one of the wrong length raises
+    for F, bad_points in (
+        (parse_map(["u1^2"], 1), ([1.0, 2.0],)),
+        (parse_map(["u1^2", "u1*u2"], 2), ([], [1.0], [1.0, 2.0, 3.0], 1.0)),
+    ):
+        for method in (F.jet2, F.value_at, F.jacobian_at):
+            for bad in bad_points:
+                with pytest.raises(ValueError):
+                    method(bad)
 
 
 def test_stacked_evaluation_matches_one_point_on_the_benchmark_files(tmp_path):

@@ -401,6 +401,29 @@ def test_bezout_stop_ignores_a_double_root():
     assert R.starts == 16 and not R.complete
 
 
+def test_point_order_ignores_round_off_in_tied_parts(monkeypatch):
+    # the conic at center (0, 1): g_P = -u^2 - 1, whose roots +-i have real
+    # part 0 in exact arithmetic; whichever of them round-off leaves a real
+    # part of -1e-25, -i is listed first
+    from dataclasses import replace
+
+    P = Center.from_affine([0.0], [1.0])
+    orders = []
+    for sign in (1.0, -1.0):
+
+        def tilted(system, starts, cfg, sign=sign):
+            out = stacked_newton(system, starts, cfg)
+            real = sign * np.sign(out.points.imag) * 1e-25
+            return replace(out, points=real + 1j * out.points.imag)
+
+        monkeypatch.setattr(projection, "stacked_newton", tilted)
+        R = ramification_points(CONIC, P, NewtonConfig(starts=16), random.Random(0))
+        assert R.complete and len(R) == 2
+        assert sorted(p[0].real for p in R.points) == [-1e-25, 1e-25]
+        orders.append([round(p[0].imag) for p in R.points])
+    assert orders == [[-1, 1], [-1, 1]]
+
+
 def test_bezout_stop_ignores_a_triple_root():
     # f = u^3 and P at its inflection point: g_P = -2 u^3, whose Newton
     # endpoints stay ~1e-4 apart, too far to merge; none of them may count

@@ -169,11 +169,18 @@ def test_tan_is_full_auto_normalizes():
 
 
 def test_tan_is_full_schwartz_zippel_path():
-    holds = tan_is_full(QUADRIC_PAIR, trials=20, max_symbolic_dim=0)
+    # above SYMBOLIC_MAX_DIM: the quadric and cylinder patterns at n = 5,
+    # with the failure bound (n / 2B)^trials of an all-zero run, B = 2 n trials
+    from tansec.tangent import SYMBOLIC_MAX_DIM
+
+    n = SYMBOLIC_MAX_DIM + 1
+    holds = tan_is_full(graph([f"u{i}^2" for i in range(1, n + 1)], n), trials=20)
     assert holds.verdict == HOLDS
     assert holds.method == SCHWARTZ_ZIPPEL
-    fails = tan_is_full(CYLINDER, trials=20, max_symbolic_dim=0)
-    assert fails.verdict == FAILS
+    fails = tan_is_full(graph(["u1^2"] + [f"u1^{k}" for k in range(3, n + 2)], n), trials=20)
+    assert fails.verdict == FAILS and fails.method == SCHWARTZ_ZIPPEL
+    assert fails.trials == 20 and fails.details["box"] == 2 * n * 20
+    assert fails.error_bound == (n / (4 * n * 20)) ** 20
     assert 0 < fails.error_bound < 1e-20
 
 
@@ -484,9 +491,9 @@ def _benchmark_charts(tmp_path):
 
 
 def test_chart_differential_at_parameter_point_matches_chart_coordinates(tmp_path):
-    # the closed differential and p itself taken at a parameter point w, with
-    # no inversion, equal those taken at the chart point v(w) by inverting
-    # (the sampler takes both at a stack of parameter points)
+    # p from its definition (one solve in chart coordinates, no second
+    # derivatives) equals v - f_u^-1 f from the graph map's jet at v(w), and
+    # the closed differential at w is Dp(v(w)) dv/dw
     from tansec.poly import random_point
     from tansec.tangent import _p_differentials, _p_samples
 
@@ -501,13 +508,38 @@ def test_chart_differential_at_parameter_point_matches_chart_coordinates(tmp_pat
         differentials, defined = _p_differentials(jets)
         p_at_w, p_defined = _p_samples(chart, W)
         assert evaluated.all() and defined.all() and p_defined.all()
-        for w, v, dv, differential, p in zip(W, V, dV, differentials, p_at_w):
-            assert np.abs(v - chart.forward(w)[:n]).max() <= 1e-12
+        assert np.abs(V - chart.forward(W)[:, :n]).max() <= 1e-12
+        for w, v, dv, differential, p, value, jac in zip(
+            W, V, dV, differentials, p_at_w, jets.value, jets.jacobian
+        ):
             assert np.abs(dv - (chart.A @ chart.psi.jacobian_at(w))[:n]).max() <= 1e-12
-            closed = p_jacobian_closed(chart, v)
+            assert np.abs(p - (v - np.linalg.solve(jac, value))).max() <= 1e-10
+            assert np.abs(p_map(chart, w) - p).max() <= 1e-13
+            closed = p_jacobian_closed(chart, w)
             scale = max(1.0, float(np.abs(closed).max()))
-            assert np.abs(differential - closed).max() / scale <= 1e-10
-            assert np.abs(p - p_map(chart, v)).max() <= 1e-10
+            assert np.abs(differential @ dv - closed).max() / scale <= 1e-10
+
+
+def test_chart_closed_differential_matches_finite_differences(tmp_path):
+    # both differentials take the parameter point w on a chart
+    from tansec.poly import random_point
+    from tansec.tangent import FD_TOL
+
+    rng = random.Random(9)
+    for _, n, chart in _benchmark_charts(tmp_path):
+        for _ in range(10):
+            w = chart.u0 + random_point(n, 0.1, rng)
+            closed = p_jacobian_closed(chart, w)
+            fd = p_jacobian_fd(chart, w)
+            scale = max(1.0, float(np.abs(closed).max()))
+            assert np.abs(closed - fd).max() / scale <= FD_TOL
+
+
+def test_tangent_frame_refuses_a_chart():
+    # a chart is evaluated only at parameter points; its frames are psi's
+    chart = normalize_at(MIXED.as_param(), np.zeros(2))
+    with pytest.raises(TypeError):
+        tangent_frame(chart, [0.1, 0.2])
 
 
 def test_chart_dominance_samples_parameter_points(tmp_path):

@@ -1,12 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from tansec import variety
-from tansec.errors import NewtonDivergedError, RankDeficientJacobianError
+from tansec.errors import RankDeficientJacobianError
 from tansec.poly import parse_map
-from tansec.variety import GraphVariety, NormalizedChart, ParamVariety, normalize_at
+from tansec.variety import GraphVariety, ParamVariety, normalize_at
 
 
 def graph(exprs, n):
@@ -32,8 +29,6 @@ def test_normalized_at_origin_drops_affine_part():
 
 def test_graph_embed_and_hessian0():
     g = graph(["u1^2", "u1*u2"], 2)
-    pt = g.embed([1.0, 2.0])
-    assert np.allclose(pt, [1, 2, 1, 2])
     T = g.hessian0()
     assert np.allclose(T[0], [[2, 0], [0, 0]])
     assert np.allclose(T[1], [[0, 1], [1, 0]])
@@ -64,39 +59,60 @@ def test_as_param_round_trip():
 
 
 def test_normalized_graph_chart_is_identity():
+    # A = I and u0 = 0, so v(w) = w and the graph map is f itself
     g = graph(["u1^2", "u1*u2"], 2)
     chart = normalize_at(g.as_param(), np.zeros(2))
     assert np.array_equal(chart.A, np.eye(4))
-    for v in ([0.2, -0.1], [0.05, 0.3]):
-        assert np.allclose(chart.graph_eval(v), g.f.value_at(np.asarray(v, dtype=complex)), atol=1e-10)
+    W = np.array([[0.2, -0.1], [0.05, 0.3]], dtype=complex)
+    V, dV, jets, ok = chart.parameter_jet(W)
+    assert ok.all()
+    assert np.array_equal(V, W)
+    assert np.array_equal(dV, np.broadcast_to(np.eye(2), (2, 2, 2)))
+    assert np.allclose(jets.value, g.f.value_at(W), atol=1e-14)
+    assert np.allclose(jets.jacobian, g.f.jacobian_at(W), atol=1e-14)
 
 
 def test_parabola_chart_at_origin():
+    # psi = (w, w^2) at 0 gives A = I: v(w) = w and the graph map is v^2
     V = ParamVariety(parse_map(["u1", "u1^2"], 1))
     chart = normalize_at(V, [0.0])
     assert np.array_equal(chart.A, np.eye(2))
-    assert np.allclose(chart.graph_eval([0.3]), [0.09], atol=1e-12)
+    for w in (0.3, -0.2 + 0.1j):
+        assert np.allclose(chart.forward([[w]]), [[w, w**2]], atol=1e-15)
+        jet = chart.jet_at([w])
+        assert np.allclose(jet.value, [w**2], atol=1e-15)
+        assert np.allclose(jet.jacobian, [[2 * w]], atol=1e-15)
+        assert np.allclose(jet.hessian, [[[2.0]]], atol=1e-15)
 
 
 def test_parabola_chart_at_one_keeps_curvature():
     # oracle: shifting the graph u -> u0 + v and dropping the affine part
-    # re-expands the parabola as v^2, so the chart shear is [[1,0],[-2,1]]
-    # and the second-order jet at 0 is exactly 2
+    # re-expands the parabola as v^2, so the chart shear is [[1,0],[-2,1]],
+    # v(w) = w - 1 and the graph map is v^2, with second-order jet exactly 2
     V = ParamVariety(parse_map(["u1", "u1^2"], 1))
     chart = normalize_at(V, [1.0])
     assert np.allclose(chart.A, [[1.0, 0.0], [-2.0, 1.0]])
     assert np.allclose(chart.hessian0(), [[[2.0]]], atol=1e-12)
     for v in (0.1, -0.2, 0.05j):
-        assert np.allclose(chart.graph_eval([v]), [v**2], atol=1e-10)
+        w = 1.0 + v
+        assert np.allclose(chart.forward([[w]]), [[v, v**2]], atol=1e-12)
+        jet = chart.jet_at([w])
+        assert np.allclose(jet.value, [v**2], atol=1e-12)
+        assert np.allclose(jet.jacobian, [[2 * v]], atol=1e-12)
+        assert np.allclose(jet.hessian, [[[2.0]]], atol=1e-12)
 
 
 def test_scaled_parabola_chart():
-    # A Dpsi(0) = [1;0] forces A = diag(1/2, 1); the implied graph map is then
-    # w = v with value w^2, i.e. v^2 (closed-form inversion oracle)
+    # A Dpsi(0) = [1;0] forces A = diag(1/2, 1); then v(w) = w, dv/dw = 1 and
+    # the graph map's value at v(w) is w^2, i.e. v^2 (closed form)
     V = ParamVariety(parse_map(["2*u1", "u1^2"], 1))
     chart = normalize_at(V, [0.0])
     assert np.allclose(chart.A, [[0.5, 0.0], [0.0, 1.0]])
-    assert np.allclose(chart.graph_eval([0.4]), [0.16], atol=1e-10)
+    v, dv, jets, ok = chart.parameter_jet([[0.4]])
+    assert ok.all()
+    assert np.allclose(v, [[0.4]], atol=1e-15) and np.allclose(dv, [[[1.0]]], atol=1e-15)
+    assert np.allclose(jets.value, [[0.16]], atol=1e-15)
+    assert np.allclose(jets.jacobian, [[[0.8]]], atol=1e-15)
 
 
 def test_rank_deficient_base_point():
@@ -109,40 +125,48 @@ def test_rank_deficient_base_point():
 
 
 def test_chart_jet_vanishes_at_origin():
+    # the chart origin v = 0 is the parameter point w = u0
     V = ParamVariety(parse_map(["u1 + u2^2", "u2 - u1^2", "u1*u2", "u1^2 + u2^3"], 2))
     chart = normalize_at(V, [0.3, -0.2])
-    jet = chart.jet_at(np.zeros(2))
+    jet = chart.jet_at(chart.u0)
     assert np.linalg.norm(jet.value) <= 1e-10
     assert np.linalg.norm(jet.jacobian) <= 1e-10
     assert np.array_equal(jet.hessian, jet.hessian.transpose(0, 2, 1))
 
 
 def test_chart_forward_consistency():
-    # evaluating the graph map at the first block of a chart point must
-    # reproduce the last block
+    # the stacked chart coordinates of parameter points are the chart points
+    # and graph values of parameter_jet, and each row is A (psi(w) - psi(u0))
     V = ParamVariety(parse_map(["u1 + u2^2", "u2 - u1^2", "u1*u2", "u1^2 + u2^3"], 2))
     chart = normalize_at(V, [0.1, 0.2])
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        w = chart.u0 + 0.05 * (rng.normal(size=2) + 1j * rng.normal(size=2))
-        z = chart.forward(w)
-        val = chart.graph_eval(z[:2])
-        assert np.linalg.norm(val - z[2:]) <= 1e-9
+    W = chart.u0 + 0.05 * (rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
+    Z = chart.forward(W)
+    v, _, jets, ok = chart.parameter_jet(W)
+    assert Z.shape == (5, 4) and ok.all()
+    assert np.abs(Z[:, :2] - v).max() <= 1e-14
+    assert np.abs(Z[:, 2:] - jets.value).max() <= 1e-14
+    for w, z in zip(W, Z):
+        assert np.abs(z - chart.A @ (V.psi.value_at(w) - V.psi.value_at(chart.u0))).max() <= 1e-14
 
 
 def test_chart_jet_matches_finite_differences():
+    # along w, the graph value is z2(w) and the graph jacobian is jac(v(w)),
+    # so their central differences in w are jac dv/dw and hess[., ., dv/dw]
     V = ParamVariety(parse_map(["u1 + u2^2", "u2 - u1^2", "u1*u2", "u1^2 + u2^3"], 2))
     chart = normalize_at(V, [0.25, -0.15])
-    v0 = np.array([0.03, -0.02], dtype=complex)
-    jet = chart.jet_at(v0)
+    w0 = chart.u0 + np.array([0.03, -0.02], dtype=complex)
+    _, dv, _, _ = chart.parameter_jet(w0[None])
+    jet = chart.jet_at(w0)
     h = 1e-6
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
-        fd = (chart.graph_eval(v0 + e) - chart.graph_eval(v0 - e)) / (2 * h)
-        assert np.abs(fd - jet.jacobian[:, k]).max() < 1e-6
-        fd2 = (chart.jet_at(v0 + e).jacobian - chart.jet_at(v0 - e).jacobian) / (2 * h)
-        assert np.abs(fd2 - jet.hessian[:, :, k]).max() < 1e-5
+        Z = chart.forward(np.array([w0 + e, w0 - e]))
+        fd = (Z[0, 2:] - Z[1, 2:]) / (2 * h)
+        assert np.abs(fd - jet.jacobian @ dv[0][:, k]).max() < 1e-6
+        fd2 = (chart.jet_at(w0 + e).jacobian - chart.jet_at(w0 - e).jacobian) / (2 * h)
+        assert np.abs(fd2 - jet.hessian @ dv[0][:, k]).max() < 1e-5
 
 
 def test_stacked_parameter_jet_matches_one_point_reference():
@@ -177,25 +201,8 @@ def test_stacked_parameter_jet_flags_a_singular_k_solve():
     assert ok.tolist() == [True, False, True]
     with pytest.raises(SingularMatrixError):
         reference_parameter_jet(chart, W[1])
+    with pytest.raises(SingularMatrixError):
+        chart.jet_at(W[1])
     for s in (0, 2):
         jet = reference_parameter_jet(chart, W[s])[2]
         assert np.abs(jets.hessian[s] - jet.hessian).max() <= 1e-13 * max(1.0, np.abs(jet.hessian).max())
-
-
-def test_newton_divergence_is_reported_not_silent(monkeypatch):
-    V = ParamVariety(parse_map(["u1 + u1^3", "u1^2"], 1))
-    chart = normalize_at(V, [0.0])
-    # the chart inversion gets one Newton iteration, too few to converge
-    newton = variety.damped_newton
-    monkeypatch.setattr(
-        variety, "damped_newton", lambda f, df, x, cfg: newton(f, df, x, replace(cfg, max_iters=1))
-    )
-    with pytest.raises(NewtonDivergedError):
-        chart.graph_eval([0.7])
-    monkeypatch.undo()
-    # with the default budget the same evaluation converges and is accurate:
-    # w + w^3 = v at v=0.7 via the closed-form residual check
-    val = chart.graph_eval([0.7])
-    w = np.roots([1, 0, 1, -0.7])
-    w_real = [z for z in w if abs(z.imag) < 1e-9][0]
-    assert np.allclose(val, [w_real**2], atol=1e-9)
