@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands mirror the certification pipeline: ``tan-check`` (fullness of the
-tangent variety plus the block-matrix rank cross-check), ``secant-dim``,
+tangent variety plus the bundle-determinant cross-check), ``secant-dim``,
 ``dominance``, ``ramify`` and ``recover``, plus ``examples`` for the built-in
 registry.  Every randomized command prints its effective seed, and identical
 (input, flags, seed) produce byte-identical machine-readable reports; timing
@@ -25,6 +25,13 @@ For parametrized inputs, ``dominance --box`` is a radius in parameter space
 around ``chart_base_point`` and its ``witness`` is a parameter point w, as
 ``ramify`` points are; ``secant-dim`` takes its frames from psi itself.
 
+``tan-check`` cross-checks fullness at the origin with the determinant of
+K(w, a) = [Dpsi + D2psi[a, .] | Dpsi], the Jacobian of the bundle map
+(w, a) -> psi(w) + Dpsi(w) a, at integer points of the variety as given
+(psi itself, not the chart; f_uu(w)[a] on a graph).  A nonzero value proves
+Tan X full, so where fullness at the origin does not hold the verdict is
+``inconclusive``.
+
 ``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
 a parametrized input in parameter space, so their points are parameter
 values w and ``recovered`` is the ambient center; the ``ramification`` block
@@ -32,13 +39,15 @@ says how many starts ran, the system's Bezout number and whether the root
 set is complete.
 
 Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
-(including no-consensus and unmet hypotheses), 2 on input errors.
+(including no-consensus, unmet hypotheses and inconclusive verdicts), 2 on
+input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -63,6 +72,7 @@ from .projection import (
 from .tangent import (
     FAILS,
     HOLDS,
+    INCONCLUSIVE,
     bundle_rank_cross_check,
     dominance_certificate,
     jacobian_agreement,
@@ -199,10 +209,24 @@ def input_block(vf: VarietyFile) -> dict:
 
 
 def tan_check(V, G, args):
+    """Fullness at the origin of G, cross-checked by the bundle determinant
+    det K of V.  Agreement gives fullness's verdict; fullness that holds
+    while every det K draw vanishes gives ``fails``; a nonzero det K proves
+    Tan X full, so where fullness does not hold the origin is not generic
+    and the verdict is ``inconclusive``."""
     target = G.normalized_at_origin() if isinstance(G, GraphVariety) else G
     cert = tan_is_full(target, trials=args.trials, rng=random.Random(args.seed))
-    cross = bundle_rank_cross_check(target, args.trials, random.Random(args.seed + 1))
-    verdict = cert.verdict if cross["verdict"] == HOLDS else FAILS
+    bundle = bundle_rank_cross_check(V, args.trials, random.Random(args.seed + 1))
+    agree = bundle.verdict == cert.verdict
+    cross = {
+        "method": bundle.method,
+        "trials": bundle.trials,
+        "witness": bundle.witness,
+        "determinant_at_witness": bundle.details.get("determinant_at_witness"),
+        "error_bound": bundle.error_bound,
+        "verdict": HOLDS if agree else FAILS,
+    }
+    verdict = cert.verdict if agree else FAILS if cert.holds else INCONCLUSIVE
     return {"tangent_fullness": cert, "bundle_rank_cross_check": cross}, verdict
 
 
@@ -335,7 +359,10 @@ OPTION_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: not at import, whose time counts in every start-up."""
     parser = argparse.ArgumentParser(
         prog="tansec",
         description="certify tangent fullness, tangent-intersection dominance, and "

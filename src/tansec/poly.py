@@ -4,10 +4,11 @@ Coefficients are Gaussian rationals (complex numbers with Fraction real and
 imaginary parts), so polynomial identities are decided exactly; floating
 complex evaluation is a separate code path used by the numeric solvers, and
 it has one implementation, on stacks of points (see ``PolyMap``).
-The exact kernels (``linalg``'s elimination, ``poly_matrix_det`` and the
-Hessian contractions in ``tangent``) run on Gaussian integers instead:
-``gaussian_integer_rows`` scales each row of exact scalars by the lcm of its
-denominators and returns the real and imaginary parts as Python ints.
+The exact kernels (``linalg``'s elimination, ``poly_matrix_det``, the
+Hessian contractions in ``tangent`` and ``PolyMap.jet_exact``) run on
+Gaussian integers instead: ``gaussian_integer_rows`` scales each row of exact
+scalars by the lcm of its denominators and returns the real and imaginary
+parts as Python ints.
 
 A polynomial in variables u1..un is a mapping from exponent tuples to nonzero
 coefficients:
@@ -39,6 +40,7 @@ built term by term in the same way and cached per ``PolyMap``.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -533,13 +535,29 @@ def parse_poly(text: str, num_vars: int) -> Polynomial:
 # -- polynomial maps and jets -------------------------------------------------
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """The unordered variable pairs j <= k, row-major: the second partials
+    a map keeps."""
+    return [(j, k) for j in range(n) for k in range(j, n)]
+
+
+@functools.cache
+def _hessian_index(n: int) -> tuple[int, ...]:
+    """For each entry (a, b) of an n x n Hessian, row-major, the index of
+    the pair (min(a, b), max(a, b)) in ``_pairs(n)``."""
+    index = {pair: p for p, pair in enumerate(_pairs(n))}
+    return tuple(index[min(a, b), max(a, b)] for a in range(n) for b in range(n))
+
+
 @dataclass
 class Jet2:
     """Value, Jacobian, and symmetric Hessian tensor of a map at a point.
 
     hessian[i, j, k] is the second partial of component i with respect to
-    variables j and k; the two index orders hold identical floats because the
+    variables j and k; the two index orders hold identical values because the
     tensor is assembled from one formal second partial per unordered pair.
+    ``PolyMap.jet2`` fills it with complex arrays, ``PolyMap.jet_exact`` with
+    nested lists of GaussianRational of the same shapes.
     """
 
     value: np.ndarray      # (m,), or (S, m) for a stack of S points
@@ -561,9 +579,13 @@ class PolyMap:
     and one matrix-matrix product.  There is one path: a single point of
     shape (n,) is evaluated as the stack of one, and its results come back
     without the leading axis.
+
+    Exact evaluation (``jet_exact``, ``hessian_integer``) runs on the same
+    rows with their denominators cleared, one integer table per derivative
+    order, each built on first use, so no per-term rational arithmetic runs.
     """
 
-    __slots__ = ("num_vars", "components", "_grad", "_hess", "_table")
+    __slots__ = ("num_vars", "components", "_grad", "_hess", "_table", "_exact")
 
     def __init__(self, components: Iterable[Polynomial]):
         comps = tuple(components)
@@ -577,6 +599,7 @@ class PolyMap:
         self._grad = None
         self._hess = None
         self._table = None
+        self._exact = None
 
     @property
     def num_components(self) -> int:
@@ -587,29 +610,30 @@ class PolyMap:
         if self._grad is None:
             n = self.num_vars
             self._grad = [[p.partial(k) for k in range(n)] for p in self.components]
-            self._hess = [
-                {
-                    (j, k): row[j].partial(k)
-                    for j in range(n)
-                    for k in range(j, n)
-                }
-                for row in self._grad
-            ]
+            self._hess = [{(j, k): row[j].partial(k) for j, k in _pairs(n)} for row in self._grad]
         return self._grad, self._hess
+
+    def _rows(self, order: int | None = None) -> list[Polynomial]:
+        """The polynomials every jet evaluates, in the compiled order: the
+        values, the first partials (row-major) and the second partials of
+        the pairs j <= k (row-major); or only those of derivative ``order``
+        0, 1 or 2."""
+        grad, hess = self._derivatives()
+        n = self.num_vars
+        blocks = (
+            list(self.components),
+            [g for row in grad for g in row],
+            [h[pair] for h in hess for pair in _pairs(n)],
+        )
+        return [p for block in blocks for p in block] if order is None else blocks[order]
 
     def _compiled(self):
         """(power-table index per monomial, coefficient rows, max degree,
         and for each entry (a, b) of an n x n Hessian, row-major, the index
         of d2/du_a du_b among the second partials)."""
         if self._table is None:
-            grad, hess = self._derivatives()
+            rows = self._rows()
             n = self.num_vars
-            pairs = [(j, k) for j in range(n) for k in range(j, n)]
-            rows = [
-                *self.components,
-                *(g for row in grad for g in row),
-                *(h[pair] for h in hess for pair in pairs),
-            ]
             column: dict[tuple, int] = {}
             for p in rows:
                 for e in p.terms:
@@ -621,12 +645,32 @@ class PolyMap:
             exps = np.array(list(column), dtype=np.intp).reshape(len(column), n)
             # entry [v, t] is the flat index of u_v^exps[t, v] in the power table
             power_index = np.ascontiguousarray((exps * n + np.arange(n)).T)
-            pair_index = {pair: p for p, pair in enumerate(pairs)}
-            symmetric = np.array(
-                [pair_index[min(a, b), max(a, b)] for a in range(n) for b in range(n)], dtype=np.intp
-            )
+            symmetric = np.array(_hessian_index(n), dtype=np.intp)
             self._table = (power_index, coeffs, int(exps.max(initial=0)), symmetric)
         return self._table
+
+    def _integer_table(self, order: int):
+        """The rows of ``_rows(order)`` with their denominators cleared, for
+        exact evaluation; built on first use per order, so a caller of the
+        Hessian alone never clears the values.  Holds the distinct monomials
+        as (variable, exponent) pairs, the largest row degree, and per row its
+        degree d, the lcm L of its coefficients' denominators and its terms
+        (monomial, L c as a Gaussian integer (re, im), d - |e|)."""
+        if self._exact is None:
+            self._exact = [None, None, None]
+        if self._exact[order] is None:
+            rows = self._rows(order)
+            column: dict[tuple, int] = {}
+            table = []
+            cleared = gaussian_integer_rows([list(p.terms.values()) for p in rows])
+            for p, re, im, scale in zip(rows, *cleared):
+                sizes = [sum(e) for e in p.terms]
+                d = max(sizes, default=0)
+                terms = [(column.setdefault(e, len(column)), a, b, d - k) for e, a, b, k in zip(p.terms, re, im, sizes)]
+                table.append((d, scale, terms))
+            monomials = [[(v, k) for v, k in enumerate(e) if k] for e in column]
+            self._exact[order] = (monomials, max((d for d, _, _ in table), default=0), table)
+        return self._exact[order]
 
     def _eval_rows(self, u: Sequence[complex], rows: slice) -> np.ndarray:
         """The compiled polynomials in ``rows`` at each point of an (S, n)
@@ -671,9 +715,85 @@ class PolyMap:
             hessian=second.take(symmetric, axis=-1).reshape(*lead, m, n, n),
         )
 
-    def jacobian_exact(self, point: Sequence[ScalarLike]) -> list[list[GaussianRational]]:
-        grad, _ = self._derivatives()
-        return [[g.eval_exact(point) for g in row] for row in grad]
+    def _integer_rows(self, point: Sequence[ScalarLike], order: int) -> list[tuple[int, int, int]]:
+        """The rows of ``_integer_table(order)`` at an exact point, each as
+        Gaussian integer parts over a positive denominator (re, im, den).
+
+        The point is scaled by the lcm D of its denominators to a Gaussian
+        integer vector X, and a row p of degree d with cleared coefficients
+        L c is summed over Gaussian integers: L D^d p(X / D) = sum L c_e X^e
+        D^(d - |e|), over den = L D^d.
+        """
+        if len(point) != self.num_vars:
+            raise ValueError("point has wrong length")
+        monomials, degree, table = self._integer_table(order)
+        (x_re,), (x_im,), (D,) = gaussian_integer_rows([point])
+        # powers[v][k] = X_v^k as an (re, im) pair
+        powers = []
+        for xr, xi in zip(x_re, x_im):
+            row = [(1, 0)]
+            for _ in range(degree):
+                a, b = row[-1]
+                row.append((a * xr - b * xi, a * xi + b * xr))
+            powers.append(row)
+        values = []
+        for mono in monomials:
+            a, b = 1, 0
+            for v, k in mono:
+                c, d = powers[v][k]
+                a, b = a * c - b * d, a * d + b * c
+            values.append((a, b))
+        d_powers = [D**k for k in range(degree + 1)]
+        out = []
+        for d, scale, terms in table:
+            re = im = 0
+            for col, cr, ci, gap in terms:
+                a, b = values[col]
+                s = d_powers[gap]
+                re += (cr * a - ci * b) * s
+                im += (cr * b + ci * a) * s
+            out.append((re, im, scale * d_powers[d]))
+        return out
+
+    def jet_exact(self, point: Sequence[ScalarLike]) -> Jet2:
+        """Value, Jacobian and Hessian at a rational or Gaussian-rational
+        point, as nested lists of GaussianRational, from the integer rows of
+        the cached derivatives (``_integer_rows``)."""
+        m, n = self.num_components, self.num_vars
+        value, first, second = (
+            [GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b, den in self._integer_rows(point, order)]
+            for order in (0, 1, 2)
+        )
+        width = n * (n + 1) // 2
+        index = _hessian_index(n)
+        return Jet2(
+            value=value,
+            jacobian=[first[i * n : (i + 1) * n] for i in range(m)],
+            hessian=[
+                [[second[i * width + index[a * n + b]] for b in range(n)] for a in range(n)]
+                for i in range(m)
+            ],
+        )
+
+    def hessian_integer(self, point: Sequence[ScalarLike]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+        """The Hessian tensor at an exact point in ``integer_tensor``'s form,
+        with no rational arithmetic: component i's entry (j, k) is
+        (re[i][j*n + k] + i im[i][j*n + k]) / scales[i], scales[i] the lcm
+        of its second partials' denominators."""
+        n = self.num_vars
+        width = n * (n + 1) // 2
+        index = _hessian_index(n)
+        rows = self._integer_rows(point, 2)
+        t_re, t_im, scales = [], [], []
+        for i in range(self.num_components):
+            block = rows[i * width : (i + 1) * width]
+            scale = math.lcm(*(den for _, _, den in block))
+            re = [a * (scale // den) for a, _, den in block]
+            im = [b * (scale // den) for _, b, den in block]
+            t_re.append([re[p] for p in index])
+            t_im.append([im[p] for p in index])
+            scales.append(scale)
+        return t_re, t_im, scales
 
     def hessian0_exact(self) -> list[list[list[GaussianRational]]]:
         """Exact second-derivative tensor at the origin, symmetric in (j, k):

@@ -270,12 +270,14 @@ def recover_center(G, R: RamificationSet):
     Every transverse pair of tangent frames at points of R is intersected;
     the resulting projective points are clustered in the chordal metric and
     the consensus of the largest cluster is returned together with spread
-    statistics.  Raises InsufficientPoints for |R| < 2 and NoConsensus when
-    the largest cluster holds fewer than half of the computed pairs.
+    statistics.  The frames are taken in ``_point_order``, so the result
+    depends on the point set and not on its order.  Raises
+    InsufficientPoints for |R| < 2 and NoConsensus when the largest cluster
+    holds fewer than half of the computed pairs.
     """
     if len(R) < 2:
         raise InsufficientPointsError(f"need at least 2 ramification points, got {len(R)}")
-    frames = [tangent_frame(G, u) for u in R.points]
+    frames = [tangent_frame(G, u) for u in sorted(R.points, key=_point_order)]
     pair_points = []
     skipped = 0
     for i, j in combinations(range(len(frames)), 2):

@@ -1,14 +1,18 @@
 """Tangent frames, fullness and dominance certificates, secant estimates.
 
-Everything here works in a normalized graph chart u -> (u, f(u)) with
+The certificates work in a normalized graph chart u -> (u, f(u)) with
 f(0) = 0 and f_u(0) = 0.  The central object is the Hessian contraction
 
     H(u)[i][j] = sum_k f_uu(0)[i][j][k] u_k
 
 whose generic nondegeneracy decides whether the union of tangent spaces fills
-the ambient projective space.  "Generic" claims are certified two ways:
-exact randomized identity testing where a polynomial identity underlies the
-claim, and 95%-of-samples thresholds where only an open dense condition does.
+the ambient projective space.  The fullness cross-check works on the variety
+as given instead: Tan X is the image of the bundle map (w, a) -> psi(w) +
+Dpsi(w) a, so it fills the space exactly when the determinant of
+K(w, a) = [Dpsi(w) + D2psi(w)[a, .] | Dpsi(w)] is not identically zero, at
+any base point.  "Generic" claims are certified two ways: exact randomized
+identity testing where a polynomial identity underlies the claim, and
+95%-of-samples thresholds where only an open dense condition does.
 """
 
 from __future__ import annotations
@@ -169,21 +173,23 @@ def tangent_intersection(F1: TangentFrame, F2: TangentFrame) -> np.ndarray:
 
 
 def hessian_contraction(T, u) -> np.ndarray:
-    """H(u)[i][j] = sum_k T[i][j][k] u_k for a float tensor T."""
+    """H(u)[i][j] = sum_k T[i][j][k] u_k for a float tensor T, at a point u
+    or at each point of an (S, n) stack."""
     T = np.asarray(T, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    if T.ndim != 3 or T.shape[1] != T.shape[2] or T.shape[2] != u.shape[0]:
+    if T.ndim != 3 or T.shape[1] != T.shape[2] or u.ndim not in (1, 2) or T.shape[2] != u.shape[-1]:
         raise ValueError("tensor and point dimensions do not match")
-    return np.einsum("ijk,k->ij", T, u)
+    return np.einsum("ijk,...k->...ij", T, u)
 
 
 def integer_contraction(T, xi) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """H(xi)[i][j] = sum_k T_i[j][k] xi_k as integer dot products.
 
     T is a tensor with its denominators cleared per component, as
-    ``integer_tensor`` returns it; xi is scaled by the lcm of
-    its own denominators.  Returns the real and imaginary integer rows and
-    the row scales: row i of H(xi) is (re[i] + i im[i]) / scales[i].
+    ``integer_tensor`` and ``PolyMap.hessian_integer`` return it; xi is
+    scaled by the lcm of its own denominators.  Returns the real and
+    imaginary integer rows and the row scales: row i of H(xi) is
+    (re[i] + i im[i]) / scales[i].
     """
     t_re, t_im, t_scales = T
     (x_re,), (x_im,), (x_scale,) = gaussian_integer_rows([xi])
@@ -278,7 +284,7 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
                 details=details,
             )
         rng = rng or random.Random(0)
-        T = Gn.hessian0_integer()
+        T = Gn.f.hessian_integer((0,) * n)
         B = 2 * n * trials
         for t in range(trials):
             xi = random_rational_point(n, B, rng)
@@ -303,27 +309,22 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
             details={"box": B},
         )
 
-    # chart input: only float jets are available
+    # chart input: only float jets are available; the points are drawn in
+    # order and tested as one stack
     rng = rng or random.Random(0)
     n = G.n
-    T = G.hessian0()
     tol = 1e-8
-    successes = 0
-    witness = None
-    for _ in range(trials):
-        u = random_point(n, 1.0, rng)
-        s = np.linalg.svd(hessian_contraction(T, u), compute_uv=False)
-        if s[0] > 0 and s[-1] > tol * s[0]:
-            successes += 1
-            if witness is None:
-                witness = u
+    U = np.array([random_point(n, 1.0, rng) for _ in range(trials)], dtype=complex).reshape(trials, n)
+    s = np.linalg.svd(hessian_contraction(G.hessian0(), U), compute_uv=False)
+    full = (s[:, 0] > 0) & (s[:, -1] > tol * s[:, 0])
+    successes = int(np.count_nonzero(full))
     return Certificate(
         verdict=_sampled_verdict(successes, trials),
         method=FLOAT_SAMPLING,
         trials=trials,
         successes=successes,
         tolerance=tol,
-        witness=witness,
+        witness=U[np.argmax(full)] if full.any() else None,
     )
 
 
@@ -335,7 +336,7 @@ def _bundle_ranks(G, xi) -> tuple[RankResult, int]:
     n = G.n
     exact_point = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
     if isinstance(G, GraphVariety) and exact_point:
-        H = _exact_entries(*integer_contraction(G.hessian0_integer(), xi)[:2])
+        H = _exact_entries(*integer_contraction(G.f.hessian_integer((0,) * n), xi)[:2])
         block_rank, h_rank = exact_rank_result, exact_rank(H)
     else:
         H = hessian_contraction(G.hessian0(), np.asarray(xi, dtype=complex)).tolist()
@@ -348,30 +349,93 @@ def tangent_bundle_rank_check(G, xi) -> RankResult:
     """Rank of the block matrix [[E_n, E_n], [H(xi), 0]].
 
     This is the differential of (u, xi) -> (u + xi, f(u) + f_u(u) xi) at the
-    chart origin; its rank must equal n + rank H(xi), which cross-checks the
-    fullness test.  Exact inputs take the exact path.
+    chart origin.  Its rank equals n + rank H(xi) for every H (subtract the
+    first block column from the second), so it checks the rank kernels, not
+    fullness; ``bundle_rank_cross_check`` is the fullness cross-check.
+    Exact inputs take the exact path.
     """
     return _bundle_ranks(G, xi)[0]
 
 
-def bundle_rank_cross_check(G, trials: int, rng: random.Random) -> dict:
-    """rank [[E,E],[H(xi),0]] must equal n + rank H(xi) on every sample; graphs
-    are sampled at integer points (exact ranks), charts at complex points."""
-    n = G.n
-    matches = 0
-    for _ in range(trials):
-        if isinstance(G, GraphVariety):
-            xi = random_rational_point(n, 100, rng)
-        else:
-            xi = random_point(n, 1.0, rng)
-        block, h_rank = _bundle_ranks(G, xi)
-        if block.rank == n + h_rank:
-            matches += 1
-    return {
-        "trials": trials,
-        "matches": matches,
-        "verdict": HOLDS if matches == trials else FAILS,
-    }
+# -- the bundle determinant ----------------------------------------------------------
+#
+# Tan X is the image of the bundle map (w, a) -> psi(w) + Dpsi(w) a, so it
+# fills P^(2n) exactly when that map is dominant, that is when the
+# determinant of its Jacobian
+#
+#     K(w, a) = [Dpsi(w) + D2psi(w)[a, .] | Dpsi(w)]
+#
+# is not identically zero (K is also the Jacobian of the ramification system
+# F(w, a) = psi(w) + Dpsi(w) a - P).  Unlike the Hessian at the chart origin,
+# det K does not depend on a base point, so it also catches an origin that
+# is not generic.
+
+# integer points (w, a) of the bundle determinant test have coordinates in
+# [-BUNDLE_BOX, BUNDLE_BOX]
+BUNDLE_BOX = 100
+
+
+def bundle_matrix_exact(psi, w, a) -> list[list]:
+    """K(w, a) over Gaussian rationals, from one exact jet of psi at w."""
+    jet = psi.jet_exact(w)
+    return [
+        [J + sum(h * x for h, x in zip(Hj, a)) for J, Hj in zip(J_row, H_row)] + J_row
+        for J_row, H_row in zip(jet.jacobian, jet.hessian)
+    ]
+
+
+def bundle_determinant(V, w, a) -> GaussianRational:
+    """det K(w, a) at an exact point.
+
+    On a graph psi = (u, f), subtracting K's second block column from its
+    first leaves [[0, E], [f_uu(w)[a], f_u(w)]], so det K = (-1)^n det
+    f_uu(w)[a]: one n x n determinant of the integer contraction, divided
+    back by its row scales.  A ParamVariety takes the 2n x 2n K of psi.
+    """
+    if isinstance(V, GraphVariety):
+        re, im, scales = integer_contraction(V.f.hessian_integer(w), a)
+        d = exact_det(_exact_entries(re, im)) / math.prod(scales)
+        return -d if V.n % 2 else d
+    return exact_det(bundle_matrix_exact(V.psi, w, a))
+
+
+def bundle_degree(V) -> int:
+    """Degree bound of det K in (w, a): row i of K has degree deg psi_i - 1,
+    so D = sum max(deg psi_i - 1, 0), over the components of f on a graph."""
+    psi = V.f if isinstance(V, GraphVariety) else V.psi
+    return sum(max(p.degree() - 1, 0) for p in psi.components)
+
+
+def bundle_rank_cross_check(V, trials: int, rng: random.Random) -> Certificate:
+    """Schwartz-Zippel test that det K(w, a) is not identically zero, i.e.
+    that Tan X = P^(2n), independently of the fullness test at the origin.
+
+    Draws integer points (w, a) with coordinates in [-BUNDLE_BOX,
+    BUNDLE_BOX] and stops at the first nonzero determinant, which proves
+    the claim.  When all ``trials`` draws vanish the verdict is ``fails``
+    with failure probability at most (D / (2 BUNDLE_BOX + 1))^trials, D the
+    degree bound of ``bundle_degree``.
+    """
+    n = V.n
+    for t in range(trials):
+        point = random_rational_point(2 * n, BUNDLE_BOX, rng)
+        d = bundle_determinant(V, point[:n], point[n:])
+        if d:
+            return Certificate(
+                verdict=HOLDS,
+                method=SCHWARTZ_ZIPPEL,
+                trials=t + 1,
+                successes=1,
+                witness=point,
+                details={"determinant_at_witness": str(d)},
+            )
+    return Certificate(
+        verdict=FAILS,
+        method=SCHWARTZ_ZIPPEL,
+        trials=trials,
+        successes=0,
+        error_bound=min(1.0, (bundle_degree(V) / (2 * BUNDLE_BOX + 1)) ** trials),
+    )
 
 
 # -- secant dimension ------------------------------------------------------------------

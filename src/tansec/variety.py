@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import RankDeficientJacobianError, SingularMatrixError
 from .linalg import exact_rank, numerical_rank, stacked_solve
-from .poly import Jet2, PolyMap, Polynomial, integer_tensor, random_rational_point
+from .poly import Jet2, PolyMap, Polynomial, random_rational_point
 
 # relative threshold under which a candidate pivot row is skipped
 _PIVOT_RATIO = 1e-6
@@ -39,14 +39,13 @@ def _drop_affine_part(p: Polynomial) -> Polynomial:
 class GraphVariety:
     """An n-fold embedded as u -> (u, f(u)) in affine C^(2n) inside P^(2n)."""
 
-    __slots__ = ("f", "_hess0_exact", "_hess0_integer")
+    __slots__ = ("f", "_hess0_exact")
 
     def __init__(self, f: PolyMap):
         if f.num_components != f.num_vars:
             raise ValueError("graph map must have as many components as variables")
         self.f = f
         self._hess0_exact = None
-        self._hess0_integer = None
 
     @property
     def n(self) -> int:
@@ -73,12 +72,6 @@ class GraphVariety:
         if self._hess0_exact is None:
             self._hess0_exact = self.f.hessian0_exact()
         return self._hess0_exact
-
-    def hessian0_integer(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
-        """``integer_tensor`` of ``hessian0_exact``, cached beside it."""
-        if self._hess0_integer is None:
-            self._hess0_integer = integer_tensor(self.hessian0_exact())
-        return self._hess0_integer
 
     def hessian0(self) -> np.ndarray:
         T = self.hessian0_exact()
@@ -114,7 +107,7 @@ class ParamVariety:
             raise ValueError("parametrization must have 2n components for n variables")
         self.psi = psi
         point = random_rational_point(psi.num_vars, self._CERT_BOUND, random.Random(self._CERT_SEED))
-        if exact_rank(psi.jacobian_exact(point)) < psi.num_vars:
+        if exact_rank(psi.jet_exact(point).jacobian) < psi.num_vars:
             raise RankDeficientJacobianError(
                 "parametrization jacobian is rank deficient at a random rational point"
             )

@@ -1,6 +1,6 @@
 """The benchmark's correctness gate reads the machine reports of ``ramify``,
-``recover`` and ``dominance``; a report change that breaks it must fail
-here, not only in the slow benchmark smoke test."""
+``recover``, ``dominance`` and ``tan-check``; a report change that breaks it
+must fail here, not only in the slow benchmark smoke test."""
 
 import pytest
 
@@ -58,3 +58,22 @@ def test_benchmark_check_accepts_the_larger_root_sets(tmp_path, capsys, command,
         assert reason is None
         ram = report["checks"]["ramification"]
         assert 0 < check.roots_found(report) == ram["count"] <= ram["bezout"]
+
+
+def test_benchmark_check_accepts_every_round0_tan_check(tmp_path, capsys):
+    # graph full and degenerate at n = 2, 4, 5, 6, 8 and param-flat and
+    # param-bent at n = 1, 2: the gate's fullness method (float_sampling on
+    # param files) and its bundle_rank_cross_check verdict
+    gen, check = load_perfbench("gen"), load_perfbench("check")
+    jobs = [j for j in gen.make_jobs("certify", 1, tmp_path, rounds=1) if j["command"] == "tan-check"]
+    assert sorted((j["family"], j["n"]) for j in jobs) == sorted(
+        [(family, n) for family in ("full", "degenerate") for n in (2, 4, 5, 6, 8)]
+        + [(family, n) for family in ("param-flat", "param-bent") for n in (1, 2)]
+    )
+    for job in jobs:
+        code = main(job["argv"])
+        report, reason = check.check_job(job, code, capsys.readouterr().out, None)
+        assert reason is None, (job["family"], job["n"], reason)
+        cross = report["checks"]["bundle_rank_cross_check"]
+        assert cross["verdict"] == "holds"
+        assert (cross["witness"] is not None) == (report["verdict"] == "holds")

@@ -55,6 +55,73 @@ def test_tan_check_cylinder_is_exact(capsys):
     assert '"fails"' in out
 
 
+def test_tan_check_is_inconclusive_where_the_origin_is_not_generic(tmp_path, capsys):
+    # f = (u1^3, u2^3) has a zero Hessian at the origin, so fullness there
+    # fails, but det K = det diag(6 w1 a1, 6 w2 a2) is not zero: the witness
+    # proves Tan X full
+    f = tmp_path / "cubes.var"
+    f.write_text("n = 2\nkind = graph\nf1 = u1^3\nf2 = u2^3\n")
+    code, out, _ = run(capsys, "tan-check", str(f), "--format", "machine")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["checks"]["tangent_fullness"]["verdict"] == "fails"
+    cross = report["checks"]["bundle_rank_cross_check"]
+    assert cross["verdict"] == "fails" and cross["method"] == "schwartz_zippel"
+    assert cross["trials"] == 1 and cross["error_bound"] is None
+    w1, w2, a1, a2 = (Fraction(x) for x in cross["witness"])
+    assert Fraction(cross["determinant_at_witness"]) == 36 * w1 * w2 * a1 * a2 != 0
+
+
+def test_tan_check_fails_when_fullness_holds_but_det_k_vanishes(monkeypatch, capsys):
+    from tansec import cli
+    from tansec.tangent import FAILS, SCHWARTZ_ZIPPEL, Certificate
+
+    def vanishing(V, trials, rng):
+        return Certificate(verdict=FAILS, method=SCHWARTZ_ZIPPEL, trials=trials, successes=0, error_bound=0.5)
+
+    monkeypatch.setattr(cli, "bundle_rank_cross_check", vanishing)
+    code, out, _ = run(capsys, "tan-check", "--example", "conic", "--trials", "3", "--format", "machine")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fails"
+    assert report["checks"]["tangent_fullness"]["verdict"] == "holds"
+    assert report["checks"]["bundle_rank_cross_check"] == {
+        "determinant_at_witness": None,
+        "error_bound": 0.5,
+        "method": "schwartz_zippel",
+        "trials": 3,
+        "verdict": "fails",
+        "witness": None,
+    }
+
+
+def test_parser_is_built_once_and_not_at_import(capsys):
+    import subprocess
+    import sys
+
+    from tansec import cli
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import tansec.cli as c; print(c.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert out.stdout == "0\n"
+    run(capsys, "examples")
+    parser = cli.build_parser()
+    # errors, help and reports are the same on every call of the kept parser
+    for argv in (["nosuch"], ["tan-check", "--example", "conic", "--trials", "0"], ["ramify", "--example", "conic"],
+                 ["--help"], ["recover", "--help"], ["tan-check", "--example", "conic", "--format", "machine"]):
+        seen = []
+        for _ in range(2):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+    assert cli.build_parser() is parser
+
+
 def test_malformed_expression_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.var"
     bad.write_text("n = 1\nkind = graph\nf1 = u1^^2\n")
@@ -317,9 +384,17 @@ GOLDEN_TAN_CHECK_QUADRIC_PAIR = """\
 {
   "checks": {
     "bundle_rank_cross_check": {
-      "matches": 100,
-      "trials": 100,
-      "verdict": "holds"
+      "determinant_at_witness": "1088",
+      "error_bound": null,
+      "method": "schwartz_zippel",
+      "trials": 1,
+      "verdict": "holds",
+      "witness": [
+        "-42",
+        "-6",
+        "-4",
+        "-68"
+      ]
     },
     "tangent_fullness": {
       "details": {

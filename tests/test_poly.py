@@ -498,6 +498,82 @@ def test_derivatives_match_reference_without_rebuilding(monkeypatch, n):
     assert h0 == h0_ref
 
 
+# -- exact jets ---------------------------------------------------------------------
+
+
+def assert_exact_jet_matches_partials(F: PolyMap, x) -> None:
+    """jet_exact and hessian_integer at x equal eval_exact of the cached
+    partials, entry by entry and in both index orders of the Hessian."""
+    n = F.num_vars
+    grad, hess = F._derivatives()
+    jet = F.jet_exact(x)
+    assert jet.value == [p.eval_exact(x) for p in F.components]
+    assert jet.jacobian == [[g.eval_exact(x) for g in row] for row in grad]
+    want = [[[h[min(j, k), max(j, k)].eval_exact(x) for k in range(n)] for j in range(n)] for h in hess]
+    assert jet.hessian == want
+    re, im, scales = F.hessian_integer(x)
+    got = [
+        [[GaussianRational(Fraction(r[j * n + k], s), Fraction(i[j * n + k], s)) for k in range(n)] for j in range(n)]
+        for r, i, s in zip(re, im, scales, strict=True)
+    ]
+    assert got == want
+
+
+def exact_points(rng: random.Random, n: int) -> list[list]:
+    """An integer point, a point with mixed denominators and a Gaussian
+    rational point."""
+    return [
+        [Fraction(rng.randint(-9, 9)) for _ in range(n)],
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)],
+        [random_gaussian(rng, imag_prob=0.7) for _ in range(n)],
+    ]
+
+
+@pytest.mark.parametrize("workload", ["recover", "certify"])
+def test_jet_exact_matches_partials_on_benchmark_inputs(tmp_path, workload):
+    gen = load_perfbench("gen")
+    rng = random.Random(8)
+    for job in gen.make_jobs(workload, 1, tmp_path, rounds=1):
+        F = parse_variety_file(Path(job["argv"][1]).read_text()).parsed
+        for x in exact_points(rng, F.num_vars):
+            assert_exact_jet_matches_partials(F, x)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        parse_map(["(1/2 + 3*i)*u1^3 - i*u1 + 7/3", "u1^2"], 1),
+        parse_map(["3/4 - 2*i", "0", "u1*u2^2 - i*u2", "2/3*u1^4*u2 - 5/7"], 2),
+        PolyMap([random_cubic(random.Random(70 + i), 4) for i in range(4)]),
+    ],
+    ids=["complex-n1", "constant-and-zero", "cubic-n4"],
+)
+def test_jet_exact_matches_partials_at_fractional_and_gaussian_points(F):
+    rng = random.Random(9)
+    for _ in range(3):
+        for x in exact_points(rng, F.num_vars):
+            assert_exact_jet_matches_partials(F, x)
+
+
+def test_jet_exact_agrees_with_the_float_jet():
+    F = PolyMap([random_cubic(random.Random(80 + i), 3) for i in range(6)])
+    x = [Fraction(1, 3), GaussianRational(Fraction(-2, 5), Fraction(1, 2)), Fraction(7, 4)]
+    jet = F.jet2(np.array([GaussianRational.coerce(c).to_complex() for c in x]))
+    exact = F.jet_exact(x)
+    to_complex = np.vectorize(GaussianRational.to_complex, otypes=[complex])
+    for got, want in ((jet.value, exact.value), (jet.jacobian, exact.jacobian), (jet.hessian, exact.hessian)):
+        assert_close(got, to_complex(np.array(want, dtype=object)))
+
+
+def test_jet_exact_rejects_wrong_length():
+    F = parse_map(["u1^2", "u1*u2"], 2)
+    for bad in ([], [Fraction(1)], [Fraction(1)] * 3):
+        with pytest.raises(ValueError):
+            F.jet_exact(bad)
+        with pytest.raises(ValueError):
+            F.hessian_integer(bad)
+
+
 # -- symbolic determinant ---------------------------------------------------------
 
 

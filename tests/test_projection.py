@@ -530,6 +530,33 @@ def test_recover_spread_within_solver_tolerance():
         assert report["spread"] <= 10 * cfg.tol
 
 
+def test_recover_center_depends_on_the_point_set_not_its_order(tmp_path):
+    # the frames are paired in _point_order, so reordering R changes no bit
+    # of the consensus or of the report; with the points in list order the
+    # reversed sets move the consensus by round-off
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.cli import parse_center
+    from tansec.varfile import parse_variety_file
+
+    jobs = load_perfbench("gen").make_jobs("recover", 1, tmp_path, rounds=1)
+    jobs = [j for j in jobs if j["command"] == "recover" and j["family"] == "full" and j["n"] >= 3]
+    assert len(jobs) == 5
+    rng = random.Random(4)
+    for job in jobs:
+        G = parse_variety_file(Path(job["argv"][1]).read_text()).to_variety()
+        P = parse_center(",".join(job["center"]), G.n)
+        R = ramification_points(G, P, rng=random.Random(0))
+        consensus, report = recover_center(G, R)
+        for order in (R.points[::-1], rng.sample(R.points, len(R.points))):
+            permuted = copy.copy(R)
+            permuted.points = list(order)
+            got, got_report = recover_center(G, permuted)
+            assert np.array_equal(got, consensus)
+            assert got_report == report
+
+
 def test_recover_insufficient_points():
     R = RamificationSet(points=[np.array([1.0 + 0j])], residuals=[0.0], starts=4, converged=1)
     with pytest.raises(InsufficientPointsError):

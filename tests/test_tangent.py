@@ -257,6 +257,121 @@ def test_bundle_rank_requires_normalized():
         tangent_bundle_rank_check(graph(["u1^2 + u1"], 1), [Fraction(1)])
 
 
+# -- the bundle determinant det K(w, a) ---------------------------------------------------
+
+
+def _benchmark_varieties(tmp_path, workload, kind):
+    """The varieties of the round-0 jobs of a benchmark workload of one kind."""
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.varfile import parse_variety_file
+
+    jobs = load_perfbench("gen").make_jobs(workload, 1, tmp_path / workload, rounds=1)
+    return [parse_variety_file(Path(j["argv"][1]).read_text()).to_variety() for j in jobs if j["kind"] == kind]
+
+
+def _exact_bundle_points(rng, n):
+    """(w, a) at integers, with mixed denominators, and Gaussian rational."""
+    from helpers import random_gaussian
+
+    return [
+        (random_rational_point(n, 50, rng), random_rational_point(n, 50, rng)),
+        tuple([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(2)),
+        tuple([random_gaussian(rng, imag_prob=0.6) for _ in range(n)] for _ in range(2)),
+    ]
+
+
+def test_exact_bundle_matrix_is_the_ramification_jacobian(tmp_path):
+    # the exact K(w, a) equals the float Jacobian of F(w, a) = psi(w) +
+    # Dpsi(w) a - P that the ramification solver builds, on every round-0
+    # param input of both workloads and on graphs as parametrizations
+    from tansec.projection import Center, _ramification_system
+    from tansec.tangent import bundle_matrix_exact
+
+    varieties = _benchmark_varieties(tmp_path, "recover", "param") + _benchmark_varieties(tmp_path, "certify", "param")
+    assert len(varieties) == 14
+    varieties += [g.as_param() for g in (CUBIC_CONIC, MIXED, CYLINDER, DENSE3)]
+    rng = random.Random(12)
+    for V in varieties:
+        n = V.n
+        system = _ramification_system(V, Center.from_affine(np.zeros(n), np.zeros(n)))[0]
+        for w, a in _exact_bundle_points(rng, n):
+            K = np.array([[GaussianRational.coerce(x).to_complex() for x in row] for row in bundle_matrix_exact(V.psi, w, a)])
+            X = np.array([GaussianRational.coerce(x).to_complex() for x in (*w, *a)])
+            J = system(X[None])[1][0]
+            assert np.abs(J - K).max() <= 1e-12 * max(1.0, float(np.abs(K).max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graph_bundle_determinant_is_the_signed_param_determinant(n):
+    # det f_uu(w)[a] = (-1)^n det K of the graph as a parametrization; the
+    # graph's determinant is reported as det K itself
+    from helpers import random_polynomial
+    from tansec.poly import PolyMap
+    from tansec.tangent import bundle_determinant, bundle_matrix_exact
+
+    rng = random.Random(20 + n)
+    G = GraphVariety(PolyMap([random_polynomial(rng, n, max_degree=3, max_terms=6) for _ in range(n)]))
+    grad, hess = G.f._derivatives()
+    for w, a in _exact_bundle_points(rng, n):
+        T = [[[h[min(j, k), max(j, k)].eval_exact(w) for k in range(n)] for j in range(n)] for h in hess]
+        det_h = reference_det(reference_contraction(T, a))
+        det_k = exact_det(bundle_matrix_exact(G.as_param().psi, w, a))
+        assert det_h == (-1) ** n * det_k
+        assert bundle_determinant(G, w, a) == det_k == bundle_determinant(G.as_param(), w, a)
+
+
+def test_bundle_cross_check_stops_at_the_first_nonzero_determinant():
+    from tansec.tangent import bundle_determinant, bundle_rank_cross_check
+
+    for V in (QUADRIC_PAIR, CUBIC_CONIC, QUADRIC_PAIR.as_param()):
+        cert = bundle_rank_cross_check(V, 10, random.Random(4))
+        assert cert.verdict == HOLDS and cert.method == SCHWARTZ_ZIPPEL
+        assert cert.trials == cert.successes == 1 and cert.error_bound is None
+        w, a = cert.witness[: V.n], cert.witness[V.n :]
+        assert cert.details["determinant_at_witness"] == str(bundle_determinant(V, w, a)) != "0"
+
+
+def test_bundle_cross_check_reports_the_exact_error_bound(tmp_path):
+    # every draw vanishes: failure probability (D / (2 BUNDLE_BOX + 1))^trials,
+    # D = sum max(deg f_i - 1, 0), exactly
+    from tansec.tangent import BUNDLE_BOX, bundle_degree, bundle_rank_cross_check
+
+    assert BUNDLE_BOX == 100
+    degenerate = _benchmark_varieties(tmp_path, "certify", "graph")[1]
+    assert degenerate.n == 2 and tan_is_full(degenerate).verdict == FAILS
+    for V, D in ((CYLINDER, 1 + 2), (CYLINDER.as_param(), 1 + 2), (degenerate, 2), (graph(["0"], 1), 0)):
+        assert bundle_degree(V) == D
+        cert = bundle_rank_cross_check(V, 7, random.Random(1))
+        assert cert.verdict == FAILS and cert.method == SCHWARTZ_ZIPPEL
+        assert cert.trials == 7 and cert.successes == 0 and cert.witness is None
+        assert cert.error_bound == (D / 201) ** 7
+
+
+def test_tan_is_full_chart_stack_matches_the_one_point_loop(tmp_path):
+    # the chart branch draws every point first and tests them as one stack;
+    # the certificate is the one a point-by-point loop gives
+    from tansec.poly import random_point
+
+    charts = [chart for _, _, chart in _benchmark_charts(tmp_path)]
+    charts.append(normalize_at(CYLINDER.as_param(), np.zeros(2)))
+    for chart in charts:
+        for trials, seed in ((1, 3), (40, 5)):
+            cert = tan_is_full(chart, trials=trials, rng=random.Random(seed))
+            rng = random.Random(seed)
+            full = []
+            for _ in range(trials):
+                u = random_point(chart.n, 1.0, rng)
+                s = np.linalg.svd(hessian_contraction(chart.hessian0(), u), compute_uv=False)
+                full.append((s[0] > 0 and s[-1] > 1e-8 * s[0], u))
+            assert cert.successes == sum(ok for ok, _ in full)
+            witness = next((u for ok, u in full if ok), None)
+            assert (cert.witness is None) == (witness is None)
+            if witness is not None:
+                assert np.array_equal(cert.witness, witness)
+
+
 # -- secant dimension --------------------------------------------------------------------
 
 
