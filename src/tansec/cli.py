@@ -35,8 +35,8 @@ Tan X full, so where fullness at the origin does not hold the verdict is
 ``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
 a parametrized input in parameter space, so their points are parameter
 values w and ``recovered`` is the ambient center; the ``ramification`` block
-says how many starts ran, the system's Bezout number and whether the root
-set is complete.
+says how many starts were used up to the Bezout stop, the system's Bezout
+number and whether the root set is complete.
 
 Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
 (including no-consensus, unmet hypotheses and inconclusive verdicts), 2 on
@@ -116,7 +116,7 @@ def to_jsonable(obj):
 
 
 def machine_bytes(report: dict) -> bytes:
-    return (json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(to_jsonable(report), sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def render_human(report: dict, elapsed: float) -> str:

@@ -1,9 +1,12 @@
 """Dense linear algebra on two paths.
 
-Float path: complex numpy arrays, SVD-backed rank/nullspace/solve.  Rank
-tolerances are relative to the largest singular value because projective data
-has no natural scale.  ``stacked_rank`` and ``stacked_solve`` apply the same
-threshold and residual bound to every matrix of an (S, m, k) stack at once.
+Float path: complex numpy arrays.  Rank, nullspace and ``solve`` are
+SVD-backed; rank tolerances are relative to the largest singular value
+because projective data has no natural scale.  ``stacked_rank`` and
+``stacked_solve`` apply the same threshold and residual bound to every
+matrix of an (S, m, k) stack at once; ``stacked_solve`` solves by one
+batched LU and keeps the SVD for the slices whose condition bound
+||A||_F ||A^-1||_F does not clear the threshold by far.
 
 Exact path: every row of Gaussian rationals is scaled once by the lcm of
 its denominators (``poly.gaussian_integer_rows``), and one fraction-free (Bareiss) elimination with row swaps
@@ -29,6 +32,9 @@ from .poly import GaussianRational, gaussian_integer_rows
 RANK_EPS = 1e-10
 # relative residual a solve may leave: ||Ax - b|| <= RESIDUAL_EPS (||A|| ||x|| + ||b||)
 RESIDUAL_EPS = 1e-10
+# ``stacked_solve`` keeps a slice's LU verdict when the condition bound
+# ||A||_F ||A^-1||_F times RANK_EPS k is at most this
+LU_CLEARANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,26 @@ def solve(A, b):
     return x[:, 0] if vector_rhs else x
 
 
+def _lu_solve(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One batched LU solve of A [x | X] = [rhs | I] on an (S, k, k) stack of
+    finite matrices: the solutions and every slice's A^-1, and a mask of the
+    slices whose LU ran.  An exactly zero pivot makes numpy raise for the
+    whole stack, so the stack is then solved slice by slice, and the slices
+    that raise alone are marked."""
+    S, k = A.shape[:2]
+    aug = np.concatenate([rhs, np.broadcast_to(np.eye(k), (S, k, k))], axis=2)
+    try:
+        return np.linalg.solve(A, aug), np.ones(S, dtype=bool)
+    except np.linalg.LinAlgError:
+        sol, solved = np.zeros_like(aug), np.ones(S, dtype=bool)
+        for s in range(S):
+            try:
+                sol[s] = np.linalg.solve(A[s], aug[s])
+            except np.linalg.LinAlgError:
+                solved[s] = False
+        return sol, solved
+
+
 def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
     """``solve`` on every system of a stack, without raising.
 
@@ -138,6 +164,16 @@ def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
     length S.  ok[s] is False exactly where ``solve(A[s], b[s])`` raises:
     the slice is not finite, or the rank threshold or the residual bound
     fails on it.  x is zero there.
+
+    x and A^-1 come from one batched LU solve.  Since s_max / s_min <=
+    ||A||_F ||A^-1||_F, a slice with ||A||_F ||A^-1||_F RANK_EPS k <=
+    LU_CLEARANCE passes ``solve``'s rank threshold with 1 / LU_CLEARANCE to
+    spare, and LU with partial pivoting is backward stable (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 6-9), so
+    its verdict is the SVD's; every other slice, and every slice whose LU
+    met an exactly zero pivot, takes ``solve``'s SVD path.  The residual
+    bound is checked on every slice.  No slice's result depends on the
+    other slices of the stack.
     """
     A = np.asarray(A, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -149,15 +185,25 @@ def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
     if S == 0 or k == 0:
         return np.zeros_like(b), np.zeros(S, dtype=bool)
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
-    if not finite.all():  # one NaN would stop the SVD of the whole stack
+    if not finite.all():  # one NaN would stop the solve of the whole stack
         A = np.where(finite[:, None, None], A, np.eye(k))
         rhs = np.where(finite[:, None, None], rhs, 0)
-    u, s, vh = np.linalg.svd(A)
-    # full rank exactly when the smallest singular value clears the threshold
-    ok = finite & (s[:, -1] > _rank_tol(s[:, 0], (k, k)))
-    s[~ok] = 1.0
-    x = vh.conj().transpose(0, 2, 1) @ ((u.conj().transpose(0, 2, 1) @ rhs) / s[:, :, None])
-    ok &= ~_exceeds_residual_bound(_norms(A @ x - rhs), _norms(A), _norms(x), _norms(rhs))
+    sol, solved = _lu_solve(A, rhs)
+    r = rhs.shape[2]
+    x = sol[:, :, :r]
+    norm_a = _norms(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = norm_a * _norms(sol[:, :, r:]) * (RANK_EPS * k)
+    ok = finite & solved & (bound <= LU_CLEARANCE)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        u, s, vh = np.linalg.svd(A[rest])
+        # full rank exactly when the smallest singular value clears the threshold
+        full = finite[rest] & (s[:, -1] > _rank_tol(s[:, 0], (k, k)))
+        s[~full] = 1.0
+        x[rest] = vh.conj().transpose(0, 2, 1) @ ((u.conj().transpose(0, 2, 1) @ rhs[rest]) / s[:, :, None])
+        ok[rest] = full
+    ok &= ~_exceeds_residual_bound(_norms(A @ x - rhs), norm_a, _norms(x), _norms(rhs))
     x[~ok] = 0
     return (x[:, :, 0] if vector_rhs else x), ok
 

@@ -829,10 +829,10 @@ def poly_matrix_det(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Symbolic determinant by cofactor expansion; meant for small matrices
     (the exact fullness test caps the dimension at 4).
 
-    Each row is scaled by the lcm of its coefficients' denominators, so the
-    expansion multiplies polynomials with Gaussian integer coefficients (int
-    pairs); the minor of each column subset of the trailing rows is computed
-    once, and the result is divided by the row scales at the end.
+    Each row is scaled by the lcm of its coefficients' denominators, the
+    determinant of the scaled rows is expanded over Gaussian integers
+    (``integer_poly_det``), and the result is divided by the row scales at
+    the end.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
@@ -846,6 +846,16 @@ def poly_matrix_det(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
         pairs = zip(re, im)
         rows.append([{e: next(pairs) for e in p.terms} for p in row])
         scale *= s
+    return integer_polynomial(num_vars, integer_poly_det(rows), scale)
+
+
+def integer_poly_det(rows: Sequence[Sequence[dict]]) -> dict:
+    """Determinant of a square matrix of polynomials with Gaussian integer
+    coefficients, each entry a term map {exponents: (re, im)} of ints, by
+    cofactor expansion along the rows; the minor of each column subset of
+    the trailing rows is computed once.  Returns the term map of the
+    determinant, with no zero terms."""
+    n = len(rows)
 
     def product(p: dict, q: dict) -> dict:
         out: dict[tuple, tuple[int, int]] = {}
@@ -876,8 +886,15 @@ def poly_matrix_det(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
         minors[cols] = total
         return total
 
-    det = minor(tuple(range(n)))
-    return Polynomial(num_vars, {e: GaussianRational(Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in det.items()})
+    return {e: c for e, c in minor(tuple(range(n))).items() if c != (0, 0)}
+
+
+def integer_polynomial(num_vars: int, terms: dict, scale: int) -> Polynomial:
+    """The polynomial with term map {exponents: (re, im)} of ints, no zero
+    terms, divided by the positive int ``scale``."""
+    return Polynomial._from_canonical(
+        num_vars, {e: GaussianRational(Fraction(a, scale), Fraction(b, scale)) for e, (a, b) in terms.items()}
+    )
 
 
 # -- random sampling ----------------------------------------------------------

@@ -7,10 +7,11 @@ system vanishes there: for a graph and a center with affine blocks (P1, P2),
 
 and for a parametrization psi, in the 2n unknowns (w, a) with P affine,
 F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
-of unknowns gets its residuals and Jacobians from one stacked jet.  One
-multi-start loop solves it, running ``stacked_newton`` on waves of starts,
-and stops once it holds as many isolated roots as the Bezout number, which
-makes the root set complete.  Recovery then intersects tangent
+of unknowns gets its residuals and Jacobians from one stacked jet.  A first
+``stacked_newton`` wave runs Bezout-number many starts and, when that
+leaves roots missing, a second wave runs all the other starts; the results,
+read in draw order, stop once they hold as many isolated roots as the
+Bezout number, which makes the root set complete.  Recovery then intersects tangent
 frames pairwise at the found points and takes the consensus cluster; a
 legitimate run on a generic center has one dominant cluster, so a split vote
 is surfaced as NoConsensus rather than papered over.
@@ -171,8 +172,10 @@ class RamificationSet:
 
     An empty ``points`` list is the no-solutions verdict, not an exception.
     ``starts`` counts the starts used, in draw order, up to the stop; the
-    last wave may have run up to ``bezout`` - 1 more, whose results are
-    discarded.  ``failed`` counts the used starts abandoned because an
+    wave that holds the stop may have run more, whose results are
+    discarded.  A wave holds at most starts * d^2 complex Jacobian entries
+    for d unknowns: 16 KB at the default 64 starts and d = 4, 64 KB at
+    d = 8.  ``failed`` counts the used starts abandoned because an
     evaluation raised, so converged + failed <= starts.  ``complete`` says
     the roots hold ``bezout`` isolated ones, hence every isolated root.
     """
@@ -205,11 +208,13 @@ def ramification_points(
     Starts are complex because the locus generally contains non-real points.
 
     The starts stop once the counted roots reach the Bezout number
-    B = prod max(deg, 1) over the components of f or psi, which bounds the
-    isolated roots with multiplicity.  They are drawn in waves of
-    min(B, starts left), and each wave runs through ``stacked_newton`` at
-    once; its results are read in draw order, so the stop falls at the same
-    start as in a one-at-a-time loop.  A new root counts when the system
+    B = prod max(deg, 1) over the components of f or psi, a bound on the
+    isolated roots with multiplicity.  A first wave of min(B, cfg.starts)
+    starts runs through one ``stacked_newton`` call, and is all the work
+    when those starts find every root; if its results leave the stop
+    unreached, all the remaining starts run as one second wave.  Results
+    are read in draw order, so the stop falls at the same start as in a
+    one-at-a-time loop.  A new root counts when the system
     Jacobian has full rank there and the Newton step is below
     DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
     about m steps from it, so none is counted twice.  Points are sorted by
@@ -224,7 +229,8 @@ def ramification_points(
     reps: list[tuple[np.ndarray, float]] = []
     starts = converged = failed = counted = 0
     while starts < cfg.starts and counted < bezout:
-        wave = min(bezout, cfg.starts - starts)
+        # the first wave is all the work when its B starts find every root
+        wave = cfg.starts - starts if starts else min(bezout, cfg.starts)
         out = stacked_newton(system, [center + random_point(dim, cfg.box, rng) for _ in range(wave)], cfg)
         for i in range(wave):
             if counted == bezout:

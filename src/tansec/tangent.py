@@ -45,10 +45,10 @@ from .linalg import (
 from .poly import (
     GaussianRational,
     Jet2,
-    Polynomial,
     gaussian_integer_rows,
+    integer_poly_det,
+    integer_polynomial,
     integer_tensor,
-    poly_matrix_det,
     random_point,
     random_rational_point,
 )
@@ -218,31 +218,41 @@ def hessian_contraction_exact(T, xi) -> list[list[GaussianRational]]:
     ]
 
 
-def hessian_poly_matrix(G: GraphVariety) -> list[list[Polynomial]]:
-    """H(u) with symbolic entries: linear polynomials in u."""
-    T = G.hessian0_exact()
+def hessian_integer_matrix(G: GraphVariety) -> tuple[list[list[dict]], int]:
+    """H(u) with symbolic entries over Gaussian integers, from the integer
+    Hessian table at the origin: entry (i, j) is the term map
+    {exponents of u_k: (re, im)} of the linear form scales[i] H(u)[i][j],
+    with the product of the row scales."""
     n = G.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = Polynomial.zero(n)
-            for k in range(n):
-                if T[i][j][k]:
-                    p = p + Polynomial.variable(n, k) * T[i][j][k]
-            row.append(p)
-        out.append(row)
-    return out
+    t_re, t_im, scales = G.f.hessian_integer((0,) * n)
+    units = [tuple(int(k == v) for v in range(n)) for k in range(n)]
+    rows = [
+        [{units[k]: (re[o + k], im[o + k]) for k in range(n) if re[o + k] or im[o + k]} for o in range(0, n * n, n)]
+        for re, im in zip(t_re, t_im)
+    ]
+    return rows, math.prod(scales)
 
 
-def _symbolic_witness(det: Polynomial, n: int) -> tuple | None:
-    """Deterministic search for a point where the determinant is nonzero."""
+def _integer_value(terms: dict, point: tuple[int, ...]) -> tuple[int, int]:
+    """A term map {exponents: (re, im)} of ints evaluated at an integer point."""
+    re = im = 0
+    for e, (a, b) in terms.items():
+        m = math.prod(x**k for x, k in zip(point, e))
+        re, im = re + a * m, im + b * m
+    return re, im
+
+
+def _symbolic_witness(det: dict, n: int) -> tuple | None:
+    """Deterministic search for an integer point where the determinant, a
+    term map over Gaussian integers, is nonzero: the point, as Fractions,
+    and the value there."""
     candidates = [tuple(Fraction(1) for _ in range(n)), tuple(Fraction(k + 1) for k in range(n))]
     rng = random.Random(0)
     for _ in range(200):
         for cand in candidates:
-            if det.eval_exact(cand):
-                return cand
+            value = _integer_value(det, tuple(int(x) for x in cand))
+            if value != (0, 0):
+                return cand, value
         candidates = [random_rational_point(n, 10 * (n + 1), rng)]
     return None
 
@@ -262,8 +272,9 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
         Gn = G.normalized_at_origin()
         n = Gn.n
         if n <= SYMBOLIC_MAX_DIM:
-            det = poly_matrix_det(hessian_poly_matrix(Gn))
-            if det.is_zero:
+            rows, scale = hessian_integer_matrix(Gn)
+            det = integer_poly_det(rows)
+            if not det:
                 return Certificate(
                     verdict=FAILS,
                     method=EXACT_SYMBOLIC,
@@ -271,10 +282,12 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
                     successes=0,
                     details={"determinant": "0"},
                 )
-            witness = _symbolic_witness(det, n)
-            details = {"determinant": det.to_expr()}
-            if witness is not None:
-                details["determinant_at_witness"] = str(det.eval_exact(witness))
+            found = _symbolic_witness(det, n)
+            details = {"determinant": integer_polynomial(n, det, scale).to_expr()}
+            witness = None
+            if found is not None:
+                witness, (re, im) = found
+                details["determinant_at_witness"] = str(GaussianRational(re, im) / scale)
             return Certificate(
                 verdict=HOLDS,
                 method=EXACT_SYMBOLIC,

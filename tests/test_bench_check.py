@@ -77,3 +77,23 @@ def test_benchmark_check_accepts_every_round0_tan_check(tmp_path, capsys):
         cross = report["checks"]["bundle_rank_cross_check"]
         assert cross["verdict"] == "holds"
         assert (cross["witness"] is not None) == (report["verdict"] == "holds")
+
+
+def test_benchmark_check_accepts_every_round0_recover_job(tmp_path, capsys):
+    # every job kind of the recover workload: ramify and recover on full
+    # graphs n = 1-4 and on param-flat n = 1, 2, and ramify on param-bent
+    # n = 1, 2; each root set holds at most the Bezout number of points, the
+    # one gen.py expects where it gives one
+    gen, check = load_perfbench("gen"), load_perfbench("check")
+    jobs = gen.make_jobs("recover", 1, tmp_path, rounds=1)
+    kinds = {(j["command"], j["family"], j["n"]) for j in jobs}
+    assert kinds == {(c, "full", n) for c in ("ramify", "recover") for n in (1, 2, 3, 4)} | {
+        (c, "param-flat", n) for c in ("ramify", "recover") for n in (1, 2)
+    } | {("ramify", "param-bent", n) for n in (1, 2)}
+    for job in jobs:
+        code = main(job["argv"])
+        report, reason = check.check_job(job, code, capsys.readouterr().out, None)
+        assert reason is None, (job["command"], job["family"], job["n"], reason)
+        ram = report["checks"]["ramification"]
+        assert 0 < check.roots_found(report) == ram["count"] <= ram["bezout"]
+        assert job["bezout"] in (None, ram["bezout"])  # gen.py gives none for param-bent

@@ -380,57 +380,15 @@ def test_machine_reports_are_byte_identical_given_seed(tmp_path, argv):
     assert "elapsed" not in first.decode()
 
 
-GOLDEN_TAN_CHECK_QUADRIC_PAIR = """\
-{
-  "checks": {
-    "bundle_rank_cross_check": {
-      "determinant_at_witness": "1088",
-      "error_bound": null,
-      "method": "schwartz_zippel",
-      "trials": 1,
-      "verdict": "holds",
-      "witness": [
-        "-42",
-        "-6",
-        "-4",
-        "-68"
-      ]
-    },
-    "tangent_fullness": {
-      "details": {
-        "determinant": "4*u1*u2",
-        "determinant_at_witness": "4"
-      },
-      "error_bound": null,
-      "method": "exact_symbolic",
-      "successes": 1,
-      "tolerance": null,
-      "trials": 1,
-      "verdict": "holds",
-      "witness": [
-        "1",
-        "1"
-      ]
-    }
-  },
-  "command": "tan-check",
-  "input": {
-    "components": [
-      "u1^2",
-      "u2^2"
-    ],
-    "digest": "891445e521767e42b9fcdd8847983bfbc26c570e23a5145010d990126e431b20",
-    "kind": "graph",
-    "n": 2,
-    "name": "quadric-pair"
-  },
-  "options": {
-    "trials": 100
-  },
-  "seed": 7,
-  "verdict": "holds"
-}
-"""
+GOLDEN_TAN_CHECK_QUADRIC_PAIR = (
+    '{"checks":{"bundle_rank_cross_check":{"determinant_at_witness":"1088","error_bound":null,'
+    '"method":"schwartz_zippel","trials":1,"verdict":"holds","witness":["-42","-6","-4","-68"]},'
+    '"tangent_fullness":{"details":{"determinant":"4*u1*u2","determinant_at_witness":"4"},'
+    '"error_bound":null,"method":"exact_symbolic","successes":1,"tolerance":null,"trials":1,'
+    '"verdict":"holds","witness":["1","1"]}},"command":"tan-check","input":{"components":["u1^2","u2^2"],'
+    '"digest":"891445e521767e42b9fcdd8847983bfbc26c570e23a5145010d990126e431b20","kind":"graph","n":2,'
+    '"name":"quadric-pair"},"options":{"trials":100},"seed":7,"verdict":"holds"}\n'
+)
 
 
 def test_exact_machine_report_matches_golden(tmp_path):

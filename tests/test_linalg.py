@@ -135,6 +135,50 @@ def test_stacked_solve_matches_solve_on_each_slice():
         assert ok.sum() == (5 if k == 1 else 6)
 
 
+def _conditioned(rng, k, kappa):
+    """A k x k matrix with singular values spaced geometrically from 1 down
+    to 1 / kappa."""
+    return _unitary(rng, k) @ np.diag(np.geomspace(1.0, 1.0 / kappa, k)) @ _unitary(rng, k)
+
+
+def test_stacked_solve_verdicts_across_a_condition_sweep():
+    # the LU guard clears the well-conditioned slices and hands the others
+    # to the SVD; either way every slice's ok is solve's verdict, in one
+    # stack that also holds exactly singular, rank-one and non-finite slices
+    rng = np.random.default_rng(45)
+    for k in (2, 4, 8):
+        stack = [_conditioned(rng, k, kappa) for kappa in (1e2, 1e6, 1e8, 2e9, 3e9)]
+        u, v = rng.normal(size=(2, k, 1)) + 1j * rng.normal(size=(2, k, 1))
+        stack += [np.zeros((k, k)), u @ v.conj().T, np.full((k, k), np.nan), np.where(np.eye(k), np.inf, 1.0)]
+        A = np.array([stack[i] for i in rng.permutation(len(stack))], dtype=complex)
+        b = rng.normal(size=(len(A), k)) + 1j * rng.normal(size=(len(A), k))
+        x, ok = stacked_solve(A, b)
+        assert ok.tolist() == [_solve_or_none(a, c) is not None for a, c in zip(A, b)]
+        # the threshold is a condition number of 1 / (RANK_EPS k): 5e9, 2.5e9, 1.25e9
+        assert ok.sum() == {2: 5, 4: 4, 8: 3}[k]
+        assert not x[~ok].any()
+
+
+def test_stacked_solve_slices_do_not_depend_on_their_neighbours():
+    # exactly singular slices make numpy's batched LU raise for the whole
+    # stack, which is then solved slice by slice; every slice's x and ok,
+    # regular, singular or on the SVD path, are bitwise its stack of one's
+    rng = np.random.default_rng(46)
+    k = 3
+    A = rng.normal(size=(6, k, k)) + 1j * rng.normal(size=(6, k, k))
+    A[2] = 0
+    A[4] = 1  # an exactly zero pivot after one elimination step
+    A[5] = _conditioned(rng, k, 1e8)
+    b = rng.normal(size=(6, k)) + 1j * rng.normal(size=(6, k))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, b[:, :, None])
+    x, ok = stacked_solve(A, b)
+    assert ok.tolist() == [True, True, False, True, False, True]
+    for s in range(len(A)):
+        x_s, ok_s = stacked_solve(A[s : s + 1], b[s : s + 1])
+        assert ok_s[0] == ok[s] and np.array_equal(x_s[0], x[s])
+
+
 def test_stacked_solve_applies_the_residual_bound_of_solve(monkeypatch):
     # with no residual allowed, only systems that solve exactly (scaled
     # permutations with power-of-two entries) pass the bound, in both solves

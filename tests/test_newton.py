@@ -50,10 +50,15 @@ SLICES = [
     ((-9e39, 9e39), EVAL_ERROR),  # at the first trial point, in a stacked call
     ((2.0, 1.0), CONVERGED),  # a root to begin with
     ((-1.5 - 2.0j, -3.0), CONVERGED),
+    # J = diag(2e-8, 2) takes stacked_solve's SVD path; the step is ~1e8
+    # long, and 20 halvings do not bring it under the residual (40 do)
+    ((1e-8, 1.0), HALVINGS_EXHAUSTED),
 ]
 
 
-@pytest.mark.parametrize("cfg", [NewtonConfig(), NewtonConfig(max_iters=3, max_halvings=2)])
+@pytest.mark.parametrize(
+    "cfg", [NewtonConfig(), NewtonConfig(max_iters=3, max_halvings=2), NewtonConfig(max_halvings=40)]
+)
 def test_stacked_newton_runs_each_slice_as_one_start_would(cfg):
     starts = np.array([s for s, _ in SLICES], dtype=complex)
     out = stacked_newton(system, starts, cfg)

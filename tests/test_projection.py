@@ -270,6 +270,9 @@ def _record_waves(monkeypatch, counting) -> list:
     ],
 )
 def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
+    # the solve is a first Newton wave of exactly min(B, cfg.starts) rows
+    # and, only when that leaves the root set incomplete, a second of
+    # exactly the other starts, each wave's first evaluation at its starts;
     # every evaluation of the stacked system makes exactly one jet, at
     # exactly the rows it is given (a parametrization makes one psi.jet2 at
     # the w part of its (w, a) rows), so residual and Jacobian share it; and
@@ -280,12 +283,15 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     else:
         G = counting = CountingJets(G)
     waves = _record_waves(monkeypatch, counting)
-    R = ramification_points(G, center, NewtonConfig(starts=16), random.Random(6))
+    cfg = NewtonConfig(starts=16)
+    R = ramification_points(G, center, cfg, random.Random(6))
     assert R.converged > 0
-    run = sum(size for size, _, _ in waves)
-    assert R.starts <= run < R.starts + R.bezout
+    first = min(R.bezout, cfg.starts)
+    one_wave = R.complete and R.starts <= first
+    assert [size for size, _, _ in waves] == ([first] if one_wave else [first, cfg.starts - first])
     assert len(counting.points) == sum(len(calls) for _, _, calls in waves)
-    for _, _, calls in waves:
+    for size, _, calls in waves:
+        assert len(calls[0][0]) == size
         seen = set()
         for X, jets in calls:
             assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]

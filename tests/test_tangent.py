@@ -17,7 +17,6 @@ from tansec.tangent import (
     dominance_certificate,
     hessian_contraction,
     hessian_contraction_exact,
-    hessian_poly_matrix,
     p_jacobian_closed,
     p_jacobian_fd,
     p_map,
@@ -211,6 +210,59 @@ def test_tan_is_full_dimension_switchover():
     assert c5f.verdict == FAILS and c5f.method == SCHWARTZ_ZIPPEL
     assert c5f.trials == 100
     assert 0 < c5f.error_bound < 1e-100
+
+
+def _reference_symbolic_fullness(G):
+    """det H(u) expanded with Polynomial arithmetic from the exact Hessian at
+    the origin, and the first nonzero point of the witness search, found
+    with exact evaluation: (determinant, witness, value there)."""
+    from tansec.poly import Polynomial, poly_matrix_det
+
+    n = G.n
+    T = G.normalized_at_origin().hessian0_exact()
+    H = [
+        [sum((Polynomial.variable(n, k) * T[i][j][k] for k in range(n)), Polynomial.zero(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    det = poly_matrix_det(H)
+    if det.is_zero:
+        return det, None, None
+    candidates = [tuple(Fraction(1) for _ in range(n)), tuple(Fraction(k + 1) for k in range(n))]
+    rng = random.Random(0)
+    for _ in range(200):
+        for cand in candidates:
+            if det.eval_exact(cand):
+                return det, cand, det.eval_exact(cand)
+        candidates = [random_rational_point(n, 10 * (n + 1), rng)]
+    return det, None, None
+
+
+def test_symbolic_fullness_matches_the_polynomial_determinant(tmp_path):
+    # the determinant expanded on the integer Hessian table, and its witness
+    # found by integer evaluation, are those of Polynomial arithmetic: on
+    # every round-0 graph input with n <= 4 of both benchmark workloads and
+    # on the built-in graphs
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.registry import BUILTINS
+    from tansec.varfile import parse_variety_file
+
+    gen = load_perfbench("gen")
+    graphs = [GraphVariety(parse_map(vf.exprs, vf.n)) for vf in BUILTINS if vf.kind == "graph"]
+    for workload in ("recover", "certify"):
+        for job in gen.make_jobs(workload, 1, tmp_path / workload, rounds=1):
+            vf = parse_variety_file(Path(job["argv"][1]).read_text())
+            if vf.kind == "graph" and vf.n <= 4:
+                graphs.append(GraphVariety(parse_map(vf.exprs, vf.n)))
+    assert len(graphs) > 20
+    for G in graphs:
+        det, witness, value = _reference_symbolic_fullness(G)
+        cert = tan_is_full(G)
+        assert cert.method == EXACT_SYMBOLIC and cert.holds == (not det.is_zero)
+        assert cert.details["determinant"] == det.to_expr()
+        assert cert.witness == witness
+        assert cert.details.get("determinant_at_witness") == (None if value is None else str(value))
 
 
 def test_tan_is_full_float_sampling_on_charts():
