@@ -252,7 +252,7 @@ def ramify(V, G, args):
     center = parse_center(args.center, V.n)
     cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
     R = ramification_points(V, center, cfg, rng=random.Random(args.seed))
-    verified = sum(1 for u in R.points if tangent_membership(V, center, u))
+    verified = int(np.count_nonzero(tangent_membership(V, center, np.reshape(R.points, (len(R), V.n)))))
     verdict = "success" if R.found and verified == len(R) else ("no_solutions" if not R.found else "fails")
     checks = {
         "ramification": _ramification_block(R),

@@ -59,10 +59,10 @@ class NewtonStack:
     ``points`` are the last accepted points, ``values`` and ``jacobians``
     the system's residual vectors and Jacobians there, and ``residuals``
     their norms.  ``stops`` says why each slice stopped (CONVERGED,
-    SINGULAR_STEP, HALVINGS_EXHAUSTED, ITER_CAP or EVAL_ERROR) and
-    ``errors`` holds the TansecError of each EVAL_ERROR slice, None
-    elsewhere.  The values and Jacobians of a slice whose start point
-    raised are zero.
+    SINGULAR_STEP, HALVINGS_EXHAUSTED, ITER_CAP or EVAL_ERROR), or is None
+    for a slice still running when the run ended early; ``errors`` holds
+    the TansecError of each EVAL_ERROR slice, None elsewhere.  The values
+    and Jacobians of a slice whose start point raised are zero.
     """
 
     points: np.ndarray
@@ -95,10 +95,24 @@ def _evaluate(system, X: np.ndarray):
     return np.asarray(r, dtype=complex), np.asarray(J, dtype=complex), {}
 
 
+def _stack(x, r, J, rn, codes, iterations, errors) -> NewtonStack:
+    return NewtonStack(
+        points=x,
+        values=r,
+        jacobians=J,
+        residuals=rn,
+        converged=codes == _CONVERGED,
+        iterations=iterations,
+        stops=tuple(map(_STOPS.__getitem__, codes.tolist())),
+        errors=tuple(errors),
+    )
+
+
 def stacked_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     starts,
     cfg: NewtonConfig,
+    settled: Callable[[NewtonStack], bool] | None = None,
 ) -> NewtonStack:
     """Damped Newton from every start of an (S, d) stack, in lockstep.
 
@@ -111,6 +125,12 @@ def stacked_newton(
     ``max_iters`` accepted steps; and it stops, abandoned, at a point whose
     evaluation raised TansecError.  Slices never mix: a slice's result is
     the one it would get alone.
+
+    ``settled``, when given, is called after every round in which slices
+    stopped, the last one included, with the run so far as a NewtonStack
+    whose running slices have stop None (a stopped slice's entries no
+    longer change); the run ends as soon as it returns True, and the
+    slices still running keep stop None.
     """
     x = np.array(starts, dtype=complex)
     if x.ndim != 2:
@@ -126,6 +146,7 @@ def stacked_newton(
     t = np.ones(S)
     halvings = np.zeros(S, dtype=int)
     fresh = np.flatnonzero(codes == _RUNNING)  # at an accepted point, with no step yet
+    running = S
     while True:
         done, capped = rn[fresh] <= cfg.tol, iterations[fresh] >= cfg.max_iters
         codes[fresh] = np.where(done, _CONVERGED, np.where(capped, _ITER_CAP, _RUNNING))
@@ -135,6 +156,9 @@ def stacked_newton(
             codes[fresh[~ok]] = _SINGULAR_STEP
             t[fresh], halvings[fresh] = 1.0, 0
         trial = np.flatnonzero(codes == _RUNNING)
+        stopped, running = running - trial.size, trial.size
+        if settled is not None and stopped and settled(_stack(x, r, J, rn, codes, iterations, errors)):
+            break
         if not trial.size:
             break
         x_new = x[trial] - t[trial, None] * step[trial]
@@ -157,16 +181,7 @@ def stacked_newton(
             t[worse] /= 2.0
             halvings[worse] += 1
             codes[worse[halvings[worse] > cfg.max_halvings]] = _HALVINGS_EXHAUSTED
-    return NewtonStack(
-        points=x,
-        values=r,
-        jacobians=J,
-        residuals=rn,
-        converged=codes == _CONVERGED,
-        iterations=iterations,
-        stops=tuple(_STOPS[c] for c in codes),
-        errors=tuple(errors),
-    )
+    return _stack(x, r, J, rn, codes, iterations, errors)
 
 
 def damped_newton(

@@ -503,7 +503,7 @@ class _ExprParser:
             if not 1 <= index <= self.n:
                 self.error(f"variable u{index} out of range for {self.n} variables", start)
             return {self.units[index - 1]: ONE}
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.nat("number")
             self.skip_ws()
             if self.peek() == "/":
@@ -520,7 +520,7 @@ class _ExprParser:
     def nat(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")

@@ -10,11 +10,12 @@ F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
 of unknowns gets its residuals and Jacobians from one stacked jet.  A first
 ``stacked_newton`` wave runs Bezout-number many starts and, when that
 leaves roots missing, a second wave runs all the other starts; the results,
-read in draw order, stop once they hold as many isolated roots as the
-Bezout number, which makes the root set complete.  Recovery then intersects tangent
-frames pairwise at the found points and takes the consensus cluster; a
-legitimate run on a generic center has one dominant cluster, so a split vote
-is surfaced as NoConsensus rather than papered over.
+read in draw order as the starts stop, end the solve once they hold as many
+isolated roots as the Bezout number, which makes the root set complete.
+Recovery then builds the tangent frames at the found points as one stack,
+intersects every pair of them from stacked SVDs, and takes the consensus
+cluster; a legitimate run on a generic center has one dominant cluster, so
+a split vote is surfaced as NoConsensus rather than papered over.
 """
 
 from __future__ import annotations
@@ -22,20 +23,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     CenterHitError,
+    DegenerateInputError,
     InsufficientPointsError,
     NoConsensusError,
-    NonTransverseError,
 )
-from .linalg import _rank_tol, chordal_distance, numerical_rank
+from .linalg import _rank_tol, chordal_distance, stacked_rank
 from .newton import NewtonConfig, stacked_newton
 from .poly import random_point
-from .tangent import Certificate, tan_is_full, tangent_frame, tangent_intersection
+from .tangent import CHUNK, Certificate, frame_pair_points, tan_is_full, tangent_frame
 from .variety import ParamVariety
 
 CONSENSUS_RADIUS = 1e-6
@@ -213,8 +213,9 @@ def ramification_points(
     starts runs through one ``stacked_newton`` call, and is all the work
     when those starts find every root; if its results leave the stop
     unreached, all the remaining starts run as one second wave.  Results
-    are read in draw order, so the stop falls at the same start as in a
-    one-at-a-time loop.  A new root counts when the system
+    are read in draw order as the starts stop, so the stop falls at the
+    same start as in a one-at-a-time loop, and a wave ends once its stop is
+    reached.  A new root counts when the system
     Jacobian has full rank there and the Newton step is below
     DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
     about m steps from it, so none is counted twice.  Points are sorted by
@@ -228,13 +229,15 @@ def ramification_points(
     step_bound = DEDUP_RADIUS / (2 * bezout)
     reps: list[tuple[np.ndarray, float]] = []
     starts = converged = failed = counted = 0
-    while starts < cfg.starts and counted < bezout:
-        # the first wave is all the work when its B starts find every root
-        wave = cfg.starts - starts if starts else min(bezout, cfg.starts)
-        out = stacked_newton(system, [center + random_point(dim, cfg.box, rng) for _ in range(wave)], cfg)
-        for i in range(wave):
-            if counted == bezout:
-                break
+
+    def read(out) -> bool:
+        # take the stopped slices of the wave in draw order, up to the first
+        # one still running; the wave may end once the Bezout stop is reached
+        nonlocal starts, converged, failed, counted
+        while starts < first + len(out.stops) and counted < bezout:
+            i = starts - first
+            if out.stops[i] is None:
+                return False
             starts += 1
             if out.errors[i] is not None:  # an evaluation that raised abandons the start
                 failed += 1
@@ -246,6 +249,13 @@ def ramification_points(
             if all(np.linalg.norm(x - point) > DEDUP_RADIUS for point, _ in reps):
                 reps.append((x, float(out.residuals[i])))
                 counted += _isolated(out.jacobians[i], out.values[i], step_bound)
+        return counted == bezout
+
+    while starts < cfg.starts and counted < bezout:
+        # the first wave is all the work when its B starts find every root
+        first = starts
+        wave = cfg.starts - starts if starts else min(bezout, cfg.starts)
+        stacked_newton(system, [center + random_point(dim, cfg.box, rng) for _ in range(wave)], cfg, read)
 
     reps.sort(key=lambda rep: _point_order(rep[0]))
     return RamificationSet(
@@ -259,69 +269,103 @@ def ramification_points(
     )
 
 
-def tangent_membership(G, P: Center, u) -> bool:
+def _frames(G, U) -> np.ndarray:
+    """The tangent frames at an (k, n) stack of points, from one stacked
+    ``tangent_frame``; raises DegenerateInputError, as a frame at one point
+    does, when one of them has dependent rows."""
+    M, full = tangent_frame(G, U)
+    if not full.all():
+        raise DegenerateInputError("tangent frame rows are not independent")
+    return M
+
+
+def tangent_membership(G, P: Center, u):
     """Check that P lies in the tangent space of G at the point with
-    parameter u: appending P to the tangent frame must not raise the rank."""
-    frame = tangent_frame(G, u)
-    stacked = np.vstack([frame.matrix, P.proj[None, :]])
-    return numerical_rank(stacked).rank == G.n + 1
+    parameter u: appending P to the tangent frame must not raise the rank.
+
+    u may also be a (k, n) stack of points, which gives a boolean mask from
+    one stacked frame build and one ``stacked_rank``.
+    """
+    u = np.asarray(u, dtype=complex)
+    M = _frames(G, u if u.ndim == 2 else u[None])
+    with_center = np.concatenate([M, np.broadcast_to(P.proj, (len(M), 1, M.shape[2]))], axis=1)
+    member = stacked_rank(with_center) == G.n + 1
+    return member if u.ndim == 2 else bool(member[0])
 
 
 # -- recovery ----------------------------------------------------------------------
 
 
+def _chordal_block(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``chordal_distance(x, y)`` for every unit row x of X and y of Y, as
+    an (|X|, |Y|) matrix: the norm of y's component orthogonal to x, which
+    stays accurate for tiny angles."""
+    c = X.conj() @ Y.T
+    return np.minimum(np.linalg.norm(Y[None] - X[:, None] * c[:, :, None], axis=2), 1.0)
+
+
 def recover_center(G, R: RamificationSet):
     """Recover the projection center from its ramification locus.
 
-    Every transverse pair of tangent frames at points of R is intersected;
-    the resulting projective points are clustered in the chordal metric and
-    the consensus of the largest cluster is returned together with spread
-    statistics.  The frames are taken in ``_point_order``, so the result
-    depends on the point set and not on its order.  Raises
-    InsufficientPoints for |R| < 2 and NoConsensus when the largest cluster
-    holds fewer than half of the computed pairs.
+    Every pair of tangent frames at points of R is intersected, the frames
+    built as one stack and the pairs i < j taken in ``combinations`` order,
+    in stacks of at most CHUNK, by ``frame_pair_points``; a pair is used
+    when it meets transversally, in one point.  Those points are clustered
+    greedily in the chordal metric, each joining the first cluster whose
+    first point lies within CONSENSUS_RADIUS, and the member of the largest
+    cluster with the least summed distance to the others is returned
+    together with spread statistics.  The frames are taken in
+    ``_point_order``, so the result depends on the point set and not on its
+    order.  Raises InsufficientPoints for |R| < 2 and NoConsensus when the
+    largest cluster holds fewer than half of the computed pairs.
     """
     if len(R) < 2:
         raise InsufficientPointsError(f"need at least 2 ramification points, got {len(R)}")
-    frames = [tangent_frame(G, u) for u in sorted(R.points, key=_point_order)]
-    pair_points = []
-    skipped = 0
-    for i, j in combinations(range(len(frames)), 2):
-        try:
-            pair_points.append(tangent_intersection(frames[i], frames[j]))
-        except NonTransverseError:
-            skipped += 1
-    if not pair_points:
+    M = _frames(G, np.array(sorted(R.points, key=_point_order)))
+    first, second = np.triu_indices(len(M), 1)
+    dims = np.empty(len(first), dtype=int)
+    points = np.empty((len(first), M.shape[2]), dtype=complex)
+    for start in range(0, len(first), CHUNK):
+        pairs = slice(start, start + CHUNK)
+        dims[pairs], points[pairs] = frame_pair_points(M[first[pairs]], M[second[pairs]])
+    pair_points = points[dims == 1]
+    if not len(pair_points):
         raise NoConsensusError("every frame pair met non-transversally")
 
-    clusters: list[list[int]] = []
-    for idx, pt in enumerate(pair_points):
-        for cluster in clusters:
-            if chordal_distance(pt, pair_points[cluster[0]]) <= CONSENSUS_RADIUS:
-                cluster.append(idx)
-                break
-        else:
-            clusters.append([idx])
+    unit = pair_points / np.linalg.norm(pair_points, axis=1, keepdims=True)
+    clusters = []
+    free = np.ones(len(unit), dtype=bool)
+    while free.any():
+        # the first free point founds a cluster: every earlier founder is
+        # farther than the radius from it and from the points it takes
+        founder = int(np.argmax(free))
+        near = free & (_chordal_block(unit[founder : founder + 1], unit)[0] <= CONSENSUS_RADIUS)
+        near[founder] = True
+        clusters.append(np.flatnonzero(near))
+        free &= ~near
     largest = max(clusters, key=len)
     if 2 * len(largest) < len(pair_points):
         raise NoConsensusError(
             f"largest cluster holds {len(largest)} of {len(pair_points)} pairs"
         )
 
-    members = [pair_points[i] for i in largest]
-    sums = [sum(chordal_distance(m, other) for other in members) for m in members]
-    consensus = members[int(np.argmin(sums))]
-    spread = max(
-        (chordal_distance(a, b) for a, b in combinations(members, 2)), default=0.0
-    )
+    # the members' distances, in blocks of rows of at most CHUNK^2 entries
+    members = unit[largest]
+    sums = np.empty(len(members))
+    spread = 0.0
+    rows = max(1, CHUNK * CHUNK // len(members))
+    for start in range(0, len(members), rows):
+        D = _chordal_block(members[start : start + rows], members)
+        sums[start : start + rows] = D.sum(axis=1)
+        spread = max(spread, float(np.triu(D, start + 1).max(initial=0.0)))
     report = {
-        "pairs_total": len(pair_points) + skipped,
+        "pairs_total": len(first),
         "pairs_used": len(pair_points),
-        "pairs_skipped": skipped,
+        "pairs_skipped": len(first) - len(pair_points),
         "cluster_size": len(largest),
         "spread": spread,
     }
-    return consensus, report
+    return pair_points[largest[int(np.argmin(sums))]], report
 
 
 @dataclass

@@ -29,7 +29,6 @@ from .errors import (
     NonTransverseError,
     NotNormalizedError,
     SingularTangentJacobianError,
-    TansecError,
 )
 from .linalg import (
     RANK_EPS,
@@ -40,7 +39,6 @@ from .linalg import (
     numerical_rank,
     stacked_rank,
     stacked_solve,
-    subspace_intersection,
 )
 from .poly import (
     GaussianRational,
@@ -132,41 +130,93 @@ class TangentFrame:
     matrix: np.ndarray
 
 
-def tangent_frame(G, u) -> TangentFrame:
+def tangent_frame(G, u):
+    """The tangent frame at a point u, or the frames at each point of a
+    (k, n) stack u; the shape selects, as in ``PolyMap.jet2``.
+
+    A point gives its TangentFrame and raises DegenerateInputError when the
+    frame's rows are dependent.  A stack gives the (k, n + 1, 2n + 1) frame
+    matrices from one jet and a mask of the frames that are finite with
+    independent rows, from one ``stacked_rank``; it raises nothing, and a
+    non-finite frame, which would stop the SVD of the whole stack, is
+    ranked as zero.
+    """
     if isinstance(G, NormalizedChart):
         raise TypeError("tangent frames of a parametrized variety are taken on its ParamVariety")
     u = np.asarray(u, dtype=complex)
     n = G.n
-    M = np.zeros((n + 1, 2 * n + 1), dtype=complex)
-    M[0, 0] = 1.0
+    U = u if u.ndim == 2 else u[None]
+    M = np.zeros((len(U), n + 1, 2 * n + 1), dtype=complex)
+    M[:, 0, 0] = 1.0
     if isinstance(G, ParamVariety):
-        jet = G.psi.jet2(u)
-        M[0, 1:] = jet.value
-        M[1:, 1:] = jet.jacobian.T
+        jet = G.psi.jet2(U)
+        M[:, 0, 1:] = jet.value
+        M[:, 1:, 1:] = jet.jacobian.transpose(0, 2, 1)
     else:
-        jet = G.jet_at(u)
-        M[0, 1 : n + 1] = u
-        M[0, n + 1 :] = jet.value
-        M[1:, 1 : n + 1] = np.eye(n)
-        M[1:, n + 1 :] = jet.jacobian.T
-    if numerical_rank(M).rank < n + 1:
+        jet = G.jet_at(U)
+        M[:, 0, 1 : n + 1] = U
+        M[:, 0, n + 1 :] = jet.value
+        M[:, 1:, 1 : n + 1] = np.eye(n)
+        M[:, 1:, n + 1 :] = jet.jacobian.transpose(0, 2, 1)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    full = finite & (stacked_rank(np.where(finite[:, None, None], M, 0)) == n + 1)
+    if u.ndim == 2:
+        return M, full
+    if not full[0]:
         raise DegenerateInputError("tangent frame rows are not independent")
-    return TangentFrame(point=u, matrix=M)
+    return TangentFrame(point=u, matrix=M[0])
+
+
+# coordinates whose moduli lie within this relative distance of the largest
+# tie for the normalizing coordinate of a projective representative
+TIE_EPS = 1e-9
+
+
+def normalized_representative(X: np.ndarray) -> np.ndarray:
+    """Each row of X divided by its first coordinate whose modulus lies
+    within a relative TIE_EPS of the largest, so that coordinates tied in
+    exact arithmetic (such as 8 and -8) give one representative under
+    round-off."""
+    a = np.abs(X)
+    k = np.argmax(a >= (1 - TIE_EPS) * a.max(axis=-1, keepdims=True), axis=-1)
+    return X / np.take_along_axis(X, k[..., None], axis=-1)
+
+
+def frame_pair_points(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the tangent spans of the frames A[s] and B[s] meet, for (S, n + 1,
+    2n + 1) stacks of frames with independent rows.
+
+    A kernel vector (x, y) of [A^T | -B^T] gives the common point A^T x =
+    B^T y.  Returns the dimension of each kernel under ``nullspace``'s rank
+    threshold, from one ``stacked_rank``, and the point
+    (``normalized_representative``) of each pair whose kernel has dimension
+    1, the transverse pairs, from one stacked SVD of those pairs alone; the
+    other rows of the points are zero.
+    """
+    stacked = np.concatenate([A.transpose(0, 2, 1), -B.transpose(0, 2, 1)], axis=2)
+    dims = stacked.shape[2] - stacked_rank(stacked)
+    transverse = dims == 1
+    points = np.zeros((len(stacked), A.shape[2]), dtype=complex)
+    if transverse.any():
+        # the kernel vector is the last right singular vector
+        x = np.linalg.svd(stacked[transverse])[2][:, -1, : A.shape[1]].conj()
+        points[transverse] = normalized_representative(np.einsum("sij,si->sj", A[transverse], x))
+    return dims, points
 
 
 def tangent_intersection(F1: TangentFrame, F2: TangentFrame) -> np.ndarray:
-    """The unique projective point where two tangent spans meet.
+    """The unique projective point where two tangent spans meet, from
+    ``frame_pair_points`` on the stacks of one of the two frames.
 
-    Normalized so the largest-modulus coordinate is 1.  Raises NonTransverse
-    when the intersection is not one-dimensional (identical spans included);
-    the caller resamples, since single-point intersections are only promised
-    for generic pairs.
+    Normalized so the first coordinate of largest modulus, up to TIE_EPS,
+    is 1.  Raises NonTransverse when the intersection is not one-dimensional
+    (identical spans included); the caller resamples, since single-point
+    intersections are only promised for generic pairs.
     """
-    X = subspace_intersection(F1.matrix, F2.matrix)
-    if X.shape[0] != 1:
-        raise NonTransverseError(X.shape[0])
-    x = X[0]
-    return x / x[int(np.argmax(np.abs(x)))]
+    dims, points = frame_pair_points(F1.matrix[None], F2.matrix[None])
+    if dims[0] != 1:
+        raise NonTransverseError(int(dims[0]))
+    return points[0]
 
 
 # -- Hessian contraction -------------------------------------------------------------
@@ -461,22 +511,22 @@ def secant_dim_estimate(G, trials: int = 100, rng: random.Random | None = None) 
     line is spanned by the two tangent spaces, so the stacked frame rank
     carries the dimension.  The certificate records the rank distribution;
     it holds when at least 95% of the sampled pairs achieve the maximum.
+    The pair (u, v) of each trial is drawn in order, the frames are built
+    in stacks of at most CHUNK points, and the pairs of a stack are ranked
+    by one ``stacked_rank``.  A pair with a frame that is not finite or has
+    dependent rows (psi not immersive there) is counted as an evaluation
+    failure.
     """
     rng = rng or random.Random(0)
-    n = G.n
     distribution: dict[int, int] = {}
     failures = 0
-    for _ in range(trials):
-        u = random_point(n, 1.0, rng)
-        v = random_point(n, 1.0, rng)
-        try:
-            stacked = np.vstack([tangent_frame(G, u).matrix, tangent_frame(G, v).matrix])
-        except TansecError:
-            # a frame with dependent rows (psi not immersive there) is counted
-            failures += 1
-            continue
-        r = numerical_rank(stacked).rank
-        distribution[r] = distribution.get(r, 0) + 1
+    for X in _sample_chunks(G, 2 * trials, 1.0, rng):
+        M, full = tangent_frame(G, X)
+        ok = full[0::2] & full[1::2]
+        pairs = np.concatenate([M[0::2], M[1::2]], axis=1)
+        failures += int(np.count_nonzero(~ok))
+        for r in stacked_rank(pairs[ok]).tolist():
+            distribution[r] = distribution.get(r, 0) + 1
     if not distribution:
         return -1, Certificate(
             verdict=INCONCLUSIVE,

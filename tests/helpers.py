@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random polynomials and exact scalars, reference
-implementations of the exact kernels, the parser, the dominance sampler and
-the ramification solver, and the benchmark's modules."""
+implementations of the exact kernels, the parser, the dominance sampler, the
+ramification solver, center recovery and the secant estimate, and the
+benchmark's modules."""
 
 from __future__ import annotations
 
@@ -8,15 +9,23 @@ import importlib.util
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from tansec.errors import PolyParseError, SingularMatrixError, SingularTangentJacobianError, TansecError
-from tansec.linalg import RANK_EPS, numerical_rank, solve
+from tansec.errors import (
+    InsufficientPointsError,
+    NoConsensusError,
+    PolyParseError,
+    SingularMatrixError,
+    SingularTangentJacobianError,
+    TansecError,
+)
+from tansec.linalg import RANK_EPS, chordal_distance, numerical_rank, solve, subspace_intersection
 from tansec.newton import NewtonResult
 from tansec.poly import GaussianRational, Jet2, Polynomial, random_point
-from tansec.projection import DEDUP_RADIUS, RamificationSet, _isolated, _point_order
+from tansec.projection import CONSENSUS_RADIUS, DEDUP_RADIUS, RamificationSet, _isolated, _point_order
 from tansec.tangent import (
     FAILS,
     FD_STEP,
@@ -27,6 +36,7 @@ from tansec.tangent import (
     _meets_success_fraction,
     _sampled_verdict,
     require_normalized,
+    tangent_frame,
 )
 from tansec.variety import NormalizedChart, ParamVariety
 
@@ -262,7 +272,7 @@ class _ReferenceParser:
             if not 1 <= index <= self.n:
                 self.error(f"variable u{index} out of range for {self.n} variables", start)
             return Polynomial.variable(self.n, index - 1)
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.nat("number")
             self.skip_ws()
             if self.peek() == "/":
@@ -279,7 +289,7 @@ class _ReferenceParser:
     def nat(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")
@@ -534,3 +544,70 @@ def reference_ramification(G, P, cfg, rng):
         bezout=bezout,
         complete=counted == bezout,
     )
+
+
+# -- reference recovery and secant estimate ----------------------------------------
+#
+# Center recovery and the secant estimate as they were before their frames
+# were stacked: one tangent frame per point, one ``subspace_intersection``
+# per frame pair, one ``chordal_distance`` per compared pair, and one rank
+# per secant trial.  Kept as independent references for the stacked forms.
+
+
+def reference_recover_center(G, R):
+    """``recover_center`` as a loop over the frame pairs; the same report."""
+    if len(R) < 2:
+        raise InsufficientPointsError(f"need at least 2 ramification points, got {len(R)}")
+    frames = [tangent_frame(G, u) for u in sorted(R.points, key=_point_order)]
+    pair_points = []
+    skipped = 0
+    for i, j in combinations(range(len(frames)), 2):
+        X = subspace_intersection(frames[i].matrix, frames[j].matrix)
+        if X.shape[0] != 1:
+            skipped += 1
+            continue
+        pair_points.append(X[0] / X[0][int(np.argmax(np.abs(X[0])))])
+    if not pair_points:
+        raise NoConsensusError("every frame pair met non-transversally")
+    clusters: list[list[int]] = []
+    for idx, pt in enumerate(pair_points):
+        for cluster in clusters:
+            if chordal_distance(pt, pair_points[cluster[0]]) <= CONSENSUS_RADIUS:
+                cluster.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    largest = max(clusters, key=len)
+    if 2 * len(largest) < len(pair_points):
+        raise NoConsensusError(f"largest cluster holds {len(largest)} of {len(pair_points)} pairs")
+    members = [pair_points[i] for i in largest]
+    sums = [sum(chordal_distance(m, other) for other in members) for m in members]
+    spread = max((chordal_distance(a, b) for a, b in combinations(members, 2)), default=0.0)
+    report = {
+        "pairs_total": len(pair_points) + skipped,
+        "pairs_used": len(pair_points),
+        "pairs_skipped": skipped,
+        "cluster_size": len(largest),
+        "spread": spread,
+    }
+    return members[int(np.argmin(sums))], report
+
+
+def reference_secant_dim_estimate(G, trials, rng):
+    """``secant_dim_estimate`` one trial at a time: (estimate, successes,
+    rank distribution, evaluation failures)."""
+    n = G.n
+    distribution: dict[int, int] = {}
+    failures = 0
+    for _ in range(trials):
+        u = random_point(n, 1.0, rng)
+        v = random_point(n, 1.0, rng)
+        try:
+            stacked = np.vstack([tangent_frame(G, u).matrix, tangent_frame(G, v).matrix])
+        except TansecError:
+            failures += 1
+            continue
+        r = numerical_rank(stacked).rank
+        distribution[r] = distribution.get(r, 0) + 1
+    best = max(distribution, default=0)
+    return best - 1, distribution.get(best, 0), dict(sorted(distribution.items())), failures

@@ -110,3 +110,30 @@ def test_damped_newton_raises_the_evaluation_error():
 def test_stacked_newton_rejects_a_flat_start():
     with pytest.raises(ValueError):
         stacked_newton(system, np.zeros(2), NewtonConfig())
+
+
+def test_stacked_newton_ends_once_settled():
+    # settled sees the run after every round in which slices stopped, the
+    # running ones at stop None; the run ends when it returns True, and the
+    # slices stopped by then hold what the whole run gives them
+    starts = np.array([s for s, _ in SLICES], dtype=complex)
+    whole = stacked_newton(system, starts, NewtonConfig())
+    seen = []
+
+    def settled(out):
+        seen.append(out.stops)
+        return out.stops[0] is not None
+
+    out = stacked_newton(system, starts, NewtonConfig(), settled)
+    assert out.stops == seen[-1] and out.stops[0] == CONVERGED
+    assert out.stops[3] is None  # the capped slice runs max_iters rounds
+    for before, after in zip(seen, seen[1:]):
+        assert before != after and all(a is None or a == b for a, b in zip(before, after))
+    for i, stop in enumerate(out.stops):
+        if stop is not None:
+            assert stop == whole.stops[i] and np.array_equal(out.points[i], whole.points[i])
+    # a run that is never settled ends as without the argument, and its
+    # last round is seen
+    seen.clear()
+    out = stacked_newton(system, starts, NewtonConfig(), lambda out: seen.append(out.stops) and False)
+    assert seen[-1] == out.stops == whole.stops

@@ -112,6 +112,16 @@ def test_parse_errors_carry_position(text, n):
     assert 0 <= exc.value.position <= len(text)
 
 
+def test_parse_superscript_digits_are_not_numbers():
+    # str.isdigit accepts '²', which int() refuses; decimal digits of other
+    # scripts, which int() reads, still parse
+    for text, column in (("u1^²", 4), ("u1 + ²", 6), ("u²", 2)):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, 2)
+        assert exc.value.position == column - 1 and f"column {column}" in str(exc.value)
+    assert parse_poly("u1^\u0663", 1) == parse_poly("u1^3", 1)
+
+
 def test_parse_print_parse_fixpoint():
     rng = random.Random(7)
     for _ in range(60):

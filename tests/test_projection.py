@@ -244,7 +244,7 @@ def _record_waves(monkeypatch, counting) -> list:
     rows given and the jets ``counting`` recorded during the call)."""
     waves = []
 
-    def newton(system, starts, cfg):
+    def newton(system, starts, cfg, settled):
         calls = []
 
         def recorded(X):
@@ -253,7 +253,7 @@ def _record_waves(monkeypatch, counting) -> list:
             calls.append((X.copy(), counting.points[before:]))
             return out
 
-        out = stacked_newton(recorded, starts, cfg)
+        out = stacked_newton(recorded, starts, cfg, settled)
         waves.append((len(starts), out, calls))
         return out
 
@@ -327,6 +327,20 @@ def test_ramification_counts_abandoned_starts(monkeypatch):
     monkeypatch.setattr(GraphVariety, "jet_at", bounded)
     reference = reference_ramification(QUADRIC_PAIR, P, NewtonConfig(starts=16), random.Random(0))
     assert (R.starts, R.converged, R.failed) == (reference.starts, reference.converged, reference.failed)
+
+
+def test_ramification_wave_ends_at_the_bezout_stop(monkeypatch):
+    # the wave that reaches the Bezout stop ends there: every start used has
+    # stopped, and starts after the stop are left running (stop None)
+    counting = CountingJets(QUADRIC_PAIR)
+    waves = _record_waves(monkeypatch, counting)
+    P = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
+    R = ramification_points(counting, P, NewtonConfig(starts=64), random.Random(0))
+    assert R.complete and len(waves) == 2
+    _, out, _ = waves[-1]
+    used = R.starts - waves[0][0]
+    assert None not in out.stops[:used]
+    assert None in out.stops[used:]
 
 
 @pytest.mark.parametrize(
@@ -417,10 +431,12 @@ def test_point_order_ignores_round_off_in_tied_parts(monkeypatch):
     orders = []
     for sign in (1.0, -1.0):
 
-        def tilted(system, starts, cfg, sign=sign):
-            out = stacked_newton(system, starts, cfg)
-            real = sign * np.sign(out.points.imag) * 1e-25
-            return replace(out, points=real + 1j * out.points.imag)
+        def tilted(system, starts, cfg, settled, sign=sign):
+            def read(out):
+                real = sign * np.sign(out.points.imag) * 1e-25
+                return settled(replace(out, points=real + 1j * out.points.imag))
+
+            return stacked_newton(system, starts, cfg, read)
 
         monkeypatch.setattr(projection, "stacked_newton", tilted)
         R = ramification_points(CONIC, P, NewtonConfig(starts=16), random.Random(0))
@@ -561,6 +577,155 @@ def test_recover_center_depends_on_the_point_set_not_its_order(tmp_path):
             got, got_report = recover_center(G, permuted)
             assert np.array_equal(got, consensus)
             assert got_report == report
+
+
+def _round0_recoveries(tmp_path, commands=("recover",)):
+    """(variety, center, ramification set) of every round-0 job of the
+    benchmark's recover workload that runs one of ``commands``, solved with
+    the default configuration."""
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.cli import parse_center
+    from tansec.varfile import parse_variety_file
+
+    cases = []
+    for job in load_perfbench("gen").make_jobs("recover", 1, tmp_path, rounds=1):
+        if job["command"] in commands:
+            G = parse_variety_file(Path(job["argv"][1]).read_text()).to_variety()
+            P = parse_center(",".join(job["center"]), G.n)
+            cases.append((G, P, ramification_points(G, P, rng=random.Random(0))))
+    return cases
+
+
+def _assert_same_recovery(G, R):
+    from helpers import reference_recover_center
+
+    got, report = recover_center(G, R)
+    want, want_report = reference_recover_center(G, R)
+    counts = ("pairs_total", "pairs_used", "pairs_skipped", "cluster_size")
+    assert [report[k] for k in counts] == [want_report[k] for k in counts]
+    assert abs(report["spread"] - want_report["spread"]) <= 1e-11
+    assert chordal_distance(got, want) <= 1e-12
+    return got, report
+
+
+def test_recover_center_matches_the_pair_loop(tmp_path):
+    # the stacked pair kernels, clustered from their chordal distances,
+    # give the pair loop's counts, spread and consensus
+    cases = [(G, R) for G, _, R in _round0_recoveries(tmp_path)]
+    assert len(cases) == 9
+    for G, P, seed in (
+        (CONIC, Center.from_affine([3.0], [5.0]), 0),
+        (QUADRIC_PAIR, Center.from_affine([0.4, -0.3], [-0.5, 0.7]), 1),
+        (MIXED, Center.from_affine([0.7, -0.4], [0.3, 0.5]), 2),
+    ):
+        cases.append((G, ramification_points(G, P, rng=random.Random(seed))))
+    for G, R in cases:
+        _assert_same_recovery(G, R)
+
+
+def test_recover_center_over_more_pairs_than_one_stack():
+    # every tangent plane of the cylinder contains e3, so all 276 pairs of
+    # 24 points meet there, in two stacks of pairs
+    from tansec.tangent import CHUNK
+
+    rng = random.Random(8)
+    R = RamificationSet(points=[random_point(2, 1.0, rng) for _ in range(24)])
+    assert 276 > CHUNK
+    got, report = _assert_same_recovery(CYLINDER, R)
+    assert report["pairs_used"] == report["cluster_size"] == 276
+    assert chordal_distance(got, [0, 0, 1, 0, 0]) <= 1e-8
+
+
+def test_recover_center_svd_calls_do_not_grow_with_the_points(tmp_path, monkeypatch):
+    # the frames and the pairs are stacks: on the 16-point n = 4 job, and
+    # on its first 4 or 8 points, recovery makes at most three SVD calls
+    # (one stacked rank of the frames, one of the pairs, one SVD of the
+    # transverse pairs; the pair loop made one per frame and four per pair,
+    # 496 here)
+    G, R = next((G, R) for G, _, R in _round0_recoveries(tmp_path) if G.n == 4 and len(R) == 16)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    counts = []
+    for k in (4, 8, 16):
+        subset = copy.copy(R)
+        subset.points = R.points[:k]
+        calls.clear()
+        try:
+            recover_center(G, subset)
+        except NoConsensusError:
+            pass
+        counts.append(len(calls))
+    assert max(counts) == counts[-1] == 3
+
+
+def test_recover_consensus_is_the_largest_cluster_not_the_first(monkeypatch):
+    # pair points a, b0, c, b1, b3, d: greedy clusters {a}, {b0, b1, b3},
+    # {c}, {d}; the b cluster holds half of the pairs, and b1, between the
+    # others on a line, has the least summed distance to them
+    q, e = np.array([1, 2, 3, 4, 5], dtype=complex), np.array([0, 1, 0, 0, 0])
+    b = [q + 1e-9 * k * e for k in (0, 1, 3)]
+    unit = np.eye(5, dtype=complex)
+    pair_points = np.array([unit[0], b[0], unit[2], b[1], b[2], unit[4]])
+
+    def synthetic(A, B):
+        return np.ones(len(A), dtype=int), pair_points[: len(A)]
+
+    monkeypatch.setattr(projection, "frame_pair_points", synthetic)
+    R = RamificationSet(points=[np.array(u, dtype=complex) for u in ([0.1, 0.2], [0.3, -0.4], [-0.5, 0.6], [0.7, 0.8])])
+    got, report = recover_center(QUADRIC_PAIR, R)
+    assert np.array_equal(got, b[1])
+    assert (report["pairs_used"], report["cluster_size"]) == (6, 3)
+    assert abs(report["spread"] - chordal_distance(b[0], b[2])) <= 1e-6 * report["spread"]
+
+
+def test_recover_every_pair_non_transverse():
+    # the tangent lines of a line are the line itself
+    line = graph(["0"], 1)
+    R = RamificationSet(points=[np.array([x + 0j]) for x in (0.5, 1.0, 2.0)])
+    from helpers import reference_recover_center
+
+    for recover in (recover_center, reference_recover_center):
+        with pytest.raises(NoConsensusError, match="every frame pair"):
+            recover(line, R)
+
+
+def test_recover_degenerate_frame_raises():
+    # psi = (w^2, w^3) is not immersive at w = 0
+    from helpers import reference_recover_center
+    from tansec.errors import DegenerateInputError
+
+    cusp = ParamVariety(parse_map(["u1^2", "u1^3"], 1))
+    R = RamificationSet(points=[np.array([1.0 + 0j]), np.array([0j]), np.array([2.0 + 0j])])
+    for recover in (recover_center, reference_recover_center):
+        with pytest.raises(DegenerateInputError):
+            recover(cusp, R)
+
+
+def test_stacked_membership_matches_the_one_point_checks(tmp_path):
+    # one stacked frame build and one stacked rank give every point's
+    # verdict, and the rank of each frame with P appended
+    from tansec.linalg import numerical_rank
+    from tansec.tangent import tangent_frame
+
+    cases = _round0_recoveries(tmp_path, ("ramify", "recover"))
+    assert len(cases) == 20
+    for G, P, R in cases:
+        U = np.array(R.points)
+        member = tangent_membership(G, P, U)
+        assert member.tolist() == [tangent_membership(G, P, u) for u in U]
+        ranks = [numerical_rank(np.vstack([tangent_frame(G, u).matrix, P.proj])).rank for u in U]
+        assert member.tolist() == [r == G.n + 1 for r in ranks]
+        assert member.all()
+    off = Center.from_affine([9.0, 9.0], [9.0, -9.0])
+    assert not tangent_membership(QUADRIC_PAIR, off, np.array([[0.1, 0.2], [0.3, -0.4]])).any()
 
 
 def test_recover_insufficient_points():

@@ -7,7 +7,7 @@ import pytest
 from tansec.errors import NonTransverseError, NotNormalizedError, SingularTangentJacobianError
 from helpers import reference_contraction, reference_det, reference_rank
 from tansec.linalg import chordal_distance, exact_det, exact_rank, numerical_rank
-from tansec.poly import GaussianRational, parse_map, parse_poly, random_rational_point
+from tansec.poly import GaussianRational, parse_map, parse_poly, random_point, random_rational_point
 from tansec.tangent import (
     EXACT_SYMBOLIC,
     FAILS,
@@ -424,6 +424,42 @@ def test_tan_is_full_chart_stack_matches_the_one_point_loop(tmp_path):
                 assert np.array_equal(cert.witness, witness)
 
 
+def test_stacked_frames_match_the_one_point_frames(tmp_path):
+    # a stack of points gives, from one jet and one stacked rank, the
+    # frames of its points one at a time, with the same ranks, on every
+    # round-0 input of both workloads
+    varieties = [
+        V
+        for workload in ("recover", "certify")
+        for kind in ("graph", "param")
+        for V in _benchmark_varieties(tmp_path, workload, kind)
+    ]
+    assert len(varieties) == 46
+    rng = random.Random(21)
+    for V in varieties:
+        U = np.array([random_point(V.n, 1.0, rng) for _ in range(5)])
+        M, full = tangent_frame(V, U)
+        assert M.shape == (5, V.n + 1, 2 * V.n + 1) and full.all()
+        for u, m in zip(U, M):
+            one = tangent_frame(V, u).matrix
+            assert np.abs(m - one).max() <= 1e-14 * np.abs(one).max()
+            assert numerical_rank(m).rank == numerical_rank(one).rank == V.n + 1
+
+
+def test_stacked_frames_mask_degenerate_and_non_finite_frames():
+    # psi = (w^2, w^3) is not immersive at w = 0; a NaN frame is masked
+    # instead of stopping the SVD of the stack; one point raises
+    from tansec.errors import DegenerateInputError
+
+    cusp = ParamVariety(parse_map(["u1^2", "u1^3"], 1))
+    M, full = tangent_frame(cusp, np.array([[1.0], [0.0], [np.nan], [2.0]]))
+    assert full.tolist() == [True, False, False, True]
+    assert np.isnan(M[2]).any()
+    for u in ([0.0], [np.nan]):
+        with pytest.raises(DegenerateInputError):
+            tangent_frame(cusp, u)
+
+
 # -- secant dimension --------------------------------------------------------------------
 
 
@@ -454,6 +490,40 @@ def test_secant_dim_linear_graph():
     line = graph(["0"], 1)
     dim, _ = secant_dim_estimate(line, trials=20, rng=random.Random(4))
     assert dim == 1
+
+
+@pytest.mark.parametrize("trials", [30, 300])
+def test_secant_dim_matches_the_one_trial_loop(tmp_path, trials):
+    # stacks of frames, ranked as one stack of pairs, give the loop's
+    # estimate and rank distribution; 300 trials draw 600 points, three
+    # stacks of frames
+    from helpers import reference_secant_dim_estimate
+
+    varieties = [CONIC, QUADRIC_PAIR, CYLINDER, graph(["0"], 1), ParamVariety(parse_map(["u1^2", "u1^3"], 1))]
+    varieties += _benchmark_varieties(tmp_path, "certify", "param")[:2]
+    for V in varieties:
+        dim, cert = secant_dim_estimate(V, trials=trials, rng=random.Random(7))
+        want, successes, distribution, failures = reference_secant_dim_estimate(V, trials, random.Random(7))
+        assert dim == want and cert.successes == successes
+        assert cert.details.get("rank_distribution", {}) == {str(k): v for k, v in distribution.items()}
+        assert cert.details.get("evaluation_failures", 0) == failures
+
+
+def test_secant_dim_counts_a_non_finite_frame_as_a_failure(monkeypatch):
+    # a jet that overflows to NaN at the points with Re u_1 > 0.5 fails
+    # those trials; it does not stop the stack's SVD
+    jet_at = GraphVariety.jet_at
+
+    def overflowing(G, u):
+        jet = jet_at(G, u)
+        jet.value[np.asarray(u)[..., 0].real > 0.5] = np.nan
+        return jet
+
+    monkeypatch.setattr(GraphVariety, "jet_at", overflowing)
+    dim, cert = secant_dim_estimate(QUADRIC_PAIR, trials=40, rng=random.Random(2))
+    failures = cert.details["evaluation_failures"]
+    assert 0 < failures < 40 and dim == 4
+    assert sum(cert.details["rank_distribution"].values()) + failures == 40
 
 
 def test_secant_dim_cylinder_full_while_tangent_fails():
@@ -492,6 +562,23 @@ def test_intersection_cylinder_constant_point():
         F2 = tangent_frame(CYLINDER, random_point(2, 1.0, rng))
         P = tangent_intersection(F1, F2)
         assert chordal_distance(P, e3) < 1e-8
+
+
+def test_intersection_representative_ignores_round_off_in_tied_moduli():
+    # coordinates tied in modulus, such as 8 and -8, normalize by the first
+    # of them however round-off moves either by one ulp
+    from tansec.tangent import normalized_representative
+
+    x = np.array([0.5, 8.0, -8.0, 3.0 - 1.0j])
+    want = x / 8.0
+    for k in (1, 2):
+        for direction in (np.inf, 0.0):
+            tilted = x.copy()
+            tilted[k] = np.nextafter(x[k].real, np.copysign(direction, x[k].real))
+            for phase in (1.0, -1.0, 1j, np.exp(0.3j)):
+                got = normalized_representative(phase * tilted)
+                assert got[1] == 1.0
+                assert np.abs(got - want).max() <= 1e-15
 
 
 def test_intersection_symmetry_and_scale_invariance():

@@ -78,6 +78,14 @@ def test_expression_error_carries_line_and_column():
     assert text.splitlines()[2][exc.value.column - 1] == "^"
 
 
+def test_superscript_exponent_carries_line_and_column():
+    text = "n = 1\nkind = graph\nf1 = u1^\u00b2\n"
+    with pytest.raises(VarietyFileError) as exc:
+        parse_variety_file(text)
+    assert (exc.value.line, exc.value.column) == (3, 9)
+    assert text.splitlines()[2][exc.value.column - 1] == "\u00b2"
+
+
 def test_registry_entries_are_valid():
     assert len(set(registry.names())) == len(registry.BUILTINS)
     for vf in registry.BUILTINS:
