@@ -11,7 +11,8 @@ appears only in the human-readable output for that reason.
 the only tuning flags the subcommand accepts, and the report's ``options``
 block records exactly them (plus ``chart_base_point`` for parametrized
 inputs, whose fullness and dominance certificates run on a graph chart at
-that point):
+that point; a graph input's certificates run on the graph normalized at the
+origin, once, in ``build_geometry``):
 
     tan-check, secant-dim   --trials 100
     dominance               --trials 100  --box 0.1
@@ -40,7 +41,8 @@ number and whether the root set is complete.
 
 Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
 (including no-consensus, unmet hypotheses and inconclusive verdicts), 2 on
-input errors.
+input errors, an input or ``--out`` path that cannot be read or written
+included.
 """
 
 from __future__ import annotations
@@ -156,13 +158,14 @@ def load_variety_file(args) -> VarietyFile:
 def build_geometry(vf: VarietyFile, seed: int):
     """(variety, the object the certificates run on, chart base point).
 
-    Graph varieties are used directly.  Parametrized ones are reduced to a
-    normalized chart at the origin, or at the first immersive point of a
-    seeded rational search when the origin is degenerate.
+    Graph varieties are normalized at the origin once, here.  Parametrized
+    ones are reduced to a normalized chart at the origin, or at the first
+    immersive point of a seeded rational search when the origin is
+    degenerate.
     """
     v = vf.to_variety()
     if isinstance(v, GraphVariety):
-        return v, v, None
+        return v, v.normalized_at_origin(), None
     rng = random.Random(seed)
     candidates = [np.zeros(v.n)] + [
         np.array([float(x) for x in random_rational_point(v.n, 10, rng)])
@@ -205,7 +208,8 @@ def input_block(vf: VarietyFile) -> dict:
 
 
 # -- commands: (V, G, args) -> (checks, verdict) -------------------------------------
-# V is the variety as given, G the graph or chart the certificates run on.
+# V is the variety as given, G the normalized graph or chart the certificates
+# run on.
 
 
 def tan_check(V, G, args):
@@ -214,8 +218,7 @@ def tan_check(V, G, args):
     while every det K draw vanishes gives ``fails``; a nonzero det K proves
     Tan X full, so where fullness does not hold the origin is not generic
     and the verdict is ``inconclusive``."""
-    target = G.normalized_at_origin() if isinstance(G, GraphVariety) else G
-    cert = tan_is_full(target, trials=args.trials, rng=random.Random(args.seed))
+    cert = tan_is_full(G, trials=args.trials, rng=random.Random(args.seed))
     bundle = bundle_rank_cross_check(V, args.trials, random.Random(args.seed + 1))
     agree = bundle.verdict == cert.verdict
     cross = {
@@ -236,8 +239,6 @@ def secant_dim(V, G, args):
 
 
 def dominance(V, G, args):
-    if isinstance(G, GraphVariety):
-        G = G.normalized_at_origin()
     cert = dominance_certificate(G, trials=args.trials, rng=random.Random(args.seed), box=args.box)
     jac_check = jacobian_agreement(G, args.trials, args.box, random.Random(args.seed + 1))
     verdict = cert.verdict if not cert.holds else jac_check["verdict"]
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         sys.stderr.write(f"error: {msg}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input or --out path that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except TansecError as exc:

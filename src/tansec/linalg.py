@@ -309,19 +309,22 @@ def _bareiss(re: list[list[int]], im: list[list[int]], pivot_cols: int) -> tuple
     return pivots, sign
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The rows cleared to Gaussian integers, in fraction-free echelon form,
+    and their pivot columns; all empty for an empty matrix."""
     re, im, _ = gaussian_integer_rows(rows)
     if not re or not re[0]:
-        return 0
-    return len(_bareiss(re, im, len(re[0]))[0])
+        return [], [], []
+    return re, im, _bareiss(re, im, len(re[0]))[0]
+
+
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    return len(_echelon(rows)[2])
 
 
 def exact_rank_result(rows: Sequence[Sequence]) -> RankResult:
     """Exact rank packaged with float magnitudes of the fraction-free pivots."""
-    re, im, _ = gaussian_integer_rows(rows)
-    if not re or not re[0]:
-        return RankResult(0, (), 0.0)
-    pivots, _ = _bareiss(re, im, len(re[0]))
+    re, im, pivots = _echelon(rows)
     mags = sorted((float(abs(re[r][c]) + abs(im[r][c])) for r, c in enumerate(pivots)), reverse=True)
     return RankResult(len(pivots), tuple(mags), 0.0)
 

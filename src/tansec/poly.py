@@ -797,17 +797,16 @@ class PolyMap:
 
     def hessian0_exact(self) -> list[list[list[GaussianRational]]]:
         """Exact second-derivative tensor at the origin, symmetric in (j, k):
-        the constant terms of the cached second partials."""
-        _, hess = self._derivatives()
+        ``hessian_integer`` there, divided back by its scales."""
         n = self.num_vars
-        origin = (0,) * n
-        out = []
-        for row in hess:
-            mat = [[ZERO] * n for _ in range(n)]
-            for (j, k), h in row.items():
-                mat[j][k] = mat[k][j] = h.terms.get(origin, ZERO)
-            out.append(mat)
-        return out
+        t_re, t_im, scales = self.hessian_integer((0,) * n)
+        return [
+            [
+                [GaussianRational(Fraction(re[o + k], s), Fraction(im[o + k], s)) for k in range(n)]
+                for o in range(0, n * n, n)
+            ]
+            for re, im, s in zip(t_re, t_im, scales)
+        ]
 
     def degree(self) -> int:
         return max(p.degree() for p in self.components)

@@ -228,12 +228,13 @@ def ramification_points(
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
     step_bound = DEDUP_RADIUS / (2 * bezout)
     reps: list[tuple[np.ndarray, float]] = []
+    found = np.empty((0, dim), dtype=complex)  # the points of reps, stacked
     starts = converged = failed = counted = 0
 
     def read(out) -> bool:
         # take the stopped slices of the wave in draw order, up to the first
         # one still running; the wave may end once the Bezout stop is reached
-        nonlocal starts, converged, failed, counted
+        nonlocal starts, converged, failed, counted, found
         while starts < first + len(out.stops) and counted < bezout:
             i = starts - first
             if out.stops[i] is None:
@@ -246,8 +247,9 @@ def ramification_points(
                 continue
             converged += 1
             x = out.points[i]
-            if all(np.linalg.norm(x - point) > DEDUP_RADIUS for point, _ in reps):
+            if (np.linalg.norm(found - x, axis=1) > DEDUP_RADIUS).all():
                 reps.append((x, float(out.residuals[i])))
+                found = np.vstack([found, x])
                 counted += _isolated(out.jacobians[i], out.values[i], step_bound)
         return counted == bezout
 

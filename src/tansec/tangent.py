@@ -268,13 +268,21 @@ def hessian_contraction_exact(T, xi) -> list[list[GaussianRational]]:
     ]
 
 
-def hessian_integer_matrix(G: GraphVariety) -> tuple[list[list[dict]], int]:
-    """H(u) with symbolic entries over Gaussian integers, from the integer
-    Hessian table at the origin: entry (i, j) is the term map
-    {exponents of u_k: (re, im)} of the linear form scales[i] H(u)[i][j],
-    with the product of the row scales."""
-    n = G.n
-    t_re, t_im, scales = G.f.hessian_integer((0,) * n)
+def contraction_det(T, xi) -> GaussianRational:
+    """det H(xi) at an exact point xi, for a Hessian table T in
+    ``PolyMap.hessian_integer``'s form: the exact determinant of the integer
+    contraction, divided back by its row scales."""
+    re, im, scales = integer_contraction(T, xi)
+    return exact_det(_exact_entries(re, im)) / math.prod(scales)
+
+
+def hessian_integer_matrix(T) -> tuple[list[list[dict]], int]:
+    """H(u) with symbolic entries over Gaussian integers, from an integer
+    Hessian table T in ``PolyMap.hessian_integer``'s form: entry (i, j) is
+    the term map {exponents of u_k: (re, im)} of the linear form
+    scales[i] H(u)[i][j], with the product of the row scales."""
+    t_re, t_im, scales = T
+    n = len(t_re)
     units = [tuple(int(k == v) for v in range(n)) for k in range(n)]
     rows = [
         [{units[k]: (re[o + k], im[o + k]) for k in range(n) if re[o + k] or im[o + k]} for o in range(0, n * n, n)]
@@ -283,46 +291,66 @@ def hessian_integer_matrix(G: GraphVariety) -> tuple[list[list[dict]], int]:
     return rows, math.prod(scales)
 
 
-def _integer_value(terms: dict, point: tuple[int, ...]) -> tuple[int, int]:
-    """A term map {exponents: (re, im)} of ints evaluated at an integer point."""
-    re = im = 0
-    for e, (a, b) in terms.items():
-        m = math.prod(x**k for x, k in zip(point, e))
-        re, im = re + a * m, im + b * m
-    return re, im
-
-
-def _symbolic_witness(det: dict, n: int) -> tuple | None:
-    """Deterministic search for an integer point where the determinant, a
-    term map over Gaussian integers, is nonzero: the point, as Fractions,
-    and the value there."""
+def _symbolic_witness(T, n: int) -> tuple:
+    """Deterministic search for an integer point where det H, H the
+    contraction of the Hessian table T, is nonzero: the point, as Fractions,
+    and the value there, or (None, None)."""
     candidates = [tuple(Fraction(1) for _ in range(n)), tuple(Fraction(k + 1) for k in range(n))]
     rng = random.Random(0)
     for _ in range(200):
         for cand in candidates:
-            value = _integer_value(det, tuple(int(x) for x in cand))
-            if value != (0, 0):
+            value = contraction_det(T, cand)
+            if value:
                 return cand, value
         candidates = [random_rational_point(n, 10 * (n + 1), rng)]
-    return None
+    return None, None
+
+
+def _identity_test(draw, evaluate, trials: int, bound: float, details: dict) -> Certificate:
+    """Schwartz-Zippel test that a polynomial is not identically zero: up to
+    ``trials`` points from ``draw()``, in order, stopping at the first where
+    ``evaluate`` is nonzero, which proves the claim.  When every value
+    vanishes the verdict is ``fails`` with failure probability ``bound``.
+    ``details`` go on the certificate either way."""
+    for t in range(trials):
+        point = draw()
+        d = evaluate(point)
+        if d:
+            return Certificate(
+                verdict=HOLDS,
+                method=SCHWARTZ_ZIPPEL,
+                trials=t + 1,
+                successes=1,
+                witness=point,
+                details={"determinant_at_witness": str(d), **details},
+            )
+    return Certificate(
+        verdict=FAILS,
+        method=SCHWARTZ_ZIPPEL,
+        trials=trials,
+        successes=0,
+        error_bound=bound,
+        details=dict(details),
+    )
 
 
 def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certificate:
     """Decide whether det H(u) vanishes identically.
 
-    Exact graph inputs are normalized at the origin first.  Dimensions up to
-    SYMBOLIC_MAX_DIM expand the determinant symbolically over exact
-    scalars; larger ones use randomized identity testing at integer points
-    with coordinates in [-B, B], B = 2*n*trials, where any nonzero exact
-    evaluation is a proof and an all-zero run reports failure probability
-    (n / 2B)^trials.  Chart inputs fall back to float sampling of the
-    smallest-to-largest singular value ratio.
+    On a graph H is read from f's Hessian at the origin, which f's affine
+    part does not change, so a graph need not be normalized first.
+    Dimensions up to SYMBOLIC_MAX_DIM expand the determinant symbolically
+    over exact scalars; larger ones use randomized identity testing at
+    integer points with coordinates in [-B, B], B = 2*n*trials, where any
+    nonzero exact evaluation is a proof and an all-zero run reports failure
+    probability (n / 2B)^trials.  Chart inputs fall back to float sampling
+    of the smallest-to-largest singular value ratio.
     """
     if isinstance(G, GraphVariety):
-        Gn = G.normalized_at_origin()
-        n = Gn.n
+        n = G.n
+        T = G.f.hessian_integer((0,) * n)
         if n <= SYMBOLIC_MAX_DIM:
-            rows, scale = hessian_integer_matrix(Gn)
+            rows, scale = hessian_integer_matrix(T)
             det = integer_poly_det(rows)
             if not det:
                 return Certificate(
@@ -332,12 +360,10 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
                     successes=0,
                     details={"determinant": "0"},
                 )
-            found = _symbolic_witness(det, n)
+            witness, value = _symbolic_witness(T, n)
             details = {"determinant": integer_polynomial(n, det, scale).to_expr()}
-            witness = None
-            if found is not None:
-                witness, (re, im) = found
-                details["determinant_at_witness"] = str(GaussianRational(re, im) / scale)
+            if witness is not None:
+                details["determinant_at_witness"] = str(value)
             return Certificate(
                 verdict=HOLDS,
                 method=EXACT_SYMBOLIC,
@@ -347,29 +373,13 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
                 details=details,
             )
         rng = rng or random.Random(0)
-        T = Gn.f.hessian_integer((0,) * n)
         B = 2 * n * trials
-        for t in range(trials):
-            xi = random_rational_point(n, B, rng)
-            re, im, scales = integer_contraction(T, xi)
-            d = exact_det(_exact_entries(re, im))
-            if d:
-                d = d / math.prod(scales)
-                return Certificate(
-                    verdict=HOLDS,
-                    method=SCHWARTZ_ZIPPEL,
-                    trials=t + 1,
-                    successes=1,
-                    witness=xi,
-                    details={"determinant_at_witness": str(d), "box": B},
-                )
-        return Certificate(
-            verdict=FAILS,
-            method=SCHWARTZ_ZIPPEL,
-            trials=trials,
-            successes=0,
-            error_bound=(n / (2 * B)) ** trials,
-            details={"box": B},
+        return _identity_test(
+            lambda: random_rational_point(n, B, rng),
+            lambda xi: contraction_det(T, xi),
+            trials,
+            (n / (2 * B)) ** trials,
+            {"box": B},
         )
 
     # chart input: only float jets are available; the points are drawn in
@@ -456,8 +466,7 @@ def bundle_determinant(V, w, a) -> GaussianRational:
     back by its row scales.  A ParamVariety takes the 2n x 2n K of psi.
     """
     if isinstance(V, GraphVariety):
-        re, im, scales = integer_contraction(V.f.hessian_integer(w), a)
-        d = exact_det(_exact_entries(re, im)) / math.prod(scales)
+        d = contraction_det(V.f.hessian_integer(w), a)
         return -d if V.n % 2 else d
     return exact_det(bundle_matrix_exact(V.psi, w, a))
 
@@ -480,24 +489,12 @@ def bundle_rank_cross_check(V, trials: int, rng: random.Random) -> Certificate:
     degree bound of ``bundle_degree``.
     """
     n = V.n
-    for t in range(trials):
-        point = random_rational_point(2 * n, BUNDLE_BOX, rng)
-        d = bundle_determinant(V, point[:n], point[n:])
-        if d:
-            return Certificate(
-                verdict=HOLDS,
-                method=SCHWARTZ_ZIPPEL,
-                trials=t + 1,
-                successes=1,
-                witness=point,
-                details={"determinant_at_witness": str(d)},
-            )
-    return Certificate(
-        verdict=FAILS,
-        method=SCHWARTZ_ZIPPEL,
-        trials=trials,
-        successes=0,
-        error_bound=min(1.0, (bundle_degree(V) / (2 * BUNDLE_BOX + 1)) ** trials),
+    return _identity_test(
+        lambda: random_rational_point(2 * n, BUNDLE_BOX, rng),
+        lambda point: bundle_determinant(V, point[:n], point[n:]),
+        trials,
+        min(1.0, (bundle_degree(V) / (2 * BUNDLE_BOX + 1)) ** trials),
+        {},
     )
 
 

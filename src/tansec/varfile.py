@@ -91,7 +91,7 @@ def parse_variety_file(text: str) -> VarietyFile:
             name = value
         elif key == "description":
             description = value
-        elif key.startswith("f") and key[1:].isdigit():
+        elif key.startswith("f") and key[1:].isdecimal():
             idx = int(key[1:])
             if idx < 1:
                 raise VarietyFileError(f"component index must start at 1, got {key!r}", lineno)

@@ -39,13 +39,12 @@ def _drop_affine_part(p: Polynomial) -> Polynomial:
 class GraphVariety:
     """An n-fold embedded as u -> (u, f(u)) in affine C^(2n) inside P^(2n)."""
 
-    __slots__ = ("f", "_hess0_exact")
+    __slots__ = ("f",)
 
     def __init__(self, f: PolyMap):
         if f.num_components != f.num_vars:
             raise ValueError("graph map must have as many components as variables")
         self.f = f
-        self._hess0_exact = None
 
     @property
     def n(self) -> int:
@@ -69,16 +68,11 @@ class GraphVariety:
         return self.f.jet2(np.asarray(u, dtype=complex))
 
     def hessian0_exact(self):
-        if self._hess0_exact is None:
-            self._hess0_exact = self.f.hessian0_exact()
-        return self._hess0_exact
+        return self.f.hessian0_exact()
 
     def hessian0(self) -> np.ndarray:
-        T = self.hessian0_exact()
-        n = self.n
-        return np.array(
-            [[[T[i][j][k].to_complex() for k in range(n)] for j in range(n)] for i in range(n)]
-        )
+        """Second-order jet of f at 0, from one float jet."""
+        return self.f.jet2(np.zeros(self.n)).hessian
 
     def as_param(self) -> "ParamVariety":
         n = self.n

@@ -137,6 +137,29 @@ def test_missing_file_exits_2(capsys):
     assert "error" in err
 
 
+def test_superscript_component_key_exits_2_with_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.var"
+    bad.write_text("n = 1\nkind = graph\nf\u00b2 = u1^2\n")
+    code, out, err = run(capsys, "tan-check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown key 'f\u00b2' (line 3)\n"
+
+
+def test_directory_as_input_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "tan-check", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_directory_as_out_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "tan-check", "--example", "conic", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_unknown_example_exits_2(capsys):
     code, _, err = run(capsys, "tan-check", "--example", "nope")
     assert code == 2
@@ -402,15 +425,18 @@ def test_exact_machine_report_matches_golden(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["dense-n4", "dense-n5"])
+@pytest.mark.parametrize("name", ["dense-n4", "dense-n5", "degenerate-n5"])
 def test_tan_check_determinants_match_golden(tmp_path, name):
     # dense graphs with mixed denominators and an imaginary coefficient: the
     # n = 4 report pins the symbolic determinant (exact_symbolic), the n = 5
     # one the Schwartz-Zippel determinant at its witness, so a determinant
-    # that is not divided back by its row scales changes the bytes
+    # that is not divided back by its row scales changes the bytes; the
+    # degenerate n = 5 graph, not normalized, pins both identity tests'
+    # failing certificates (trials, error_bound and the fullness box)
     code, report = machine(tmp_path, "tan-check", str(GOLDEN / f"{name}.var"), "--seed=3", "--trials=10")
-    assert code == 0
-    assert report == (GOLDEN / f"{name}.tan-check.json").read_bytes()
+    golden = (GOLDEN / f"{name}.tan-check.json").read_bytes()
+    assert report == golden
+    assert code == (0 if json.loads(golden)["verdict"] == "holds" else 1)
 
 
 def test_machine_report_records_input_digest(tmp_path, capsys):

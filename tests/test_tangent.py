@@ -167,6 +167,37 @@ def test_tan_is_full_auto_normalizes():
     assert tan_is_full(g).verdict == HOLDS
 
 
+def test_tan_is_full_ignores_the_affine_part():
+    # H is read from f's Hessian at the origin, so a graph with affine terms
+    # and its normalization get equal certificates: every graph built-in on
+    # the symbolic path, and n = 5 graphs on the Schwartz-Zippel path, one
+    # whose identity test holds and one whose test fails
+    from pathlib import Path
+
+    from tansec import registry
+    from tansec.poly import PolyMap, Polynomial
+    from tansec.varfile import parse_variety_file
+
+    golden = Path(__file__).resolve().parent / "golden"
+    graphs = [vf.to_variety() for vf in registry.BUILTINS]
+    graphs += [parse_variety_file((golden / f"{name}.var").read_text()).to_variety() for name in ("dense-n5", "degenerate-n5")]
+    rng = random.Random(11)
+    for g in graphs:
+        n = g.n
+        affine = [
+            p + Polynomial.const(n, Fraction(rng.randint(-9, 9), 2))
+            + sum((Polynomial.variable(n, k) * rng.randint(-5, 5) for k in range(n)), Polynomial.zero(n))
+            for p in g.f.components
+        ]
+        shifted = GraphVariety(PolyMap(affine))
+        assert not shifted.normalized
+        expected = tan_is_full(shifted.normalized_at_origin(), trials=20, rng=random.Random(3))
+        assert tan_is_full(shifted, trials=20, rng=random.Random(3)) == expected
+        assert tan_is_full(g, trials=20, rng=random.Random(3)) == expected
+    assert {tan_is_full(g, trials=20).method for g in graphs} == {EXACT_SYMBOLIC, SCHWARTZ_ZIPPEL}
+    assert [tan_is_full(g, trials=20).verdict for g in graphs[-2:]] == [HOLDS, FAILS]
+
+
 def test_tan_is_full_schwartz_zippel_path():
     # above SYMBOLIC_MAX_DIM: the quadric and cylinder patterns at n = 5,
     # with the failure bound (n / 2B)^trials of an all-zero run, B = 2 n trials

@@ -86,6 +86,16 @@ def test_superscript_exponent_carries_line_and_column():
     assert text.splitlines()[2][exc.value.column - 1] == "\u00b2"
 
 
+def test_superscript_component_index_is_an_unknown_key():
+    # '²'.isdigit() holds but int('²') raises: the key must be refused
+    # as a whole, with its line
+    text = "n = 1\nkind = graph\nf² = u1^2\n"
+    with pytest.raises(VarietyFileError) as exc:
+        parse_variety_file(text)
+    assert exc.value.line == 3
+    assert "unknown key 'f²'" in str(exc.value)
+
+
 def test_registry_entries_are_valid():
     assert len(set(registry.names())) == len(registry.BUILTINS)
     for vf in registry.BUILTINS:

@@ -34,6 +34,22 @@ def test_graph_embed_and_hessian0():
     assert np.allclose(T[1], [[0, 1], [1, 0]])
 
 
+def test_graph_hessian0_is_the_exact_hessian_in_floats():
+    from tansec import registry
+
+    graphs = [vf.to_variety() for vf in registry.BUILTINS]
+    graphs.append(graph(["1/3*u1^2 - 2*u1*u2 + 7*u2 + 1", "i*u1*u2 + 2/7*u2^2 + u1^3", "u3^2 - 1/2*u1*u3"], 3))
+    for g in graphs:
+        T = g.hessian0()
+        exact = g.hessian0_exact()
+        n = g.n
+        assert T.shape == (n, n, n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert T[i, j, k] == exact[i][j][k].to_complex()
+
+
 def test_graph_rejects_mismatched_components():
     with pytest.raises(ValueError):
         graph(["u1^2", "u1"], 1)
