@@ -9,10 +9,7 @@ appears only in the human-readable output for that reason.
 
 ``COMMANDS`` declares each subcommand's options and their defaults; those are
 the only tuning flags the subcommand accepts, and the report's ``options``
-block records exactly them (plus ``chart_base_point`` for parametrized
-inputs, whose fullness and dominance certificates run on a graph chart at
-that point; a graph input's certificates run on the graph normalized at the
-origin, once, in ``build_geometry``):
+block records exactly them:
 
     tan-check, secant-dim   --trials 100
     dominance               --trials 100  --box 0.1
@@ -22,16 +19,16 @@ origin, once, in ``build_geometry``):
 Every subcommand but ``examples`` also takes a variety file or ``--example``,
 and ``--seed``, ``--format`` and ``--out``.
 
-For parametrized inputs, ``dominance --box`` is a radius in parameter space
-around ``chart_base_point`` and its ``witness`` is a parameter point w, as
-``ramify`` points are; ``secant-dim`` takes its frames from psi itself.
+Only ``dominance`` builds a graph chart (``build_geometry``); for a
+parametrized input its ``--box`` is a radius in parameter space around the
+base point its certificate's details give as ``chart_base_point``, and its
+``witness`` is a parameter point w, as ``ramify`` points are.
 
-``tan-check`` cross-checks fullness at the origin with the determinant of
-K(w, a) = [Dpsi + D2psi[a, .] | Dpsi], the Jacobian of the bundle map
-(w, a) -> psi(w) + Dpsi(w) a, at integer points of the variety as given
-(psi itself, not the chart; f_uu(w)[a] on a graph).  A nonzero value proves
-Tan X full, so where fullness at the origin does not hold the verdict is
-``inconclusive``.
+``tan-check`` cross-checks fullness (a graph's Hessian at the origin, or
+sampled K(w, a) = [Dpsi + D2psi[a, .] | Dpsi] of a parametrization) with the
+exact det K, the Jacobian determinant of the bundle map (w, a) -> psi(w) +
+Dpsi(w) a, at integer points (f_uu(w)[a] on a graph).  A nonzero value
+proves Tan X full, so where fullness does not hold it is ``inconclusive``.
 
 ``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
 a parametrized input in parameter space, so their points are parameter
@@ -149,31 +146,32 @@ def load_variety_file(args) -> VarietyFile:
     if args.example and args.file:
         raise ValueError(f"give a variety file or --example, not both ({args.file}, {args.example})")
     if args.example:
-        return registry.get(args.example)
+        try:
+            return registry.get(args.example)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     if not args.file:
         raise ValueError("provide a variety file or --example NAME")
     return parse_variety_file(Path(args.file).read_text())
 
 
-def build_geometry(vf: VarietyFile, seed: int):
-    """(variety, the object the certificates run on, chart base point).
+def build_geometry(V, seed: int):
+    """(the graph the dominance certificate runs on, chart base point).
 
-    Graph varieties are normalized at the origin once, here.  Parametrized
-    ones are reduced to a normalized chart at the origin, or at the first
-    immersive point of a seeded rational search when the origin is
-    degenerate.
+    A graph variety is normalized at the origin, with no base point.  A
+    parametrized one is charted at the origin, or at the first immersive
+    point of a rational search seeded by ``seed`` when the origin is not.
     """
-    v = vf.to_variety()
-    if isinstance(v, GraphVariety):
-        return v, v.normalized_at_origin(), None
+    if isinstance(V, GraphVariety):
+        return V.normalized_at_origin(), None
     rng = random.Random(seed)
-    candidates = [np.zeros(v.n)] + [
-        np.array([float(x) for x in random_rational_point(v.n, 10, rng)])
+    candidates = [np.zeros(V.n)] + [
+        np.array([float(x) for x in random_rational_point(V.n, 10, rng)])
         for _ in range(20)
     ]
     for u0 in candidates:
         try:
-            return v, normalize_at(v, u0), u0
+            return normalize_at(V, u0), u0
         except RankDeficientJacobianError:
             continue
     raise RankDeficientJacobianError("no immersive base point found for the parametrization")
@@ -185,9 +183,12 @@ def parse_center(text: str, n: int) -> Center:
     parts = [p for p in (s.strip() for s in text.split(sep)) if p]
     try:
         values = [Fraction(p) for p in parts]
+        floats = np.array([float(v) for v in values])
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad center value: {exc}") from None
-    floats = np.array([float(v) for v in values])
+    except OverflowError:  # float rounding is monotone, so the largest value overflows
+        big = max(parts, key=lambda p: abs(Fraction(p)))
+        raise ValueError(f"center value {big} is outside the float range") from None
     if len(values) == 2 * n:
         return Center.from_affine(floats[:n], floats[n:])
     if len(values) == 2 * n + 1:
@@ -207,18 +208,17 @@ def input_block(vf: VarietyFile) -> dict:
     }
 
 
-# -- commands: (V, G, args) -> (checks, verdict) -------------------------------------
-# V is the variety as given, G the normalized graph or chart the certificates
-# run on.
+# -- commands: (V, args) -> (checks, verdict) ----------------------------------------
+# V is the variety as given; only dominance builds a graph chart of it.
 
 
-def tan_check(V, G, args):
-    """Fullness at the origin of G, cross-checked by the bundle determinant
-    det K of V.  Agreement gives fullness's verdict; fullness that holds
-    while every det K draw vanishes gives ``fails``; a nonzero det K proves
-    Tan X full, so where fullness does not hold the origin is not generic
-    and the verdict is ``inconclusive``."""
-    cert = tan_is_full(G, trials=args.trials, rng=random.Random(args.seed))
+def tan_check(V, args):
+    """Fullness of V, cross-checked by the exact bundle determinant det K.
+    Agreement gives fullness's verdict; fullness that holds while every
+    det K draw vanishes gives ``fails``; a nonzero det K proves Tan X full,
+    so where fullness does not hold (a graph's origin that is not generic,
+    or float samples of K that miss) the verdict is ``inconclusive``."""
+    cert = tan_is_full(V, trials=args.trials, rng=random.Random(args.seed))
     bundle = bundle_rank_cross_check(V, args.trials, random.Random(args.seed + 1))
     agree = bundle.verdict == cert.verdict
     cross = {
@@ -233,13 +233,16 @@ def tan_check(V, G, args):
     return {"tangent_fullness": cert, "bundle_rank_cross_check": cross}, verdict
 
 
-def secant_dim(V, G, args):
+def secant_dim(V, args):
     estimate, cert = secant_dim_estimate(V, trials=args.trials, rng=random.Random(args.seed))
     return {"secant_dimension": {"estimate": estimate, "certificate": cert}}, cert.verdict
 
 
-def dominance(V, G, args):
+def dominance(V, args):
+    G, base = build_geometry(V, args.seed)
     cert = dominance_certificate(G, trials=args.trials, rng=random.Random(args.seed), box=args.box)
+    if base is not None:
+        cert.details["chart_base_point"] = to_jsonable(base)
     jac_check = jacobian_agreement(G, args.trials, args.box, random.Random(args.seed + 1))
     verdict = cert.verdict if not cert.holds else jac_check["verdict"]
     return {"dominance": cert, "jacobian_agreement": jac_check}, verdict
@@ -249,7 +252,7 @@ def _ramification_block(R: RamificationSet) -> dict:
     return {"count": len(R), **to_jsonable(R)}
 
 
-def ramify(V, G, args):
+def ramify(V, args):
     center = parse_center(args.center, V.n)
     cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
     R = ramification_points(V, center, cfg, rng=random.Random(args.seed))
@@ -262,10 +265,10 @@ def ramify(V, G, args):
     return checks, verdict
 
 
-def recover(V, G, args):
+def recover(V, args):
     center = parse_center(args.center, V.n)
     cfg = NewtonConfig(tol=args.tol, starts=args.starts, box=args.box)
-    rt = roundtrip(V, center, cfg, rng=random.Random(args.seed), trials=args.trials, chart=G)
+    rt = roundtrip(V, center, cfg, rng=random.Random(args.seed), trials=args.trials)
     checks = {
         "tangent_fullness": rt.fullness,
         "roundtrip": {
@@ -301,8 +304,7 @@ def run_command(args) -> int:
     started = time.perf_counter()
     checks_of, _, options = COMMANDS[args.subcommand]
     vf = load_variety_file(args)
-    V, G, base = build_geometry(vf, args.seed)
-    checks, verdict = checks_of(V, G, args)
+    checks, verdict = checks_of(vf.to_variety(), args)
     report = {
         "command": args.subcommand,
         "input": input_block(vf),
@@ -311,8 +313,6 @@ def run_command(args) -> int:
         "checks": checks,
         "verdict": verdict,
     }
-    if base is not None:
-        report["options"]["chart_base_point"] = to_jsonable(base)
     elapsed = time.perf_counter() - started
     if args.out:
         Path(args.out).write_bytes(machine_bytes(report))
@@ -342,8 +342,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -404,9 +404,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_center(sys.argv[1:] if argv is None else list(argv)))
     try:
         return list_examples() if args.subcommand == "examples" else run_command(args)
-    except (VarietyFileError, PolyParseError, ValueError, KeyError) as exc:
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        sys.stderr.write(f"error: {msg}\n")
+    except (VarietyFileError, PolyParseError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:  # an input or --out path that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")

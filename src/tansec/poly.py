@@ -641,7 +641,10 @@ class PolyMap:
             coeffs = np.zeros((len(rows), len(column)), dtype=complex)
             for r, p in enumerate(rows):
                 for e, c in p.terms.items():
-                    coeffs[r, column[e]] = c.to_complex()
+                    try:
+                        coeffs[r, column[e]] = c.to_complex()
+                    except OverflowError:
+                        raise ValueError(f"coefficient {c} is outside the float range") from None
             exps = np.array(list(column), dtype=np.intp).reshape(len(column), n)
             # entry [v, t] is the flat index of u_v^exps[t, v] in the power table
             power_index = np.ascontiguousarray((exps * n + np.arange(n)).T)

@@ -35,7 +35,7 @@ from .errors import (
 from .linalg import _rank_tol, chordal_distance, stacked_rank
 from .newton import NewtonConfig, stacked_newton
 from .poly import random_point
-from .tangent import CHUNK, Certificate, frame_pair_points, tan_is_full, tangent_frame
+from .tangent import CHUNK, Certificate, bundle_matrix, frame_pair_points, tan_is_full, tangent_frame
 from .variety import ParamVariety
 
 CONSENSUS_RADIUS = 1e-6
@@ -121,9 +121,7 @@ def _ramification_system(G, P: Center):
         def system(X):
             # F(w, a) = psi(w) + Dpsi(w) a - P, Jacobian [Dpsi + D2psi[a, .] | Dpsi]
             jet, a = G.psi.jet2(X[:, :n]), X[:, n:]
-            F = jet.value + np.einsum("sij,sj->si", jet.jacobian, a) - target
-            K = jet.jacobian + np.einsum("sijk,sk->sij", jet.hessian, a)
-            return F, np.concatenate([K, jet.jacobian], axis=2)
+            return jet.value + np.einsum("sij,sj->si", jet.jacobian, a) - target, bundle_matrix(jet, a)
 
         return system, 2 * n, 0.0, G.psi
 
@@ -392,16 +390,15 @@ def roundtrip(
     cfg: NewtonConfig | None = None,
     rng: random.Random | None = None,
     trials: int = 100,
-    chart=None,
 ) -> RoundtripReport:
     """Chordal distance between P and the center recovered from its own
     ramification locus.
 
-    Fullness is certified on ``chart``, the graph chart of a parametrized G
-    (G itself when None).  When the certificate fails, the uniqueness claim
-    does not apply and the report says so instead of asserting recovery.
+    Fullness is certified on G itself, the variety the ramification system
+    is solved on.  When the certificate fails, the uniqueness claim does not
+    apply and the report says so instead of asserting recovery.
     """
-    fullness = tan_is_full(G if chart is None else chart, trials=trials)
+    fullness = tan_is_full(G, trials=trials)
     if not fullness.holds:
         return RoundtripReport(status="hypothesis_not_met", fullness=fullness)
     ram = ramification_points(G, P, cfg, rng)

@@ -1,18 +1,14 @@
 """Tangent frames, fullness and dominance certificates, secant estimates.
 
-The certificates work in a normalized graph chart u -> (u, f(u)) with
-f(0) = 0 and f_u(0) = 0.  The central object is the Hessian contraction
-
-    H(u)[i][j] = sum_k f_uu(0)[i][j][k] u_k
-
-whose generic nondegeneracy decides whether the union of tangent spaces fills
-the ambient projective space.  The fullness cross-check works on the variety
-as given instead: Tan X is the image of the bundle map (w, a) -> psi(w) +
-Dpsi(w) a, so it fills the space exactly when the determinant of
-K(w, a) = [Dpsi(w) + D2psi(w)[a, .] | Dpsi(w)] is not identically zero, at
-any base point.  "Generic" claims are certified two ways: exact randomized
-identity testing where a polynomial identity underlies the claim, and
-95%-of-samples thresholds where only an open dense condition does.
+On a graph u -> (u, f(u)) fullness is the generic nondegeneracy of the
+Hessian contraction H(u)[i][j] = sum_k f_uu(0)[i][j][k] u_k.  Tan X is the
+image of the bundle map (w, a) -> psi(w) + Dpsi(w) a, so it fills the space
+exactly when det K(w, a), K = [Dpsi(w) + D2psi(w)[a, .] | Dpsi(w)], is not
+identically zero, which a parametrization's fullness and the cross-check
+test; dominance works in a normalized graph chart.  "Generic" claims are
+certified by exact randomized identity testing where a polynomial identity
+underlies the claim, and by 95%-of-samples thresholds where only an open
+dense condition does.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from .linalg import (
     RANK_EPS,
     RankResult,
     exact_det,
-    exact_rank,
     exact_rank_result,
     numerical_rank,
     stacked_rank,
@@ -335,16 +330,23 @@ def _identity_test(draw, evaluate, trials: int, bound: float, details: dict) -> 
 
 
 def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certificate:
-    """Decide whether det H(u) vanishes identically.
+    """Decide whether Tan X fills the ambient space.
 
-    On a graph H is read from f's Hessian at the origin, which f's affine
-    part does not change, so a graph need not be normalized first.
-    Dimensions up to SYMBOLIC_MAX_DIM expand the determinant symbolically
-    over exact scalars; larger ones use randomized identity testing at
-    integer points with coordinates in [-B, B], B = 2*n*trials, where any
-    nonzero exact evaluation is a proof and an all-zero run reports failure
-    probability (n / 2B)^trials.  Chart inputs fall back to float sampling
-    of the smallest-to-largest singular value ratio.
+    On a graph this is whether det H(u) vanishes identically, with H read
+    from f's Hessian at the origin, which f's affine part does not change,
+    so a graph need not be normalized first.  Dimensions up to
+    SYMBOLIC_MAX_DIM expand the determinant symbolically over exact
+    scalars; larger ones use randomized identity testing at integer points
+    with coordinates in [-B, B], B = 2*n*trials, where any nonzero exact
+    evaluation is a proof and an all-zero run reports failure probability
+    (n / 2B)^trials.
+
+    A ParamVariety samples K(w, a) in floats at points (w, a) drawn in order
+    from the box of radius 1, in stacks of at most CHUNK: a point is full
+    when K is finite (one that is not would stop the SVD of the whole stack)
+    and, its rows scaled to unit norm so that psi's component scales do not
+    matter, has singular values of ratio above 1e-8; the first is the
+    witness.  A chart is refused: its fullness is psi's.
     """
     if isinstance(G, GraphVariety):
         n = G.n
@@ -382,40 +384,31 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
             {"box": B},
         )
 
-    # chart input: only float jets are available; the points are drawn in
-    # order and tested as one stack
+    if isinstance(G, NormalizedChart):
+        raise TypeError("the fullness of a parametrized variety is taken on its ParamVariety")
     rng = rng or random.Random(0)
     n = G.n
     tol = 1e-8
-    U = np.array([random_point(n, 1.0, rng) for _ in range(trials)], dtype=complex).reshape(trials, n)
-    s = np.linalg.svd(hessian_contraction(G.hessian0(), U), compute_uv=False)
-    full = (s[:, 0] > 0) & (s[:, -1] > tol * s[:, 0])
-    successes = int(np.count_nonzero(full))
+    successes = 0
+    witness = None
+    for start in range(0, trials, CHUNK):
+        X = np.array([random_point(2 * n, 1.0, rng) for _ in range(min(CHUNK, trials - start))])
+        K = bundle_matrix(G.psi.jet2(X[:, :n]), X[:, n:])
+        K = np.where(np.isfinite(K).all(axis=(1, 2))[:, None, None], K, 0)
+        norms = np.linalg.norm(K, axis=2, keepdims=True)
+        s = np.linalg.svd(K / np.where(norms > 0, norms, 1), compute_uv=False)
+        full = s[:, -1] > tol * s[:, 0]
+        successes += int(np.count_nonzero(full))
+        if witness is None and full.any():
+            witness = X[np.argmax(full)].copy()
     return Certificate(
         verdict=_sampled_verdict(successes, trials),
         method=FLOAT_SAMPLING,
         trials=trials,
         successes=successes,
         tolerance=tol,
-        witness=U[np.argmax(full)] if full.any() else None,
+        witness=witness,
     )
-
-
-def _bundle_ranks(G, xi) -> tuple[RankResult, int]:
-    """Ranks of the block matrix [[E_n, E_n], [H(xi), 0]] and of H(xi), from
-    one contraction H(xi): exact for a graph at an exact point (the integer
-    contraction, whose row scales change neither rank), float otherwise."""
-    require_normalized(G)
-    n = G.n
-    exact_point = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
-    if isinstance(G, GraphVariety) and exact_point:
-        H = _exact_entries(*integer_contraction(G.f.hessian_integer((0,) * n), xi)[:2])
-        block_rank, h_rank = exact_rank_result, exact_rank(H)
-    else:
-        H = hessian_contraction(G.hessian0(), np.asarray(xi, dtype=complex)).tolist()
-        block_rank, h_rank = numerical_rank, numerical_rank(H).rank
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return block_rank([row + row for row in eye] + [row + [0] * n for row in H]), h_rank
 
 
 def tangent_bundle_rank_check(G, xi) -> RankResult:
@@ -424,10 +417,21 @@ def tangent_bundle_rank_check(G, xi) -> RankResult:
     This is the differential of (u, xi) -> (u + xi, f(u) + f_u(u) xi) at the
     chart origin.  Its rank equals n + rank H(xi) for every H (subtract the
     first block column from the second), so it checks the rank kernels, not
-    fullness; ``bundle_rank_cross_check`` is the fullness cross-check.
-    Exact inputs take the exact path.
+    fullness; ``bundle_rank_cross_check`` is the fullness cross-check.  A
+    graph at an exact point takes the exact path (the integer contraction,
+    whose row scales do not change the rank), anything else floats.
     """
-    return _bundle_ranks(G, xi)[0]
+    require_normalized(G)
+    n = G.n
+    exact_point = all(isinstance(x, (int, Fraction, GaussianRational)) for x in xi)
+    if isinstance(G, GraphVariety) and exact_point:
+        H = _exact_entries(*integer_contraction(G.f.hessian_integer((0,) * n), xi)[:2])
+        rank = exact_rank_result
+    else:
+        H = hessian_contraction(G.hessian0(), np.asarray(xi, dtype=complex)).tolist()
+        rank = numerical_rank
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return rank([row + row for row in eye] + [row + [0] * n for row in H])
 
 
 # -- the bundle determinant ----------------------------------------------------------
@@ -446,6 +450,13 @@ def tangent_bundle_rank_check(G, xi) -> RankResult:
 # integer points (w, a) of the bundle determinant test have coordinates in
 # [-BUNDLE_BOX, BUNDLE_BOX]
 BUNDLE_BOX = 100
+
+
+def bundle_matrix(jet: Jet2, a: np.ndarray) -> np.ndarray:
+    """The (S, 2n, 2n) stack K(w, a) from a stacked float jet of psi at the
+    points w and the (S, n) stack a."""
+    K = jet.jacobian + np.einsum("sijk,sk->sij", jet.hessian, a)
+    return np.concatenate([K, jet.jacobian], axis=2)
 
 
 def bundle_matrix_exact(psi, w, a) -> list[list]:

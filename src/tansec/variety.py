@@ -1,19 +1,16 @@
 """Variety representations and chart normalization.
 
-The canonical computational form of the certificates is a graph
-u -> (u, f(u)) of an n-fold in C^(2n).  For them, general polynomial
-parametrizations are reduced to that form by a linear change of coordinates A
-at a base point, chosen so that A maps the tangent directions onto the first
-n coordinates (ramification and recovery solve a parametrization in its own
-parameters instead, see ``projection``):
+The dominance certificate works on a graph u -> (u, f(u)) of an n-fold in
+C^(2n).  For it, general polynomial parametrizations are reduced to that form
+by a linear change of coordinates A at a base point, chosen so that A maps
+the tangent directions onto the first n coordinates (every other command
+takes a parametrization in its own parameters):
 
     A . Dpsi(u0) = [I_n; 0]
 
 The implied graph map of the chart then has value and differential zero at
-the origin.  Its second-order jet at 0 equals the second derivatives of the
-last-n block of A.psi at u0 (the chain-rule correction carries the first-order
-block of those coordinates, which vanishes there); jets away from 0 get the
-full correction term.  A chart is evaluated only at parameter points w: one
+the origin, and its jets carry the chain-rule correction of inverting the
+first n coordinates.  A chart is evaluated only at parameter points w: one
 jet of psi at w gives the chart point v(w) and the graph map's jet there, so
 no chart is ever inverted.
 """
@@ -121,14 +118,13 @@ class NormalizedChart:
     graph parameter v and the last n the graph value.
     """
 
-    __slots__ = ("psi", "u0", "A", "psi0", "_hess0")
+    __slots__ = ("psi", "u0", "A", "psi0")
 
     def __init__(self, psi: PolyMap, u0: np.ndarray, A: np.ndarray):
         self.psi = psi
         self.u0 = u0
         self.A = A
         self.psi0 = psi.value_at(u0)
-        self._hess0 = None
 
     @property
     def n(self) -> int:
@@ -176,14 +172,6 @@ class NormalizedChart:
         if not ok[0]:
             raise SingularMatrixError("numerically singular matrix")
         return Jet2(value=jet.value[0], jacobian=jet.jacobian[0], hessian=jet.hessian[0])
-
-    def hessian0(self) -> np.ndarray:
-        """Second-order jet of the graph map at 0, in closed form; built once."""
-        if self._hess0 is None:
-            AH = np.einsum("ab,bjk->ajk", self.A, self.psi.jet2(self.u0).hessian)
-            H = AH[self.n :]
-            self._hess0 = (H + H.transpose(0, 2, 1)) / 2
-        return self._hess0
 
     def __repr__(self) -> str:
         return f"NormalizedChart(n={self.n}, u0={self.u0!r})"

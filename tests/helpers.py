@@ -611,3 +611,23 @@ def reference_secant_dim_estimate(G, trials, rng):
         distribution[r] = distribution.get(r, 0) + 1
     best = max(distribution, default=0)
     return best - 1, distribution.get(best, 0), dict(sorted(distribution.items())), failures
+
+
+def reference_param_fullness(V, trials, rng):
+    """``tan_is_full`` on a ParamVariety one point (w, a) at a time, with
+    K(w, a) = [Dpsi(w) + D2psi(w)[a, .] | Dpsi(w)] built from a one-point
+    jet and its rows scaled to unit norm: (successes, the first full point
+    or None)."""
+    n = V.n
+    successes = 0
+    witness = None
+    for _ in range(trials):
+        x = random_point(2 * n, 1.0, rng)
+        jet = V.psi.jet2(x[:n])
+        K = np.hstack([jet.jacobian + np.einsum("ijk,k->ij", jet.hessian, x[n:]), jet.jacobian])
+        s = np.linalg.svd([row / (np.linalg.norm(row) or 1) for row in K], compute_uv=False)
+        if s[0] > 0 and s[-1] > 1e-8 * s[0]:
+            successes += 1
+            if witness is None:
+                witness = x
+    return successes, witness

@@ -73,6 +73,24 @@ def test_tan_check_is_inconclusive_where_the_origin_is_not_generic(tmp_path, cap
     assert Fraction(cross["determinant_at_witness"]) == 36 * w1 * w2 * a1 * a2 != 0
 
 
+def test_param_tan_check_holds_where_the_origin_is_not_generic(tmp_path, capsys):
+    # the same surface as a parametrization: fullness samples K(w, a), which
+    # has no base point, so the verdict is holds, and det K agrees exactly
+    f = tmp_path / "cubes.var"
+    f.write_text("n = 2\nkind = param\nf1 = u1\nf2 = u2\nf3 = u1^3\nf4 = u2^3\n")
+    code, out, _ = run(capsys, "tan-check", str(f), "--format", "machine")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "holds"
+    fullness = report["checks"]["tangent_fullness"]
+    assert fullness["method"] == "float_sampling" and fullness["successes"] == 100
+    assert len(fullness["witness"]) == 4
+    cross = report["checks"]["bundle_rank_cross_check"]
+    assert cross["verdict"] == "holds" and cross["method"] == "schwartz_zippel"
+    w1, w2, a1, a2 = (Fraction(x) for x in cross["witness"])
+    assert Fraction(cross["determinant_at_witness"]) == 36 * w1 * w2 * a1 * a2 != 0
+
+
 def test_tan_check_fails_when_fullness_holds_but_det_k_vanishes(monkeypatch, capsys):
     from tansec import cli
     from tansec.tangent import FAILS, SCHWARTZ_ZIPPEL, Certificate
@@ -161,9 +179,27 @@ def test_directory_as_out_exits_2(tmp_path, capsys):
 
 
 def test_unknown_example_exits_2(capsys):
+    from tansec import registry
+
     code, _, err = run(capsys, "tan-check", "--example", "nope")
     assert code == 2
-    assert "no built-in example" in err
+    assert err.startswith("error: no built-in example named 'nope'")
+    assert all(name in err for name in registry.names())
+
+
+def test_key_error_inside_a_command_is_not_an_input_error(monkeypatch, capsys):
+    # only an unknown example name is an input error; a KeyError from a bug
+    # in a command propagates instead of exiting 2
+    from tansec import cli
+
+    def broken(V, args):
+        raise KeyError("internal")
+
+    _, help_text, options = cli.COMMANDS["tan-check"]
+    monkeypatch.setitem(cli.COMMANDS, "tan-check", (broken, help_text, options))
+    with pytest.raises(KeyError, match="internal"):
+        main(["tan-check", "--example", "conic"])
+    assert capsys.readouterr().err == ""
 
 
 def test_nonpositive_option_values_exit_2(capsys):
@@ -177,6 +213,43 @@ def test_nonpositive_option_values_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_option_values_outside_the_float_range_exit_2(capsys):
+    # inf and 1e400 (which float() reads as inf) are positive but not finite
+    for argv in (
+        ["dominance", "--example", "conic", "--box", "inf"],
+        ["dominance", "--example", "conic", "--box", "1e400"],
+        ["ramify", "--example", "conic", "--center", "3,5", "--box", "inf"],
+        ["ramify", "--example", "conic", "--center", "3,5", "--tol", "inf"],
+        ["recover", "--example", "conic", "--center", "3,5", "--tol", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err and "must be positive and finite" in err
+
+
+def test_center_outside_the_float_range_exits_2(capsys):
+    for command in ("ramify", "recover"):
+        code, out, err = run(capsys, command, "--example", "conic", "--center", "1e400,0")
+        assert code == 2 and out == ""
+        assert err == "error: center value 1e400 is outside the float range\n"
+
+
+@pytest.mark.parametrize("command", ["ramify", "dominance", "secant-dim", "tan-check"])
+def test_coefficient_outside_the_float_range(tmp_path, capsys, command):
+    # a coefficient past float range stops every float evaluation with an
+    # input error; a graph's tan-check is exact and still runs
+    f = tmp_path / "huge.var"
+    f.write_text(f"n = 1\nkind = graph\nf1 = {10**309}*u1^2\n")
+    code, out, err = run(capsys, command, str(f), *_input_args(command, []), "--format", "machine")
+    if command == "tan-check":
+        assert code == 0 and json.loads(out)["verdict"] == "holds"
+        return
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: coefficient {10**309}") and "outside the float range" in err
 
 
 def test_exactly_one_input_or_exit_2(capsys):
@@ -219,16 +292,22 @@ def test_undeclared_flags_exit_2(capsys, command):
 
 @pytest.mark.parametrize("command", sorted(DECLARED))
 def test_options_block_is_the_declared_flags(tmp_path, capsys, command):
+    # for graph and param inputs alike; a param chart's base point is part
+    # of the dominance certificate, not an option
     param = tmp_path / "scaled.var"
     param.write_text("n = 1\nkind = param\nf1 = 2*u1\nf2 = u1^2\n")
-    for source, extra in ((["--example", "conic"], set()), ([str(param)], {"chart_base_point"})):
+    for source in (["--example", "conic"], [str(param)]):
         flags = [f"--{f}={FLAG_VALUES[f]}" for f in sorted(DECLARED[command] - {"center"})]
         argv = [command, *_input_args(command, source), *flags, "--format", "machine"]
         _, out, _ = run(capsys, *argv)
-        options = json.loads(out)["options"]
-        assert set(options) == DECLARED[command] | extra
+        report = json.loads(out)
+        options = report["options"]
+        assert set(options) == DECLARED[command]
         for flag in DECLARED[command] - {"center"}:
             assert options[flag] == json.loads(FLAG_VALUES[flag])
+        if command == "dominance":
+            details = report["checks"]["dominance"]["details"]
+            assert details.get("chart_base_point") == ([0.0] if source[0] == str(param) else None)
 
 
 def test_bad_center_exits_2(capsys):
@@ -354,6 +433,37 @@ def test_graph_dominance_report_matches_golden(tmp_path):
     code, report = machine(tmp_path, *argv)
     assert code == 0
     assert report == (GOLDEN / "mixed-surface.dominance.json").read_bytes()
+
+
+def test_param_dominance_report_matches_golden(tmp_path):
+    # taken when the chart's base point was an option; only that key moved,
+    # into the dominance certificate's details
+    argv = ["dominance", str(GOLDEN / "cusp-surface.var"), "--seed", "5", "--trials", "25", "--format", "machine"]
+    code, report = machine(tmp_path, *argv)
+    assert code == 0
+    golden = json.loads((GOLDEN / "cusp-surface.dominance.json").read_bytes())
+    base = golden["options"].pop("chart_base_point")
+    assert base == [9.0, -2.0]  # the origin is not immersive
+    golden["checks"]["dominance"]["details"]["chart_base_point"] = base
+    assert report == (json.dumps(golden, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize("command", ["tan-check", "secant-dim", "ramify", "recover"])
+def test_only_dominance_builds_a_chart(tmp_path, capsys, monkeypatch, command):
+    # every other command takes a parametrization as given
+    from tansec import cli, variety
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chart built")
+
+    for owner, name in ((cli, "build_geometry"), (cli, "normalize_at"), (variety, "normalize_at")):
+        monkeypatch.setattr(owner, name, refuse)
+    f = tmp_path / "bent.var"
+    f.write_text("n = 1\nkind = param\nf1 = u1 + u1^2\nf2 = u1^3 - u1\n")
+    trials = ["--trials", "30"] if "trials" in DECLARED[command] else []
+    code, out, _ = run(capsys, command, str(f), *_input_args(command, []), *trials, "--format", "machine")
+    assert code == 0, out
+    assert json.loads(out)["verdict"] in ("holds", "success")
 
 
 @pytest.mark.parametrize("command", ["dominance", "secant-dim"])

@@ -296,13 +296,38 @@ def test_symbolic_fullness_matches_the_polynomial_determinant(tmp_path):
         assert cert.details.get("determinant_at_witness") == (None if value is None else str(value))
 
 
-def test_tan_is_full_float_sampling_on_charts():
-    chart = normalize_at(QUADRIC_PAIR.as_param(), np.zeros(2))
-    cert = tan_is_full(chart, trials=40)
+def test_tan_is_full_float_sampling_on_parametrizations():
+    # a parametrization samples K(w, a) in floats; its witness is a point
+    # (w, a), and a chart is refused, since its fullness is psi's
+    cert = tan_is_full(QUADRIC_PAIR.as_param(), trials=40)
     assert cert.method == FLOAT_SAMPLING
-    assert cert.verdict == HOLDS
-    chart_cyl = normalize_at(CYLINDER.as_param(), np.zeros(2))
-    assert tan_is_full(chart_cyl, trials=40).verdict == FAILS
+    assert cert.verdict == HOLDS and cert.successes == 40
+    assert cert.witness.shape == (4,)
+    cyl = tan_is_full(CYLINDER.as_param(), trials=40)
+    assert cyl.verdict == FAILS and cyl.successes == 0 and cyl.witness is None
+    # components of very different scales still give a full K
+    scaled = ParamVariety(parse_map(["u1", "u2", "u1^2", "1000000000*u2^2"], 2))
+    assert tan_is_full(scaled, trials=40).successes == 40
+    with pytest.raises(TypeError):
+        tan_is_full(normalize_at(QUADRIC_PAIR.as_param(), np.zeros(2)), trials=40)
+    # K overflows at part of the box: those samples are not full, and the
+    # others are still tested
+    huge = ParamVariety(parse_map(["u1", f"{10**306}*u1^12"], 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = tan_is_full(huge, trials=40, rng=random.Random(1))
+    assert cert.method == FLOAT_SAMPLING and cert.successes < 40
+
+
+def test_tan_is_full_as_param_gives_the_graph_verdict_on_every_builtin():
+    from tansec import registry
+
+    for vf in registry.BUILTINS:
+        G = vf.to_variety()
+        assert isinstance(G, GraphVariety)
+        graph_verdict = tan_is_full(G).verdict
+        assert graph_verdict == (HOLDS if vf.name in registry.FULL_TANGENT else FAILS)
+        cert = tan_is_full(G.as_param(), trials=40, rng=random.Random(2))
+        assert cert.method == FLOAT_SAMPLING and cert.verdict == graph_verdict, vf.name
 
 
 # -- bundle rank cross-check -----------------------------------------------------------
@@ -432,24 +457,19 @@ def test_bundle_cross_check_reports_the_exact_error_bound(tmp_path):
         assert cert.error_bound == (D / 201) ** 7
 
 
-def test_tan_is_full_chart_stack_matches_the_one_point_loop(tmp_path):
-    # the chart branch draws every point first and tests them as one stack;
-    # the certificate is the one a point-by-point loop gives
-    from tansec.poly import random_point
+def test_tan_is_full_param_stack_matches_the_one_point_loop(tmp_path):
+    # a parametrization's points (w, a) are drawn in order and tested in
+    # stacks of K; the certificate is the one a point-by-point loop gives
+    from helpers import reference_param_fullness
+    from tansec.tangent import CHUNK
 
-    charts = [chart for _, _, chart in _benchmark_charts(tmp_path)]
-    charts.append(normalize_at(CYLINDER.as_param(), np.zeros(2)))
-    for chart in charts:
-        for trials, seed in ((1, 3), (40, 5)):
-            cert = tan_is_full(chart, trials=trials, rng=random.Random(seed))
-            rng = random.Random(seed)
-            full = []
-            for _ in range(trials):
-                u = random_point(chart.n, 1.0, rng)
-                s = np.linalg.svd(hessian_contraction(chart.hessian0(), u), compute_uv=False)
-                full.append((s[0] > 0 and s[-1] > 1e-8 * s[0], u))
-            assert cert.successes == sum(ok for ok, _ in full)
-            witness = next((u for ok, u in full if ok), None)
+    varieties = [ParamVariety(chart.psi) for _, _, chart in _benchmark_charts(tmp_path)]
+    varieties.append(CYLINDER.as_param())
+    for V in varieties:
+        for trials, seed in ((1, 3), (40, 5), (CHUNK + 3, 7)):
+            cert = tan_is_full(V, trials=trials, rng=random.Random(seed))
+            successes, witness = reference_param_fullness(V, trials, random.Random(seed))
+            assert cert.successes == successes
             assert (cert.witness is None) == (witness is None)
             if witness is not None:
                 assert np.array_equal(cert.witness, witness)
@@ -759,7 +779,8 @@ def test_dominance_consistent_with_bundle_rank():
 
 def _benchmark_charts(tmp_path):
     """(family, n, chart) for the param-flat and param-bent files of round 0
-    of the benchmark's certify workload, charted as the CLI charts them."""
+    of the benchmark's certify workload, charted as ``dominance`` charts
+    them."""
     from pathlib import Path
 
     from helpers import load_perfbench
@@ -771,7 +792,7 @@ def _benchmark_charts(tmp_path):
     for job in jobs:
         if job["command"] == "dominance" and job["kind"] == "param":
             vf = parse_variety_file(Path(job["argv"][1]).read_text())
-            out.append((job["family"], job["n"], build_geometry(vf, 0)[1]))
+            out.append((job["family"], job["n"], build_geometry(vf.to_variety(), 0)[0]))
     return out
 
 

@@ -108,7 +108,7 @@ def test_parabola_chart_at_one_keeps_curvature():
     V = ParamVariety(parse_map(["u1", "u1^2"], 1))
     chart = normalize_at(V, [1.0])
     assert np.allclose(chart.A, [[1.0, 0.0], [-2.0, 1.0]])
-    assert np.allclose(chart.hessian0(), [[[2.0]]], atol=1e-12)
+    assert np.allclose(chart.parameter_jet([[1.0]])[2].hessian, [[[[2.0]]]], atol=1e-12)
     for v in (0.1, -0.2, 0.05j):
         w = 1.0 + v
         assert np.allclose(chart.forward([[w]]), [[v, v**2]], atol=1e-12)
