@@ -183,12 +183,16 @@ def parse_center(text: str, n: int) -> Center:
     parts = [p for p in (s.strip() for s in text.split(sep)) if p]
     try:
         values = [Fraction(p) for p in parts]
-        floats = np.array([float(v) for v in values])
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad center value: {exc}") from None
-    except OverflowError:  # float rounding is monotone, so the largest value overflows
-        big = max(parts, key=lambda p: abs(Fraction(p)))
-        raise ValueError(f"center value {big} is outside the float range") from None
+    floats = np.zeros(len(values))
+    for k, (part, value) in enumerate(zip(parts, values)):
+        try:
+            floats[k] = float(value)
+        except OverflowError:
+            pass  # left at 0.0, like a nonzero value below the float range
+        if value and not floats[k]:
+            raise ValueError(f"center value {part} is outside the float range")
     if len(values) == 2 * n:
         return Center.from_affine(floats[:n], floats[n:])
     if len(values) == 2 * n + 1:
@@ -304,7 +308,10 @@ def run_command(args) -> int:
     started = time.perf_counter()
     checks_of, _, options = COMMANDS[args.subcommand]
     vf = load_variety_file(args)
-    checks, verdict = checks_of(vf.to_variety(), args)
+    # every layer counts a non-finite value as a failure, so numpy's own
+    # overflow and invalid-value warnings only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks, verdict = checks_of(vf.to_variety(), args)
     report = {
         "command": args.subcommand,
         "input": input_block(vf),

@@ -3,9 +3,10 @@
 ``stacked_newton`` is the one implementation of the step, halving and stop
 rules.  Each round solves the steps of the slices that just accepted a point
 with one ``stacked_solve`` and evaluates every pending trial point with one
-call of the system, so a wave of ramification starts costs one polynomial
-jet per round instead of one per start and iterate.  ``damped_newton`` is
-its one-start case on functions of one point; the solvers run the stack.
+call of the system, so a ramification solve, one wave of all its starts,
+costs one polynomial jet per round instead of one per start and iterate.
+``damped_newton`` is its one-start case on functions of one point; the
+solvers run the stack.
 """
 
 from __future__ import annotations
@@ -123,8 +124,11 @@ def stacked_newton(
     halves its step while the residual norm does not decrease, and stops
     after ``max_halvings`` halvings have not helped; it stops after
     ``max_iters`` accepted steps; and it stops, abandoned, at a point whose
-    evaluation raised TansecError.  Slices never mix: a slice's result is
-    the one it would get alone.
+    evaluation raised TansecError.  Slices never mix: each slice's stop
+    reason and iteration count are its own, and its values are bitwise its
+    stack of one's when ``system`` evaluates rows independently; a stacked
+    jet (``PolyMap.jet2``) rounds a row differently with the height of its
+    stack, so there they match the stack of one up to rounding.
 
     ``settled``, when given, is called after every round in which slices
     stopped, the last one included, with the run so far as a NewtonStack

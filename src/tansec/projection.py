@@ -7,11 +7,10 @@ system vanishes there: for a graph and a center with affine blocks (P1, P2),
 
 and for a parametrization psi, in the 2n unknowns (w, a) with P affine,
 F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
-of unknowns gets its residuals and Jacobians from one stacked jet.  A first
-``stacked_newton`` wave runs Bezout-number many starts and, when that
-leaves roots missing, a second wave runs all the other starts; the results,
-read in draw order as the starts stop, end the solve once they hold as many
-isolated roots as the Bezout number, which makes the root set complete.
+of unknowns gets its residuals and Jacobians from one stacked jet.  All the
+starts run as one ``stacked_newton`` wave; its results, read in draw order
+as the starts stop, end the solve once they hold as many isolated roots as
+the Bezout number, which makes the root set complete.
 Recovery then builds the tangent frames at the found points as one stack,
 intersects every pair of them from stacked SVDs, and takes the consensus
 cluster; a legitimate run on a generic center has one dominant cluster, so
@@ -170,12 +169,12 @@ class RamificationSet:
 
     An empty ``points`` list is the no-solutions verdict, not an exception.
     ``starts`` counts the starts used, in draw order, up to the stop; the
-    wave that holds the stop may have run more, whose results are
-    discarded.  A wave holds at most starts * d^2 complex Jacobian entries
-    for d unknowns: 16 KB at the default 64 starts and d = 4, 64 KB at
-    d = 8.  ``failed`` counts the used starts abandoned because an
-    evaluation raised, so converged + failed <= starts.  ``complete`` says
-    the roots hold ``bezout`` isolated ones, hence every isolated root.
+    one wave runs every start, and the results past the stop are discarded.
+    The wave holds at most starts * d^2 complex Jacobian entries for d
+    unknowns: 16 KB at the default 64 starts and d = 4, 64 KB at d = 8.
+    ``failed`` counts the used starts abandoned because an evaluation
+    raised, so converged + failed <= starts.  ``complete`` says the roots
+    hold ``bezout`` isolated ones, hence every isolated root.
     """
 
     points: list = field(default_factory=list)
@@ -207,15 +206,12 @@ def ramification_points(
 
     The starts stop once the counted roots reach the Bezout number
     B = prod max(deg, 1) over the components of f or psi, a bound on the
-    isolated roots with multiplicity.  A first wave of min(B, cfg.starts)
-    starts runs through one ``stacked_newton`` call, and is all the work
-    when those starts find every root; if its results leave the stop
-    unreached, all the remaining starts run as one second wave.  Results
-    are read in draw order as the starts stop, so the stop falls at the
-    same start as in a one-at-a-time loop, and a wave ends once its stop is
-    reached.  A new root counts when the system
-    Jacobian has full rank there and the Newton step is below
-    DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
+    isolated roots with multiplicity.  All cfg.starts starts run as one
+    ``stacked_newton`` wave, whose results are read in draw order as the
+    starts stop, so the stop falls at the same start as in a one-at-a-time
+    loop, and the wave ends once its stop is reached.  A new root counts
+    when the system Jacobian has full rank there and the Newton step is
+    below DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
     about m steps from it, so none is counted twice.  Points are sorted by
     their (real, imaginary) parts on the DEDUP_RADIUS grid (``_point_order``),
     so the output depends neither on completion order nor on round-off.
@@ -225,42 +221,33 @@ def ramification_points(
     system, dim, center, poly = _ramification_system(G, P)
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
     step_bound = DEDUP_RADIUS / (2 * bezout)
-    reps: list[tuple[np.ndarray, float]] = []
-    found = np.empty((0, dim), dtype=complex)  # the points of reps, stacked
+    found = np.empty((0, dim), dtype=complex)
+    residuals: list[float] = []
     starts = converged = failed = counted = 0
 
     def read(out) -> bool:
         # take the stopped slices of the wave in draw order, up to the first
-        # one still running; the wave may end once the Bezout stop is reached
+        # one still running; the wave ends once the Bezout stop is reached
         nonlocal starts, converged, failed, counted, found
-        while starts < first + len(out.stops) and counted < bezout:
-            i = starts - first
-            if out.stops[i] is None:
-                return False
-            starts += 1
-            if out.errors[i] is not None:  # an evaluation that raised abandons the start
-                failed += 1
-                continue
-            if not (out.converged[i] and out.residuals[i] <= cfg.tol):
+        while starts < len(out.stops) and counted < bezout and out.stops[starts] is not None:
+            i, starts = starts, starts + 1
+            failed += out.errors[i] is not None  # an evaluation that raised abandons the start
+            if not out.converged[i]:
                 continue
             converged += 1
             x = out.points[i]
             if (np.linalg.norm(found - x, axis=1) > DEDUP_RADIUS).all():
-                reps.append((x, float(out.residuals[i])))
                 found = np.vstack([found, x])
+                residuals.append(float(out.residuals[i]))
                 counted += _isolated(out.jacobians[i], out.values[i], step_bound)
         return counted == bezout
 
-    while starts < cfg.starts and counted < bezout:
-        # the first wave is all the work when its B starts find every root
-        first = starts
-        wave = cfg.starts - starts if starts else min(bezout, cfg.starts)
-        stacked_newton(system, [center + random_point(dim, cfg.box, rng) for _ in range(wave)], cfg, read)
-
-    reps.sort(key=lambda rep: _point_order(rep[0]))
+    draws = [random_point(dim, cfg.box, rng) for _ in range(cfg.starts)]
+    stacked_newton(system, center + np.reshape(draws, (cfg.starts, dim)), cfg, read)
+    order = sorted(range(len(found)), key=lambda k: _point_order(found[k]))
     return RamificationSet(
-        points=[point[:G.n] for point, _ in reps],
-        residuals=[residual for _, residual in reps],
+        points=list(found[order, : G.n]),
+        residuals=[residuals[k] for k in order],
         starts=starts,
         converged=converged,
         failed=failed,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,10 +233,41 @@ def test_option_values_outside_the_float_range_exit_2(capsys):
 
 
 def test_center_outside_the_float_range_exits_2(capsys):
+    # a value that float() overflows, or a nonzero one it reads as 0 (which
+    # would solve for another center)
     for command in ("ramify", "recover"):
-        code, out, err = run(capsys, command, "--example", "conic", "--center", "1e400,0")
-        assert code == 2 and out == ""
-        assert err == "error: center value 1e400 is outside the float range\n"
+        for center, value in (("1e400,0", "1e400"), ("1e-400,5", "1e-400"), ("1:1e-400:5", "1e-400")):
+            code, out, err = run(capsys, command, "--example", "conic", "--center", center)
+            assert code == 2 and out == ""
+            assert err == f"error: center value {value} is outside the float range\n"
+    # a subnormal value is a float, and zero is zero
+    for center in ("1e-310,5", "0,5"):
+        code, out, _ = run(capsys, "ramify", "--example", "conic", "--center", center, "--format", "machine")
+        assert code == 0 and json.loads(out)["options"]["center"] == center
+
+
+@pytest.mark.parametrize(
+    "command,center,verdict",
+    [
+        ("tan-check", [], "inconclusive"),
+        ("secant-dim", [], "inconclusive"),
+        ("dominance", [], "holds"),
+        ("ramify", ["--center", "0,1"], "no_solutions"),
+        ("recover", ["--center", "0,1"], "hypothesis_not_met"),
+    ],
+)
+def test_float_overflow_prints_no_warnings(tmp_path, capsys, command, center, verdict):
+    # psi = (u1, 10^306 u1^12) overflows floats away from 0; every layer
+    # counts the non-finite values as failures, so numpy's overflow and
+    # invalid-value warnings would only repeat that on stderr
+    f = tmp_path / "steep.var"
+    f.write_text("n = 1\nkind = param\nf1 = u1\nf2 = 10^306*u1^12\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, str(f), *center, "--format", "machine")
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert json.loads(out)["verdict"] == verdict
+    assert code == (0 if verdict == "holds" else 1)
 
 
 @pytest.mark.parametrize("command", ["ramify", "dominance", "secant-dim", "tan-check"])

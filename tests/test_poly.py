@@ -387,6 +387,25 @@ def test_stacked_evaluation_matches_one_point_on_the_benchmark_files(tmp_path):
     assert maps == 46
 
 
+def test_stacked_jet_matches_each_stack_of_one_up_to_rounding(tmp_path):
+    # the slice contract of stacked_newton on jets: a stacked jet2 may round
+    # a row differently with the height of its stack, but every row matches
+    # the jet of its stack of one to 1e-15 relative, at the heights a Newton
+    # wave of 64 starts passes through, in its start box of radius 3
+    gen = load_perfbench("gen")
+    rng = random.Random(23)
+    for job in gen.make_jobs("recover", 1, tmp_path, rounds=1):
+        F = parse_variety_file(Path(job["argv"][1]).read_text()).parsed
+        U = np.array([random_point(F.num_vars, 3.0, rng) for _ in range(64)])
+        ones = [F.jet2(U[s : s + 1]) for s in range(len(U))]
+        for height in (64, 17, 2):
+            jet = F.jet2(U[:height])
+            for s, one in enumerate(ones[:height]):
+                for part in ("value", "jacobian", "hessian"):
+                    stacked, single = getattr(jet, part)[s], getattr(one, part)[0]
+                    assert np.linalg.norm(stacked - single) <= 1e-15 * np.linalg.norm(single)
+
+
 def test_stacked_evaluation_rejects_wrong_shapes():
     F = parse_map(["u1^2", "u1*u2"], 2)
     for method in (F.jet2, F.value_at, F.jacobian_at):

@@ -199,6 +199,9 @@ def test_ramification_no_solutions_is_a_verdict():
     assert not R.found
     assert len(R) == 0
     assert R.starts == 8 and R.converged == 0
+    # no starts give no roots and an incomplete set
+    R = ramification_points(g, P, cfg=NewtonConfig(starts=0))
+    assert (len(R), R.starts, R.complete) == (0, 0, False)
 
 
 class CountingJets:
@@ -240,8 +243,9 @@ class CountingMap:
 
 def _record_waves(monkeypatch, counting) -> list:
     """Route ``ramification_points``' Newton waves through a recorder; each
-    wave appends (its start count, its NewtonStack, and per system call the
-    rows given and the jets ``counting`` recorded during the call)."""
+    ``stacked_newton`` call appends (its starts, its NewtonStack, and per
+    system call the rows given, the jets ``counting`` recorded during the
+    call and the residual norms returned)."""
     waves = []
 
     def newton(system, starts, cfg, settled):
@@ -250,11 +254,11 @@ def _record_waves(monkeypatch, counting) -> list:
         def recorded(X):
             before = len(counting.points)
             out = system(X)
-            calls.append((X.copy(), counting.points[before:]))
+            calls.append((X.copy(), counting.points[before:], np.linalg.norm(out[0], axis=1)))
             return out
 
         out = stacked_newton(recorded, starts, cfg, settled)
-        waves.append((len(starts), out, calls))
+        waves.append((np.array(starts), out, calls))
         return out
 
     monkeypatch.setattr(projection, "stacked_newton", newton)
@@ -270,13 +274,13 @@ def _record_waves(monkeypatch, counting) -> list:
     ],
 )
 def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
-    # the solve is a first Newton wave of exactly min(B, cfg.starts) rows
-    # and, only when that leaves the root set incomplete, a second of
-    # exactly the other starts, each wave's first evaluation at its starts;
-    # every evaluation of the stacked system makes exactly one jet, at
-    # exactly the rows it is given (a parametrization makes one psi.jet2 at
-    # the w part of its (w, a) rows), so residual and Jacobian share it; and
-    # within a wave no point is evaluated twice, in one call or across calls
+    # the solve is one Newton wave of exactly cfg.starts rows, whose first
+    # evaluation is at its starts; every evaluation of the stacked system
+    # makes exactly one jet, at exactly the rows it is given (a
+    # parametrization makes one psi.jet2 at the w part of its (w, a) rows),
+    # so residual and Jacobian share it; and no slice evaluates a point
+    # twice: a point is evaluated again only when it is a root (residual at
+    # most tol) at which another slice stopped
     if isinstance(G, ParamVariety):
         G = copy.copy(G)
         G.psi = counting = CountingMap(G.psi)
@@ -286,18 +290,17 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     cfg = NewtonConfig(starts=16)
     R = ramification_points(G, center, cfg, random.Random(6))
     assert R.converged > 0
-    first = min(R.bezout, cfg.starts)
-    one_wave = R.complete and R.starts <= first
-    assert [size for size, _, _ in waves] == ([first] if one_wave else [first, cfg.starts - first])
-    assert len(counting.points) == sum(len(calls) for _, _, calls in waves)
-    for size, _, calls in waves:
-        assert len(calls[0][0]) == size
-        seen = set()
-        for X, jets in calls:
-            assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]
-            rows = {row.tobytes() for row in X}
-            assert len(rows) == len(X) and not rows & seen
-            seen |= rows
+    assert len(waves) == 1
+    starts, _, calls = waves[0]
+    assert starts.shape[0] == cfg.starts and np.array_equal(calls[0][0], starts)
+    assert len(counting.points) == len(calls)
+    first = {}  # the residual norm at each point's first evaluation
+    for X, jets, norms in calls:
+        assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]
+        for row, norm in zip(X, norms):
+            key = row.tobytes()
+            assert key not in first or first[key] <= cfg.tol
+            first.setdefault(key, norm)
 
 
 def test_ramification_counts_abandoned_starts(monkeypatch):
@@ -330,17 +333,19 @@ def test_ramification_counts_abandoned_starts(monkeypatch):
 
 
 def test_ramification_wave_ends_at_the_bezout_stop(monkeypatch):
-    # the wave that reaches the Bezout stop ends there: every start used has
-    # stopped, and starts after the stop are left running (stop None)
+    # the one wave ends at the Bezout stop, also when the first B starts
+    # find every root: every start used has stopped, and the starts after
+    # the stop are left running (stop None)
     counting = CountingJets(QUADRIC_PAIR)
     waves = _record_waves(monkeypatch, counting)
     P = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
-    R = ramification_points(counting, P, NewtonConfig(starts=64), random.Random(0))
-    assert R.complete and len(waves) == 2
-    _, out, _ = waves[-1]
-    used = R.starts - waves[0][0]
-    assert None not in out.stops[:used]
-    assert None in out.stops[used:]
+    for k, (seed, used) in enumerate([(0, 5), (3, 4)]):
+        R = ramification_points(counting, P, NewtonConfig(starts=64), random.Random(seed))
+        assert R.complete and R.bezout == len(R) == 4 and R.starts == used
+        assert len(waves) == k + 1
+        _, out, _ = waves[k]
+        assert len(out.stops) == 64
+        assert None not in out.stops[:used] and None in out.stops[used:]
 
 
 @pytest.mark.parametrize(
