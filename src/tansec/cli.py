@@ -178,9 +178,10 @@ def build_geometry(V, seed: int):
 
 
 def parse_center(text: str, n: int) -> Center:
-    """2n affine rationals ('3,5' or '3 5') or 2n+1 projective values ('1:3:5')."""
-    sep = ":" if ":" in text else ","
-    parts = [p for p in (s.strip() for s in text.split(sep)) if p]
+    """2n affine rationals ('3,5') or 2n+1 projective values ('1:3:5'); the
+    separator says which."""
+    projective = ":" in text
+    parts = [p for p in (s.strip() for s in text.split(":" if projective else ",")) if p]
     try:
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
@@ -193,13 +194,11 @@ def parse_center(text: str, n: int) -> Center:
             pass  # left at 0.0, like a nonzero value below the float range
         if value and not floats[k]:
             raise ValueError(f"center value {part} is outside the float range")
-    if len(values) == 2 * n:
-        return Center.from_affine(floats[:n], floats[n:])
-    if len(values) == 2 * n + 1:
-        return Center.from_projective(floats)
-    raise ValueError(
-        f"center needs {2 * n} affine or {2 * n + 1} projective values, got {len(values)}"
-    )
+    if len(values) != 2 * n + projective:
+        raise ValueError(
+            f"center needs {2 * n} affine or {2 * n + 1} projective values, got {len(values)}"
+        )
+    return Center.from_projective(floats) if projective else Center.from_affine(floats[:n], floats[n:])
 
 
 def input_block(vf: VarietyFile) -> dict:

@@ -6,17 +6,17 @@ with one ``stacked_solve`` and evaluates every pending trial point with one
 call of the system, so a ramification solve, one wave of all its starts,
 costs one polynomial jet per round instead of one per start and iterate.
 ``damped_newton`` is its one-start case on functions of one point; the
-solvers run the stack.
+solvers run the stack.  An exception the system raises ends the run and
+propagates: no slice is abandoned on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import TansecError
 from .linalg import stacked_solve
 
 # why a slice stopped, and the codes stacked_newton keeps them as
@@ -24,23 +24,24 @@ CONVERGED = "converged"
 SINGULAR_STEP = "singular_step"
 HALVINGS_EXHAUSTED = "halvings_exhausted"
 ITER_CAP = "iter_cap"
-EVAL_ERROR = "eval_error"
-_STOPS = (None, CONVERGED, SINGULAR_STEP, HALVINGS_EXHAUSTED, ITER_CAP, EVAL_ERROR)
-_RUNNING, _CONVERGED, _SINGULAR_STEP, _HALVINGS_EXHAUSTED, _ITER_CAP, _EVAL_ERROR = range(len(_STOPS))
+_STOPS = (None, CONVERGED, SINGULAR_STEP, HALVINGS_EXHAUSTED, ITER_CAP)
+_RUNNING, _CONVERGED, _SINGULAR_STEP, _HALVINGS_EXHAUSTED, _ITER_CAP = range(len(_STOPS))
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     """Knobs for damped Newton and its multi-start wrapper.
 
-    The step is halved while the residual norm does not decrease, up to
-    ``max_halvings`` times, after which the start is abandoned.  ``starts``
-    and ``box`` only matter for multi-start root collection.
+    ``tol`` is the residual norm at which a start has converged; ``starts``
+    and ``box`` only matter for multi-start root collection.  The class
+    constants bound a run: at most ``max_iters`` accepted steps, and a step
+    halved while the residual norm does not decrease, up to ``max_halvings``
+    times, after which the start is abandoned.
     """
 
-    max_iters: int = 50
+    max_iters: ClassVar[int] = 50
+    max_halvings: ClassVar[int] = 20
     tol: float = 1e-12
-    max_halvings: int = 20
     starts: int = 64
     box: float = 3.0
 
@@ -60,10 +61,8 @@ class NewtonStack:
     ``points`` are the last accepted points, ``values`` and ``jacobians``
     the system's residual vectors and Jacobians there, and ``residuals``
     their norms.  ``stops`` says why each slice stopped (CONVERGED,
-    SINGULAR_STEP, HALVINGS_EXHAUSTED, ITER_CAP or EVAL_ERROR), or is None
-    for a slice still running when the run ended early; ``errors`` holds
-    the TansecError of each EVAL_ERROR slice, None elsewhere.  The values
-    and Jacobians of a slice whose start point raised are zero.
+    SINGULAR_STEP, HALVINGS_EXHAUSTED or ITER_CAP), or is None for a slice
+    still running when the run ended early.
     """
 
     points: np.ndarray
@@ -73,30 +72,9 @@ class NewtonStack:
     converged: np.ndarray
     iterations: np.ndarray
     stops: tuple[str, ...]
-    errors: tuple[TansecError | None, ...]
 
 
-def _evaluate(system, X: np.ndarray):
-    """``system(X)`` as (values, Jacobians, {row: TansecError}).  When a stack
-    of several points raises TansecError, its rows are evaluated one at a
-    time, and only the rows that raise get an error (and zero values and
-    Jacobians)."""
-    try:
-        r, J = system(X)
-    except TansecError as exc:
-        if len(X) == 1:
-            d = X.shape[1]
-            return np.zeros((1, d), dtype=complex), np.zeros((1, d, d), dtype=complex), {0: exc}
-        rows = [_evaluate(system, X[i : i + 1]) for i in range(len(X))]
-        return (
-            np.concatenate([row[0] for row in rows]),
-            np.concatenate([row[1] for row in rows]),
-            {i: row[2][0] for i, row in enumerate(rows) if row[2]},
-        )
-    return np.asarray(r, dtype=complex), np.asarray(J, dtype=complex), {}
-
-
-def _stack(x, r, J, rn, codes, iterations, errors) -> NewtonStack:
+def _stack(x, r, J, rn, codes, iterations) -> NewtonStack:
     return NewtonStack(
         points=x,
         values=r,
@@ -105,7 +83,6 @@ def _stack(x, r, J, rn, codes, iterations, errors) -> NewtonStack:
         converged=codes == _CONVERGED,
         iterations=iterations,
         stops=tuple(map(_STOPS.__getitem__, codes.tolist())),
-        errors=tuple(errors),
     )
 
 
@@ -118,16 +95,16 @@ def stacked_newton(
     """Damped Newton from every start of an (S, d) stack, in lockstep.
 
     ``system(X)`` maps an (k, d) stack of points to the (k, d) residuals and
-    (k, d, d) Jacobians there.  Each slice follows its own run of the rules:
-    it stops converged once the residual norm is at most ``tol``; it stops
-    at a step whose solve is singular (``stacked_solve``'s ok mask); it
-    halves its step while the residual norm does not decrease, and stops
-    after ``max_halvings`` halvings have not helped; it stops after
-    ``max_iters`` accepted steps; and it stops, abandoned, at a point whose
-    evaluation raised TansecError.  Slices never mix: each slice's stop
-    reason and iteration count are its own, and its values are bitwise its
-    stack of one's when ``system`` evaluates rows independently; a stacked
-    jet (``PolyMap.jet2``) rounds a row differently with the height of its
+    (k, d, d) Jacobians there; an exception it raises propagates.  Each
+    slice follows its own run of the rules: it stops converged once the
+    residual norm is at most ``tol``; it stops at a step whose solve is
+    singular (``stacked_solve``'s ok mask); it halves its step while the
+    residual norm does not decrease, and stops after ``max_halvings``
+    halvings have not helped; and it stops after ``max_iters`` accepted
+    steps.  Slices never mix: each slice's stop reason and iteration count
+    are its own, and its values are bitwise its stack of one's when
+    ``system`` evaluates rows independently; a stacked jet
+    (``PolyMap.jet2``) rounds a row differently with the height of its
     stack, so there they match the stack of one up to rounding.
 
     ``settled``, when given, is called after every round in which slices
@@ -140,16 +117,14 @@ def stacked_newton(
     if x.ndim != 2:
         raise ValueError("starts must be an (S, d) stack")
     S = len(x)
-    r, J, raised = _evaluate(system, x)
+    r, J = (np.asarray(a, dtype=complex) for a in system(x))
     rn = np.linalg.norm(r, axis=1)
     iterations = np.zeros(S, dtype=int)
-    errors: list[TansecError | None] = [raised.get(i) for i in range(S)]
     codes = np.full(S, _RUNNING)
-    codes[list(raised)] = _EVAL_ERROR
     step = np.zeros_like(x)
     t = np.ones(S)
     halvings = np.zeros(S, dtype=int)
-    fresh = np.flatnonzero(codes == _RUNNING)  # at an accepted point, with no step yet
+    fresh = np.arange(S)  # at an accepted point, with no step yet
     running = S
     while True:
         done, capped = rn[fresh] <= cfg.tol, iterations[fresh] >= cfg.max_iters
@@ -161,31 +136,24 @@ def stacked_newton(
             t[fresh], halvings[fresh] = 1.0, 0
         trial = np.flatnonzero(codes == _RUNNING)
         stopped, running = running - trial.size, trial.size
-        if settled is not None and stopped and settled(_stack(x, r, J, rn, codes, iterations, errors)):
+        if settled is not None and stopped and settled(_stack(x, r, J, rn, codes, iterations)):
             break
         if not trial.size:
             break
         x_new = x[trial] - t[trial, None] * step[trial]
-        r_new, J_new, raised = _evaluate(system, x_new)
+        r_new, J_new = (np.asarray(a, dtype=complex) for a in system(x_new))
         rn_new = np.linalg.norm(r_new, axis=1)
         better = rn_new < rn[trial]
-        worse = ~better
-        if raised:
-            rows = list(raised)
-            for i in rows:
-                errors[trial[i]] = raised[i]
-            codes[trial[rows]] = _EVAL_ERROR
-            better[rows] = worse[rows] = False
         fresh = trial[better]
         x[fresh], r[fresh], J[fresh] = x_new[better], r_new[better], J_new[better]
         rn[fresh] = rn_new[better]
         iterations[fresh] += 1
-        worse = trial[worse]
+        worse = trial[~better]
         if worse.size:
             t[worse] /= 2.0
             halvings[worse] += 1
             codes[worse[halvings[worse] > cfg.max_halvings]] = _HALVINGS_EXHAUSTED
-    return _stack(x, r, J, rn, codes, iterations, errors)
+    return _stack(x, r, J, rn, codes, iterations)
 
 
 def damped_newton(
@@ -195,14 +163,12 @@ def damped_newton(
     cfg: NewtonConfig,
 ) -> NewtonResult:
     """``stacked_newton`` from one start, on a residual and a Jacobian given
-    as functions of one point; an evaluation error is raised, not counted."""
+    as functions of one point; an exception they raise propagates."""
 
     def system(X):
         return np.asarray(residual(X[0]))[None], np.asarray(jacobian(X[0]))[None]
 
     out = stacked_newton(system, np.asarray(start, dtype=complex)[None], cfg)
-    if out.errors[0] is not None:
-        raise out.errors[0]
     return NewtonResult(
         out.points[0], float(out.residuals[0]), bool(out.converged[0]), int(out.iterations[0])
     )

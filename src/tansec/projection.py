@@ -172,16 +172,15 @@ class RamificationSet:
     one wave runs every start, and the results past the stop are discarded.
     The wave holds at most starts * d^2 complex Jacobian entries for d
     unknowns: 16 KB at the default 64 starts and d = 4, 64 KB at d = 8.
-    ``failed`` counts the used starts abandoned because an evaluation
-    raised, so converged + failed <= starts.  ``complete`` says the roots
-    hold ``bezout`` isolated ones, hence every isolated root.
+    ``converged`` counts the used starts that reached a root, listed or
+    not.  ``complete`` says the roots hold ``bezout`` isolated ones, hence
+    every isolated root.
     """
 
     points: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     starts: int = 0
     converged: int = 0
-    failed: int = 0
     bezout: int = 0
     complete: bool = False
 
@@ -212,7 +211,11 @@ def ramification_points(
     loop, and the wave ends once its stop is reached.  A new root counts
     when the system Jacobian has full rank there and the Newton step is
     below DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
-    about m steps from it, so none is counted twice.  Points are sorted by
+    about m steps from it, so none is counted twice.  An endpoint that does
+    not count joins a listed one that does not count either within
+    2 tol^(1/B): Newton stops about (tol/|c|)^(1/m) from an m-fold root,
+    m <= B, so that holds the endpoints of one multiple root whose leading
+    coefficient has |c| >= 1 together.  Points are sorted by
     their (real, imaginary) parts on the DEDUP_RADIUS grid (``_point_order``),
     so the output depends neither on completion order nor on round-off.
     """
@@ -221,25 +224,31 @@ def ramification_points(
     system, dim, center, poly = _ramification_system(G, P)
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
     step_bound = DEDUP_RADIUS / (2 * bezout)
+    multiple_radius = 2 * cfg.tol ** (1 / bezout)
     found = np.empty((0, dim), dtype=complex)
+    simple = np.empty(0, dtype=bool)  # whether each listed root counts
     residuals: list[float] = []
-    starts = converged = failed = counted = 0
+    starts = converged = counted = 0
 
     def read(out) -> bool:
         # take the stopped slices of the wave in draw order, up to the first
         # one still running; the wave ends once the Bezout stop is reached
-        nonlocal starts, converged, failed, counted, found
+        nonlocal starts, converged, counted, found, simple
         while starts < len(out.stops) and counted < bezout and out.stops[starts] is not None:
             i, starts = starts, starts + 1
-            failed += out.errors[i] is not None  # an evaluation that raised abandons the start
             if not out.converged[i]:
                 continue
             converged += 1
             x = out.points[i]
-            if (np.linalg.norm(found - x, axis=1) > DEDUP_RADIUS).all():
-                found = np.vstack([found, x])
-                residuals.append(float(out.residuals[i]))
-                counted += _isolated(out.jacobians[i], out.values[i], step_bound)
+            distance = np.linalg.norm(found - x, axis=1)
+            if (distance <= DEDUP_RADIUS).any():
+                continue
+            counts = _isolated(out.jacobians[i], out.values[i], step_bound)
+            if not counts and (distance[~simple] <= multiple_radius).any():
+                continue
+            found, simple = np.vstack([found, x]), np.append(simple, counts)
+            residuals.append(float(out.residuals[i]))
+            counted += counts
         return counted == bezout
 
     draws = [random_point(dim, cfg.box, rng) for _ in range(cfg.starts)]
@@ -250,7 +259,6 @@ def ramification_points(
         residuals=[residuals[k] for k in order],
         starts=starts,
         converged=converged,
-        failed=failed,
         bezout=bezout,
         complete=counted == bezout,
     )

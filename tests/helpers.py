@@ -514,33 +514,30 @@ def reference_ramification(G, P, cfg, rng):
         return last[1]
 
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
-    reps = []
-    starts = converged = failed = counted = 0
+    reps = []  # (NewtonResult, whether it counts toward the Bezout number)
+    starts = converged = counted = 0
     while starts < cfg.starts and counted < bezout:
         starts += 1
         x0 = center + random_point(dim, cfg.box, rng)
-        try:
-            result = reference_damped_newton(
-                lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), x0, cfg
-            )
-        except TansecError:
-            failed += 1
-            continue
+        result = reference_damped_newton(lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), x0, cfg)
         if not (result.converged and result.residual <= cfg.tol):
             continue
         converged += 1
         x = result.point
-        if all(np.linalg.norm(x - r.point) > DEDUP_RADIUS for r in reps):
-            reps.append(result)
-            counted += _isolated(jacobian(jet(x), x), residual(jet(x), x), DEDUP_RADIUS / (2 * bezout))
+        if any(np.linalg.norm(x - r.point) <= DEDUP_RADIUS for r, _ in reps):
+            continue
+        counts = _isolated(jacobian(jet(x), x), residual(jet(x), x), DEDUP_RADIUS / (2 * bezout))
+        if not counts and any(np.linalg.norm(x - r.point) <= 2 * cfg.tol ** (1 / bezout) for r, c in reps if not c):
+            continue
+        reps.append((result, counts))
+        counted += counts
 
-    reps.sort(key=lambda r: _point_order(r.point))
+    reps.sort(key=lambda rc: _point_order(rc[0].point))
     return RamificationSet(
-        points=[r.point[:n] for r in reps],
-        residuals=[r.residual for r in reps],
+        points=[r.point[:n] for r, _ in reps],
+        residuals=[r.residual for r, _ in reps],
         starts=starts,
         converged=converged,
-        failed=failed,
         bezout=bezout,
         complete=counted == bezout,
     )

@@ -348,6 +348,12 @@ def test_bad_center_exits_2(capsys):
     assert "center" in err
     code, _, err = run(capsys, "ramify", "--example", "conic", "--center", "x,y")
     assert code == 2
+    # the separator decides the form: ',' takes 2n affine values and ':'
+    # takes 2n+1 projective ones, whatever the count
+    for center, got in (("1:3", 2), ("1,3,5", 3)):
+        code, _, err = run(capsys, "ramify", "--example", "conic", "--center", center)
+        assert code == 2
+        assert err == f"error: center needs 2 affine or 3 projective values, got {got}\n"
 
 
 def test_center_starting_with_minus_in_either_form(tmp_path):
@@ -359,10 +365,11 @@ def test_center_starting_with_minus_in_either_form(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["ramify", "recover"])
-def test_ramification_block_counts_failed_starts(tmp_path, capsys, command):
+def test_ramification_block_keys(tmp_path, capsys, command):
     # w -> (w + w^2, w^2) has its ramification points at complex w, where a
     # chart inversion started at a real point stalls; in parameter space no
-    # start fails and both finite roots of the Bezout number 4 are found
+    # start fails and both finite roots of the Bezout number 4 are found;
+    # the block's keys are pinned, so that a change to them is deliberate
     f = tmp_path / "bent.var"
     f.write_text("n = 1\nkind = param\nf1 = u1 + u1^2\nf2 = u1^2\n")
     s = 3**0.5 / 2
@@ -372,7 +379,8 @@ def test_ramification_block_counts_failed_starts(tmp_path, capsys, command):
         assert code == 0
         checks = json.loads(out)["checks"]
         ram = checks["ramification"]
-        assert ram["failed"] == 0 and ram["count"] == 2
+        assert set(ram) == {"bezout", "complete", "converged", "count", "points", "residuals", "starts"}
+        assert ram["count"] == 2
         assert ram["bezout"] == 4 and ram["complete"] is False and ram["starts"] == 8
         points = [complex(*p[0]) for p in ram["points"]]
         for root in roots:

@@ -8,7 +8,6 @@ from helpers import reference_damped_newton
 from tansec.errors import TansecError
 from tansec.newton import (
     CONVERGED,
-    EVAL_ERROR,
     HALVINGS_EXHAUSTED,
     ITER_CAP,
     SINGULAR_STEP,
@@ -46,8 +45,6 @@ SLICES = [
     ((0.0, 2.0), SINGULAR_STEP),  # J = diag(0, 4)
     ((-20.0, 1.0), HALVINGS_EXHAUSTED),
     ((1e30, 1e30), ITER_CAP),  # Newton halves x per step, far from the root
-    ((1e41, 1.0), EVAL_ERROR),  # at the start
-    ((-9e39, 9e39), EVAL_ERROR),  # at the first trial point, in a stacked call
     ((2.0, 1.0), CONVERGED),  # a root to begin with
     ((-1.5 - 2.0j, -3.0), CONVERGED),
     # J = diag(2e-8, 2) takes stacked_solve's SVD path; the step is ~1e8
@@ -56,25 +53,24 @@ SLICES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "cfg", [NewtonConfig(), NewtonConfig(max_iters=3, max_halvings=2), NewtonConfig(max_halvings=40)]
-)
-def test_stacked_newton_runs_each_slice_as_one_start_would(cfg):
+# the starts where the system raises: at the start itself, and at the first
+# trial point
+RAISING = [(1e41, 1.0), (-9e39, 9e39)]
+
+
+# each case sets the NewtonConfig class constants it names
+@pytest.mark.parametrize("cfg", [{}, {"max_iters": 3, "max_halvings": 2}, {"max_halvings": 40}])
+def test_stacked_newton_runs_each_slice_as_one_start_would(monkeypatch, cfg):
+    for name, value in cfg.items():
+        monkeypatch.setattr(NewtonConfig, name, value)
     starts = np.array([s for s, _ in SLICES], dtype=complex)
-    out = stacked_newton(system, starts, cfg)
-    assert len(out.stops) == len(out.errors) == len(starts)
-    if cfg == NewtonConfig():
+    out = stacked_newton(system, starts, NewtonConfig())
+    assert len(out.stops) == len(starts)
+    if not cfg:
         assert list(out.stops) == [stop for _, stop in SLICES]
     for i, start in enumerate(starts):
-        if out.stops[i] == EVAL_ERROR:
-            assert isinstance(out.errors[i], TansecError)
-            for newton in (damped_newton, reference_damped_newton):
-                with pytest.raises(TansecError):
-                    newton(residual, jacobian, start, cfg)
-            continue
-        assert out.errors[i] is None
-        one = damped_newton(residual, jacobian, start, cfg)
-        ref = reference_damped_newton(residual, jacobian, start, cfg)
+        one = damped_newton(residual, jacobian, start, NewtonConfig())
+        ref = reference_damped_newton(residual, jacobian, start, NewtonConfig())
         for want in (one, ref):
             assert out.converged[i] == want.converged and out.iterations[i] == want.iterations
             assert np.abs(out.points[i] - want.point).max() <= 1e-12 * max(1.0, np.abs(want.point).max())
@@ -85,7 +81,7 @@ def test_stacked_newton_runs_each_slice_as_one_start_would(cfg):
         assert np.array_equal(out.values[i], value[0]) and np.array_equal(out.jacobians[i], jac[0])
 
 
-def test_stacked_newton_counts_halvings_and_the_iteration_cap():
+def test_stacked_newton_counts_halvings_and_the_iteration_cap(monkeypatch):
     # the halvings-exhausted slice makes max_halvings + 1 trials at its
     # start, and the capped slice accepts exactly max_iters steps
     calls = []
@@ -94,7 +90,8 @@ def test_stacked_newton_counts_halvings_and_the_iteration_cap():
         calls.append(len(X))
         return system(X)
 
-    cfg = NewtonConfig(max_halvings=4)
+    monkeypatch.setattr(NewtonConfig, "max_halvings", 4)
+    cfg = NewtonConfig()
     out = stacked_newton(counted, np.array([[-20.0, 1.0]], dtype=complex), cfg)
     assert out.stops == (HALVINGS_EXHAUSTED,) and out.iterations[0] == 0
     assert calls == [1] * (1 + cfg.max_halvings + 1)
@@ -102,9 +99,28 @@ def test_stacked_newton_counts_halvings_and_the_iteration_cap():
     assert out.stops == (ITER_CAP,) and out.iterations[0] == cfg.max_iters
 
 
+def test_newton_config_bounds_are_class_constants():
+    cfg = NewtonConfig()
+    assert (cfg.max_iters, cfg.max_halvings) == (50, 20)
+    with pytest.raises(TypeError):
+        NewtonConfig(max_iters=3)
+
+
 def test_damped_newton_raises_the_evaluation_error():
-    with pytest.raises(TansecError, match="outside the region"):
-        damped_newton(residual, jacobian, np.array([-9e39, 9e39]), NewtonConfig())
+    for start in RAISING:
+        for newton in (damped_newton, reference_damped_newton):
+            with pytest.raises(TansecError, match="outside the region"):
+                newton(residual, jacobian, np.array(start, dtype=complex), NewtonConfig())
+
+
+@pytest.mark.parametrize("start", RAISING)
+def test_stacked_newton_raises_the_evaluation_error(start):
+    # the error ends the run, whether the start runs alone or in a stack
+    # with starts that do not raise
+    starts = np.array([s for s, _ in SLICES] + [start], dtype=complex)
+    for stack in (starts, starts[-1:]):
+        with pytest.raises(TansecError, match="outside the region"):
+            stacked_newton(system, stack, NewtonConfig())
 
 
 def test_stacked_newton_rejects_a_flat_start():
