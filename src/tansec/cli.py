@@ -88,17 +88,17 @@ SUCCESS_VERDICTS = ("holds", "success")
 
 
 def to_jsonable(obj):
-    """Reduce report payloads to JSON types; complex numbers become
-    [real, imag] pairs, exact scalars become strings and dataclasses
-    become dicts of their fields."""
+    """Reduce report payloads to JSON types; numpy scalars become Python
+    ones, complex numbers become [real, imag] pairs, exact scalars become
+    strings and dataclasses become dicts of their fields."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, (Fraction, GaussianRational)):
         return str(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.complexfloating):

@@ -29,13 +29,16 @@ the leading term):
     rational := nat ('/' nat)?
 
 The parser builds each polynomial once, as a term map, in time linear in the
-number of terms: a sum adds its terms into one map, with the insertion order
-that ``Polynomial.__add__`` would give (that order fixes the columns of the
-compiled float table, and so its bits); a product of single terms adds
-exponent tuples and a power of a monic monomial scales them.  Only products
-of parenthesised sums and other powers go through ``Polynomial``
-arithmetic.  First and second partials are
-built term by term in the same way and cached per ``PolyMap``.
+number of terms.  One compiled regex splits the text into tokens, digit runs
+and single other characters, and a recursive descent runs over that list.  A
+sum adds its terms into one map, with the insertion order that
+``Polynomial.__add__`` would give (that order fixes the columns of the
+compiled float table, and so its bits); a term multiplies its variables,
+their powers and its numbers in place, into one exponent list and one
+coefficient.  Only a power of ``i`` or of a parenthesised expression, and a
+product with a parenthesised sum, go through ``Polynomial`` arithmetic.
+First and second partials are built term by term in the same way and cached
+per ``PolyMap``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -317,19 +321,6 @@ class Polynomial:
                 out[lowered] = c if e == 1 else GaussianRational(c.re * e, c.im * e)
         return Polynomial._from_canonical(self.num_vars, out)
 
-    def eval_exact(self, point: Sequence[ScalarLike]) -> GaussianRational:
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong length")
-        vals = [GaussianRational.coerce(x) for x in point]
-        total = GaussianRational(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
-
     # -- canonical printing -------------------------------------------------
 
     def _sorted_terms(self):
@@ -384,55 +375,49 @@ class Polynomial:
 # -- expression parser -------------------------------------------------------
 
 
+# Tokens are digit runs and single characters other than whitespace, which
+# the scan skips.  On str patterns \d is exactly str.isdecimal and \S exactly
+# not str.isspace.
+_TOKEN = re.compile(r"\d+|\S")
+
+
 class _ExprParser:
-    """Recursive descent over the grammar above.  Each rule returns a fresh
-    canonical term map (see ``Polynomial``): a sum adds its terms into one
-    map in order, a product of single terms adds their exponent tuples, a
-    power of a monic monomial scales them, and ``Polynomial`` arithmetic runs
-    only for a factor with several terms (a parenthesised sum) and for any
-    other power."""
+    """Recursive descent over the grammar above, run on the tokens of one
+    regex scan; ``""`` ends the list.  Each rule returns a fresh canonical
+    term map (see ``Polynomial``): a sum adds its terms into one map in
+    order, and a term multiplies its variables and numbers in place, into one
+    exponent list and one coefficient, raising them to their powers as it
+    reads them.  ``Polynomial`` arithmetic runs only for a power of ``i`` or
+    of a parenthesised expression, and for a product with a parenthesised
+    sum.  An error's character position is recovered from the token index
+    only when it is raised."""
 
     def __init__(self, text: str, num_vars: int):
         self.text = text
         self.n = num_vars
-        self.pos = 0
-        self.origin = (0,) * num_vars
-        self.units = [tuple(int(v == i) for v in range(num_vars)) for i in range(num_vars)]
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
+        self.k = 0
 
-    def error(self, message: str, pos: int | None = None):
-        raise PolyParseError(message, self.pos if pos is None else pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            self.error(f"expected '{char}'")
-        self.pos += 1
+    def error(self, message: str, k: int | None = None):
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise PolyParseError(message, starts[self.k if k is None else k])
 
     def parse(self) -> Polynomial:
-        self.skip_ws()
         terms = self.expr()
-        self.skip_ws()
-        if self.pos < len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return Polynomial._from_canonical(self.n, terms)
+        if tok := self.tokens[self.k]:
+            self.error(f"unexpected character {tok[0]!r}")
+        return self.poly(terms)
 
     def expr(self) -> dict:
-        self.skip_ws()
-        negate = self.peek() == "-"
+        tokens = self.tokens
+        negate = tokens[self.k] == "-"
         if negate:
-            self.pos += 1
+            self.k += 1
         total: dict[tuple, GaussianRational] = {}
         while True:
             # the insertion and deletion order of Polynomial.__add__
-            for e, c in self.term().items():
-                if negate:
-                    c = -c
+            for e, c in self.term(negate).items():
                 prev = total.get(e)
                 if prev is None:
                     total[e] = c
@@ -442,89 +427,97 @@ class _ExprParser:
                         total[e] = c
                     else:
                         del total[e]
-            self.skip_ws()
-            op = self.peek()
-            if op not in ("+", "-"):
+            op = tokens[self.k]
+            if op != "+" and op != "-":
                 return total
-            self.pos += 1
+            self.k += 1
             negate = op == "-"
 
-    def term(self) -> dict:
-        total = self.factor()
+    def term(self, negate: bool) -> dict:
+        """A product, negated if asked.  Multiplying a term map by a nonzero
+        monomial shifts its exponents one to one and keeps its order, so the
+        monomial factors are collected into one exponent list and one
+        coefficient wherever they stand, and only the parenthesised sums are
+        multiplied as term maps, in their order.  The sign goes onto the
+        first number, or else onto the coefficient."""
+        tokens = self.tokens
+        exps = [0] * self.n
+        c = ONE
+        sums = None
         while True:
-            self.skip_ws()
-            if self.peek() != "*":
-                return total
-            self.pos += 1
-            rhs = self.factor()
-            if len(total) > 1 or len(rhs) > 1:
-                product = Polynomial._from_canonical(self.n, total) * Polynomial._from_canonical(self.n, rhs)
-                total = product.terms
-            elif total and rhs:
-                ((e1, c1),) = total.items()
-                ((e2, c2),) = rhs.items()
-                c = c2 if c1 == ONE else c1 if c2 == ONE else c1 * c2
-                total = {tuple(a + b for a, b in zip(e1, e2)): c}
+            tok = tokens[self.k]
+            self.k += 1
+            if tok == "u":
+                index = self.nat("variable index")
+                if not 1 <= index <= self.n:
+                    self.error(f"variable u{index} out of range for {self.n} variables", self.k - 2)
+                exps[index - 1] += self.exponent()
+            elif tok.isdecimal():
+                num = int(tok)
+                if tokens[self.k] == "/":
+                    self.k += 1
+                    den = self.nat("denominator")
+                    if den == 0:
+                        self.error("zero denominator", self.k - 2)
+                    num = Fraction(num, den)
+                if tokens[self.k] == "^":
+                    num **= self.exponent()
+                if negate:
+                    num, negate = -num, False
+                c = GaussianRational(num) if c is ONE else c * num
             else:
-                total = {}
+                f = self.base(tok)
+                if tokens[self.k] == "^":
+                    f = (self.poly(f) ** self.exponent()).terms
+                if len(f) > 1:
+                    sums = f if sums is None else (self.poly(sums) * self.poly(f)).terms
+                elif f:
+                    ((e, cf),) = f.items()
+                    exps = [a + b for a, b in zip(exps, e)]
+                    c = cf if c is ONE else c if cf is ONE else c * cf
+                else:
+                    c = ZERO
+            if tokens[self.k] != "*":
+                break
+            self.k += 1
+        if not c:
+            return {}
+        if negate:
+            c = -c
+        if sums is None:
+            return {tuple(exps): c}
+        return (self.poly(sums) * self.poly({tuple(exps): c})).terms
 
-    def factor(self) -> dict:
-        base = self.base()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            if self.peek() == "^":
-                self.error("unexpected '^'")
-            exponent = self.nat("exponent")
-            if len(base) == 1:
-                ((e, c),) = base.items()
-                if c == ONE:
-                    return {tuple(exponent * a for a in e): ONE}
-            return (Polynomial._from_canonical(self.n, base) ** exponent).terms
-        return base
+    def poly(self, terms: dict) -> Polynomial:
+        return Polynomial._from_canonical(self.n, terms)
 
-    def base(self) -> dict:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+    def base(self, tok: str) -> dict:
+        """A parenthesised expression or ``i``; the term reads the rest."""
+        if tok == "(":
             inner = self.expr()
-            self.skip_ws()
-            self.expect(")")
+            if self.tokens[self.k] != ")":
+                self.error("expected ')'")
+            self.k += 1
             return inner
-        if ch == "i":
-            self.pos += 1
-            return {self.origin: I_UNIT}
-        if ch == "u":
-            start = self.pos
-            self.pos += 1
-            index = self.nat("variable index")
-            if not 1 <= index <= self.n:
-                self.error(f"variable u{index} out of range for {self.n} variables", start)
-            return {self.units[index - 1]: ONE}
-        if ch.isdecimal():
-            num = self.nat("number")
-            self.skip_ws()
-            if self.peek() == "/":
-                slash = self.pos
-                self.pos += 1
-                self.skip_ws()
-                den = self.nat("denominator")
-                if den == 0:
-                    self.error("zero denominator", slash)
-                num = Fraction(num, den)
-            return {self.origin: GaussianRational(num)} if num else {}
-        self.error("expected a number, 'i', a variable, or '('")
+        if tok == "i":
+            return {(0,) * self.n: I_UNIT}
+        self.error("expected a number, 'i', a variable, or '('", self.k - 1)
+
+    def exponent(self) -> int:
+        """'^' nat, or 1 when no '^' follows."""
+        if self.tokens[self.k] != "^":
+            return 1
+        self.k += 1
+        if self.tokens[self.k] == "^":
+            self.error("unexpected '^'")
+        return self.nat("exponent")
 
     def nat(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
+        tok = self.tokens[self.k]
+        if not tok.isdecimal():
             self.error(f"expected {what}")
-        return int(self.text[start : self.pos])
+        self.k += 1
+        return int(tok)
 
 
 def parse_poly(text: str, num_vars: int) -> Polynomial:

@@ -300,6 +300,21 @@ def reference_parse_poly(text: str, num_vars: int) -> Polynomial:
     return _ReferenceParser(text, num_vars).parse()
 
 
+def reference_eval(p: Polynomial, point) -> GaussianRational:
+    """p at a point of exact scalars, term by term in Gaussian rationals."""
+    if len(point) != p.num_vars:
+        raise ValueError("point has wrong length")
+    vals = [GaussianRational.coerce(x) for x in point]
+    total = GaussianRational(0)
+    for exps, c in p.terms.items():
+        term = c
+        for v, e in zip(vals, exps):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    return total
+
+
 def reference_partial(p: Polynomial, index: int) -> Polynomial:
     """d p / d u_{index+1} through the public, validating constructor."""
     out = {}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tansec.cli import main
+from tansec.cli import main, to_jsonable
 from tansec.linalg import chordal_distance
 
 
@@ -528,6 +528,14 @@ def test_param_certificates_never_invert_the_chart(tmp_path, capsys, monkeypatch
     code, out, _ = run(capsys, command, str(f), "--trials", "30", "--format", "machine")
     assert code == 0
     assert json.loads(out)["verdict"] == "holds"
+
+
+def test_to_jsonable_keeps_numpy_booleans_boolean():
+    assert to_jsonable(np.bool_(True)) is True
+    assert to_jsonable(np.bool_(False)) is False
+    flags = to_jsonable(np.array([True, False, True]))
+    assert flags == [True, False, True] and all(type(x) is bool for x in flags)
+    assert json.dumps(to_jsonable({"complete": np.int64(3) == np.int64(3)})) == '{"complete": true}'
 
 
 # -- determinism -------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from helpers import (
     load_perfbench,
     random_gaussian,
     random_polynomial,
+    reference_eval,
     reference_parse_poly,
     reference_partial,
 )
@@ -19,6 +20,7 @@ from tansec.poly import (
     Jet2,
     PolyMap,
     Polynomial,
+    _TOKEN,
     parse_map,
     parse_poly,
     poly_matrix_det,
@@ -244,6 +246,66 @@ def test_parse_errors_match_reference():
     assert failures > 100
 
 
+def assert_matches_reference(text: str, n: int) -> str | None:
+    """parse_poly gives the reference's terms in its order, or fails with
+    its message at its column; returns that message, or None."""
+    try:
+        want = reference_parse_poly(text, n)
+    except PolyParseError as exc:
+        with pytest.raises(PolyParseError) as got:
+            parse_poly(text, n)
+        assert (str(got.value), got.value.position) == (str(exc), exc.position)
+        return str(exc)
+    assert_same_terms(parse_poly(text, n), want)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("u 1", None),
+        ("3 / 4", None),
+        ("u1 ^ 2", None),
+        ("2 3", "unexpected character '3' (at column 3)"),
+        ("u1^^2", "unexpected '^' (at column 4)"),
+        ("u1^ ^2", "unexpected '^' (at column 5)"),
+        ("u1^", "expected exponent (at column 4)"),
+        ("(u1))", "unexpected character ')' (at column 5)"),
+        ("-", "expected a number, 'i', a variable, or '(' (at column 2)"),
+        ("", "expected a number, 'i', a variable, or '(' (at column 1)"),
+        ("u\u0663", None),
+        ("u1^\u00b2", "expected exponent (at column 4)"),
+    ],
+)
+def test_tokens_match_reference_at_their_edges(text, message):
+    assert assert_matches_reference(text, 3) == message
+
+
+@pytest.mark.parametrize("space", ["\t", "\n", "\u00a0", "\u2003"])
+def test_tokens_split_on_unicode_whitespace_like_the_reference(space):
+    for text in (
+        " - u1 ^ 2 * 3 / 4 + ( u2 - i ) ^ 2 * u 1 ",
+        "3 / 0",
+        "u 7",
+        "2 3",
+        "u1 ^ ^ 2",
+        "( u1 + 1 ",
+        "u1 * ",
+    ):
+        assert_matches_reference(text.replace(" ", space), 2)
+        assert_matches_reference(text.replace(" ", space + " "), 2)
+
+
+def test_token_classes_are_isspace_and_isdecimal():
+    """Over the BMP, a character the tokenizer skips is exactly one that
+    str.isspace accepts, and one that joins a digit run exactly one that
+    str.isdecimal accepts."""
+    for cp in range(0x10000):
+        ch = chr(cp)
+        want = ["7"] if ch.isspace() else ["7" + ch] if ch.isdecimal() else ["7", ch]
+        assert _TOKEN.findall("7" + ch) == want, hex(cp)
+
+
 @pytest.mark.parametrize("workload", ["recover", "certify"])
 def test_parser_matches_reference_on_benchmark_inputs(tmp_path, workload):
     gen = load_perfbench("gen")
@@ -280,8 +342,8 @@ def test_eval_is_ring_homomorphism():
         p = random_polynomial(rng, n)
         q = random_polynomial(rng, n)
         point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        assert (p * q).eval_exact(point) == p.eval_exact(point) * q.eval_exact(point)
-        assert (p + q).eval_exact(point) == p.eval_exact(point) + q.eval_exact(point)
+        assert reference_eval(p * q, point) == reference_eval(p, point) * reference_eval(q, point)
+        assert reference_eval(p + q, point) == reference_eval(p, point) + reference_eval(q, point)
 
 
 def test_degree_conventions():
@@ -422,7 +484,7 @@ def exact_jet(F: PolyMap, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = F.num_vars
 
     def at(p: Polynomial) -> complex:
-        return p.eval_exact(x).to_complex()
+        return reference_eval(p, x).to_complex()
 
     value = np.array([at(p) for p in F.components])
     jac = np.array([[at(p.partial(k)) for k in range(n)] for p in F.components]).reshape(-1, n)
@@ -478,8 +540,8 @@ def test_compiled_evaluation_matches_exact(F):
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_derivatives_match_reference_without_rebuilding(monkeypatch, n):
     """partial, _derivatives and hessian0_exact give the terms, in the order,
-    of derivatives built through the validating constructor and of
-    eval_exact at the origin, and call neither."""
+    of derivatives built through the validating constructor and their values
+    at the origin, and never call that constructor."""
     rng = random.Random(60 + n)
     comps = [
         random_cubic(rng, n)
@@ -496,23 +558,18 @@ def test_derivatives_match_reference_without_rebuilding(monkeypatch, n):
     grad_ref = [[reference_partial(p, k) for k in range(n)] for p in comps]
     hess_ref = [{(j, k): reference_partial(row[j], k) for j in range(n) for k in range(j, n)} for row in grad_ref]
     h0_ref = [
-        [[reference_partial(reference_partial(p, j), k).eval_exact(origin) for k in range(n)] for j in range(n)]
+        [[reference_eval(reference_partial(reference_partial(p, j), k), origin) for k in range(n)] for j in range(n)]
         for p in comps
     ]
 
     calls = []
+    init = Polynomial.__init__
 
-    def counting(name):
-        original = getattr(Polynomial, name)
+    def counting(*args):
+        calls.append(args)
+        return init(*args)
 
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        return wrapper
-
-    for name in ("__init__", "eval_exact"):
-        monkeypatch.setattr(Polynomial, name, counting(name))
+    monkeypatch.setattr(Polynomial, "__init__", counting)
     grad, hess = F._derivatives()
     h0 = F.hessian0_exact()
     assert calls == []
@@ -536,9 +593,9 @@ def assert_exact_jet_matches_partials(F: PolyMap, x) -> None:
     n = F.num_vars
     grad, hess = F._derivatives()
     jet = F.jet_exact(x)
-    assert jet.value == [p.eval_exact(x) for p in F.components]
-    assert jet.jacobian == [[g.eval_exact(x) for g in row] for row in grad]
-    want = [[[h[min(j, k), max(j, k)].eval_exact(x) for k in range(n)] for j in range(n)] for h in hess]
+    assert jet.value == [reference_eval(p, x) for p in F.components]
+    assert jet.jacobian == [[reference_eval(g, x) for g in row] for row in grad]
+    want = [[[reference_eval(h[min(j, k), max(j, k)], x) for k in range(n)] for j in range(n)] for h in hess]
     assert jet.hessian == want
     re, im, scales = F.hessian_integer(x)
     got = [
