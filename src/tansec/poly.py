@@ -37,6 +37,9 @@ compiled float table, and so its bits); a term multiplies its variables,
 their powers and its numbers in place, into one exponent list and one
 coefficient.  Only a power of ``i`` or of a parenthesised expression, and a
 product with a parenthesised sum, go through ``Polynomial`` arithmetic.
+The parser refuses, with a ``PolyParseError`` at the exponent, an exponent
+or a variable's exponent in a term above MAX_DEGREE and a power or product
+of sums of degree above MAX_EXPANSION, before building it.
 First and second partials are built term by term in the same way and cached
 per ``PolyMap``.
 """
@@ -375,6 +378,15 @@ class Polynomial:
 # -- expression parser -------------------------------------------------------
 
 
+# The parser takes no exponent above MAX_DEGREE and lets no variable's
+# exponent in a term pass it, since that exponent sizes the power table of
+# every evaluated point (and an integer of absolute value at least 2 leaves
+# the float range past its 1023rd power).  It expands no power or product
+# of sums to a degree above MAX_EXPANSION: the cost of an expansion grows
+# as a power of its degree, (u1+u2+u3)^40 takes about 0.5 s and ^80 6 s.
+MAX_DEGREE = 1024
+MAX_EXPANSION = 40
+
 # Tokens are digit runs and single characters other than whitespace, which
 # the scan skips.  On str patterns \d is exactly str.isdecimal and \S exactly
 # not str.isspace.
@@ -439,11 +451,13 @@ class _ExprParser:
         monomial factors are collected into one exponent list and one
         coefficient wherever they stand, and only the parenthesised sums are
         multiplied as term maps, in their order.  The sign goes onto the
-        first number, or else onto the coefficient."""
+        first number, or else onto the coefficient.  ``expanded`` is the
+        degree of the product's sums so far."""
         tokens = self.tokens
         exps = [0] * self.n
         c = ONE
         sums = None
+        expanded = 0
         while True:
             tok = tokens[self.k]
             self.k += 1
@@ -452,6 +466,8 @@ class _ExprParser:
                 if not 1 <= index <= self.n:
                     self.error(f"variable u{index} out of range for {self.n} variables", self.k - 2)
                 exps[index - 1] += self.exponent()
+                if exps[index - 1] > MAX_DEGREE:
+                    self.error(f"degree above {MAX_DEGREE}", self.k - 1)
             elif tok.isdecimal():
                 num = int(tok)
                 if tokens[self.k] == "/":
@@ -467,13 +483,21 @@ class _ExprParser:
                 c = GaussianRational(num) if c is ONE else c * num
             else:
                 f = self.base(tok)
-                if tokens[self.k] == "^":
-                    f = (self.poly(f) ** self.exponent()).terms
+                e = self.exponent()
+                if len(f) > 1:
+                    # a power of a sum is a sum, of e times its degree
+                    expanded += e * max(map(sum, f))
+                    if expanded > MAX_EXPANSION:
+                        self.error(f"expansion above degree {MAX_EXPANSION}", self.k - 1)
+                if e != 1:
+                    f = (self.poly(f) ** e).terms
                 if len(f) > 1:
                     sums = f if sums is None else (self.poly(sums) * self.poly(f)).terms
                 elif f:
                     ((e, cf),) = f.items()
                     exps = [a + b for a, b in zip(exps, e)]
+                    if max(exps) > MAX_DEGREE:
+                        self.error(f"degree above {MAX_DEGREE}", self.k - 1)
                     c = cf if c is ONE else c if cf is ONE else c * cf
                 else:
                     c = ZERO
@@ -504,13 +528,17 @@ class _ExprParser:
         self.error("expected a number, 'i', a variable, or '('", self.k - 1)
 
     def exponent(self) -> int:
-        """'^' nat, or 1 when no '^' follows."""
+        """'^' nat, or 1 when no '^' follows; an exponent above MAX_DEGREE
+        is refused."""
         if self.tokens[self.k] != "^":
             return 1
         self.k += 1
         if self.tokens[self.k] == "^":
             self.error("unexpected '^'")
-        return self.nat("exponent")
+        e = self.nat("exponent")
+        if e > MAX_DEGREE:
+            self.error(f"exponent above {MAX_DEGREE}", self.k - 1)
+        return e
 
     def nat(self, what: str) -> int:
         tok = self.tokens[self.k]

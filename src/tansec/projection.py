@@ -10,7 +10,11 @@ F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
 of unknowns gets its residuals and Jacobians from one stacked jet.  All the
 starts run as one ``stacked_newton`` wave; its results, read in draw order
 as the starts stop, end the solve once they hold as many isolated roots as
-the Bezout number, which makes the root set complete.
+the Bezout number, which makes the root set complete.  Each root listed
+from a start brings its images under the symmetries the parsed input and
+the center decide exactly (conjugation when every coefficient and P are
+real, the mirror u -> 2 P1 - u on a graph of degree at most 2), and they
+count toward that stop too.
 Recovery then builds the tangent frames at the found points as one stack,
 intersects every pair of them from stacked SVDs, and takes the consensus
 cluster; a legitimate run on a generic center has one dominant cluster, so
@@ -147,12 +151,27 @@ def ramification_jacobian(G, P: Center, u) -> np.ndarray:
     return system(np.asarray(u, dtype=complex)[None])[1][0]
 
 
-def _isolated(J: np.ndarray, r: np.ndarray, step: float) -> bool:
-    """Whether a root with system Jacobian J and residual r counts toward the
-    Bezout number: J has full numerical rank and the Newton step J^-1 r is at
-    most ``step``."""
+def _isolated(J: np.ndarray, r: np.ndarray, step: float) -> np.ndarray:
+    """Which roots of a stack, with system Jacobians J (k, d, d) and
+    residuals r (k, d), count toward the Bezout number: J has full numerical
+    rank and the Newton step J^-1 r is at most ``step``.  One stacked SVD."""
     u, s, _ = np.linalg.svd(J)
-    return bool(s[-1] > _rank_tol(s[0], J.shape) and np.linalg.norm((u.conj().T @ r) / s) <= step)
+    full = s[:, -1] > _rank_tol(s[:, 0], J.shape[1:])
+    full[full] = np.linalg.norm(np.einsum("kji,kj->ki", u[full].conj(), r[full]) / s[full], axis=1) <= step
+    return full
+
+
+def _symmetries(G, P: Center) -> tuple[bool, bool]:
+    """(conjugate, mirror): the symmetries that map roots of the
+    ramification system of G and P to roots, decided from the parsed
+    coefficients and the center, never from a numerical test.  Conjugation
+    x -> conj(x) applies when every coefficient of f or psi and every
+    coordinate of P is real.  The mirror u -> 2 P1 - u applies to a graph
+    whose components all have degree at most 2: with v = u - P1 its system
+    is g_P = f(P1) - P2 - H[v, v]/2, even in v."""
+    poly = G.psi if isinstance(G, ParamVariety) else G.f
+    conjugate = not P.proj.imag.any() and all(not c.im for p in poly.components for c in p.terms.values())
+    return conjugate, not isinstance(G, ParamVariety) and poly.degree() <= 2
 
 
 def _point_order(point: np.ndarray) -> tuple:
@@ -160,6 +179,15 @@ def _point_order(point: np.ndarray) -> tuple:
     grid, so that exact ties stay ties under round-off, then the parts."""
     grid = tuple((round(z.real / DEDUP_RADIUS), round(z.imag / DEDUP_RADIUS)) for z in point)
     return grid, tuple((z.real, z.imag) for z in point)
+
+
+def _spread(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows whose points of X lie farther than DEDUP_RADIUS from the
+    points of every earlier one of ``rows``."""
+    if len(rows) < 2:
+        return rows
+    near = np.linalg.norm(X[rows, None] - X[rows], axis=2) <= DEDUP_RADIUS
+    return rows[~np.tril(near, -1).any(axis=1)]
 
 
 @dataclass
@@ -173,14 +201,17 @@ class RamificationSet:
     The wave holds at most starts * d^2 complex Jacobian entries for d
     unknowns: 16 KB at the default 64 starts and d = 4, 64 KB at d = 8.
     ``converged`` counts the used starts that reached a root, listed or
-    not.  ``complete`` says the roots hold ``bezout`` isolated ones, hence
-    every isolated root.
+    not.  ``images`` counts the listed points that came from a symmetry of
+    the system rather than from a start, so the count of points may exceed
+    ``converged``.  ``complete`` says the roots hold ``bezout`` isolated
+    ones, hence every isolated root.
     """
 
     points: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     starts: int = 0
     converged: int = 0
+    images: int = 0
     bezout: int = 0
     complete: bool = False
 
@@ -215,41 +246,94 @@ def ramification_points(
     not count joins a listed one that does not count either within
     2 tol^(1/B): Newton stops about (tol/|c|)^(1/m) from an m-fold root,
     m <= B, so that holds the endpoints of one multiple root whose leading
-    coefficient has |c| >= 1 together.  Points are sorted by
-    their (real, imaginary) parts on the DEDUP_RADIUS grid (``_point_order``),
-    so the output depends neither on completion order nor on round-off.
+    coefficient has |c| >= 1 together.
+
+    Each endpoint listed is followed, before the next start in draw order,
+    by its images under the symmetries ``_symmetries`` decides from the
+    parsed coefficients and the center: its mirror image 2 P1 - u, its
+    conjugate, and the conjugate of its mirror image.  An image passes the
+    same dedup, Bezout-count and multiple-root rules as an endpoint and
+    counts toward the stop, so ``count`` may exceed ``converged``.  A mirror
+    image is evaluated, those of one wave round in one system call; a
+    conjugate takes its source's conjugated residual and Jacobian (the
+    system commutes with conjugation there); the SVDs of a round's images
+    and endpoints are one stack.  Points are sorted by their (real,
+    imaginary) parts on the DEDUP_RADIUS grid (``_point_order``), so the
+    output depends neither on completion order nor on round-off.
     """
     cfg = cfg or NewtonConfig()
     rng = rng or random.Random(0)
     system, dim, center, poly = _ramification_system(G, P)
+    conjugate, mirror = _symmetries(G, P)
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
     step_bound = DEDUP_RADIUS / (2 * bezout)
     multiple_radius = 2 * cfg.tol ** (1 / bezout)
     found = np.empty((0, dim), dtype=complex)
     simple = np.empty(0, dtype=bool)  # whether each listed root counts
     residuals: list[float] = []
-    starts = converged = counted = 0
+    starts = converged = counted = images = 0
+
+    def far(X) -> np.ndarray:
+        # which points of an (..., d) stack are farther than DEDUP_RADIUS
+        # from every listed root
+        return (np.linalg.norm(X[..., None, :] - found, axis=-1) > DEDUP_RADIUS).all(axis=-1)
+
+    def admit(x, residual, counts) -> bool:
+        # the dedup and multiple-root rules; lists x when they pass
+        nonlocal found, simple, counted
+        distance = np.linalg.norm(found - x, axis=1)
+        if (distance <= DEDUP_RADIUS).any() or not counts and (distance[~simple] <= multiple_radius).any():
+            return False
+        found, simple = np.vstack([found, x]), np.append(simple, counts)
+        residuals.append(residual)
+        counted += counts
+        return True
+
+    def orbits(out, slices) -> dict:
+        # each endpoint of the slices followed by its images (mirror,
+        # conjugate, conjugate mirror), with their residual norms and whether
+        # each counts: the mirror images from one system call, the conjugates
+        # from conjugated values, and all the SVDs as one stack
+        X, R, J = out.points[slices, None], out.values[slices, None], out.jacobians[slices, None]
+        if mirror:
+            M = 2 * center - X[:, 0]
+            X, R, J = (np.concatenate([a, b[:, None]], axis=1) for a, b in zip((X, R, J), (M, *system(M))))
+        if conjugate:
+            X, R, J = (np.concatenate([a, a.conj()], axis=1) for a in (X, R, J))
+        counts = _isolated(J.reshape(-1, dim, dim), R.reshape(-1, dim), step_bound).reshape(X.shape[:2])
+        return dict(zip(slices.tolist(), zip(X, np.linalg.norm(R, axis=2).tolist(), counts.tolist())))
 
     def read(out) -> bool:
         # take the stopped slices of the wave in draw order, up to the first
-        # one still running; the wave ends once the Bezout stop is reached
-        nonlocal starts, converged, counted, found, simple
-        while starts < len(out.stops) and counted < bezout and out.stops[starts] is not None:
-            i, starts = starts, starts + 1
-            if not out.converged[i]:
-                continue
-            converged += 1
-            x = out.points[i]
-            distance = np.linalg.norm(found - x, axis=1)
-            if (distance <= DEDUP_RADIUS).any():
-                continue
-            counts = _isolated(out.jacobians[i], out.values[i], step_bound)
-            if not counts and (distance[~simple] <= multiple_radius).any():
-                continue
-            found, simple = np.vstack([found, x]), np.append(simple, counts)
-            residuals.append(float(out.residuals[i]))
-            counted += counts
-        return counted == bezout
+        # one still running, each endpoint listed followed by its images; the
+        # wave ends once the Bezout stop is reached
+        nonlocal starts, converged, images
+        end = starts
+        while end < len(out.stops) and out.stops[end] is not None:
+            end += 1
+        ready = np.flatnonzero(out.converged[starts:end]) + starts
+        # only an endpoint far from the roots listed before this round can be
+        # listed; the orbits of those farther than DEDUP_RADIUS from every
+        # earlier one are built as one stack, any other if it is reached
+        new = ready[far(out.points[ready])]
+        cache = orbits(out, _spread(out.points, new)) if len(new) else {}
+        for i in new.tolist():
+            if i not in cache:
+                if not far(out.points[i]):
+                    continue
+                cache.update(orbits(out, np.array([i])))
+            for j, (x, residual, counts) in enumerate(zip(*cache[i])):
+                if admit(x, residual, counts):
+                    images += j > 0
+                elif not j:
+                    break
+                if counted == bezout:
+                    converged += int(np.count_nonzero(ready <= i))
+                    starts = i + 1
+                    return True
+        converged += len(ready)
+        starts = end
+        return False
 
     draws = [random_point(dim, cfg.box, rng) for _ in range(cfg.starts)]
     stacked_newton(system, center + np.reshape(draws, (cfg.starts, dim)), cfg, read)
@@ -259,6 +343,7 @@ def ramification_points(
         residuals=[residuals[k] for k in order],
         starts=starts,
         converged=converged,
+        images=images,
         bezout=bezout,
         complete=counted == bezout,
     )

@@ -25,7 +25,7 @@ from tansec.errors import (
 from tansec.linalg import RANK_EPS, chordal_distance, numerical_rank, solve, subspace_intersection
 from tansec.newton import NewtonResult
 from tansec.poly import GaussianRational, Jet2, Polynomial, random_point
-from tansec.projection import CONSENSUS_RADIUS, DEDUP_RADIUS, RamificationSet, _isolated, _point_order
+from tansec.projection import CONSENSUS_RADIUS, DEDUP_RADIUS, RamificationSet, _isolated, _point_order, _symmetries
 from tansec.tangent import (
     FAILS,
     FD_STEP,
@@ -467,7 +467,8 @@ def reference_jacobian_agreement(G, trials, box, rng) -> dict:
 # Damped Newton and the multi-start ramification loop as they were before the
 # starts ran in stacked waves: one start at a time, one ``linalg.solve`` per
 # iterate, and a one-entry jet cache so that the residual and the Jacobian at
-# a point come from one jet.  Kept as an independent reference for
+# a point come from one jet; each listed root is followed by its symmetric
+# images, one at a time.  Kept as an independent reference for
 # ``stacked_newton`` and ``ramification_points``.
 
 
@@ -497,9 +498,16 @@ def reference_damped_newton(residual, jacobian, start, cfg):
 
 
 def reference_ramification(G, P, cfg, rng):
-    """``ramification_points`` one start at a time; the same RamificationSet."""
+    """``ramification_points`` one start at a time; the same RamificationSet.
+
+    A listed endpoint is followed by its mirror image, its conjugate and the
+    conjugate of its mirror image, where ``_symmetries`` says they apply;
+    the mirror image is evaluated on its own, a conjugate takes the
+    conjugated residual and Jacobian of its source, and each passes the
+    endpoint's dedup, isolation and multiple-root rules."""
     n = G.n
     p1, p2 = P.affine()
+    conjugate, mirror = _symmetries(G, P)
     if isinstance(G, ParamVariety):
         poly, dim, center, target = G.psi, 2 * n, 0.0, np.concatenate([p1, p2])
 
@@ -529,8 +537,22 @@ def reference_ramification(G, P, cfg, rng):
         return last[1]
 
     bezout = math.prod(max(p.degree(), 1) for p in poly.components)
-    reps = []  # (NewtonResult, whether it counts toward the Bezout number)
-    starts = converged = counted = 0
+    step = DEDUP_RADIUS / (2 * bezout)
+    reps = []  # (point, residual norm, whether it counts toward the Bezout number)
+    starts = converged = counted = images = 0
+
+    def listed(x, r, J) -> bool:
+        nonlocal counted
+        rn = float(np.linalg.norm(r))
+        if any(np.linalg.norm(x - y) <= DEDUP_RADIUS for y, _, _ in reps):
+            return False
+        counts = bool(_isolated(J[None], r[None], step)[0])
+        if not counts and any(np.linalg.norm(x - y) <= 2 * cfg.tol ** (1 / bezout) for y, _, c in reps if not c):
+            return False
+        reps.append((x, rn, counts))
+        counted += counts
+        return True
+
     while starts < cfg.starts and counted < bezout:
         starts += 1
         x0 = center + random_point(dim, cfg.box, rng)
@@ -539,20 +561,26 @@ def reference_ramification(G, P, cfg, rng):
             continue
         converged += 1
         x = result.point
-        if any(np.linalg.norm(x - r.point) <= DEDUP_RADIUS for r, _ in reps):
+        orbit = [(x, residual(jet(x), x), jacobian(jet(x), x))]
+        if mirror:
+            m = 2 * center - x
+            orbit.append((m, residual(jet(m), m), jacobian(jet(m), m)))
+        if conjugate:
+            orbit += [(y.conj(), r.conj(), J.conj()) for y, r, J in orbit]
+        if not listed(*orbit[0]):
             continue
-        counts = _isolated(jacobian(jet(x), x), residual(jet(x), x), DEDUP_RADIUS / (2 * bezout))
-        if not counts and any(np.linalg.norm(x - r.point) <= 2 * cfg.tol ** (1 / bezout) for r, c in reps if not c):
-            continue
-        reps.append((result, counts))
-        counted += counts
+        for image in orbit[1:]:
+            if counted == bezout:
+                break
+            images += listed(*image)
 
-    reps.sort(key=lambda rc: _point_order(rc[0].point))
+    reps.sort(key=lambda rep: _point_order(rep[0]))
     return RamificationSet(
-        points=[r.point[:n] for r, _ in reps],
-        residuals=[r.residual for r, _ in reps],
+        points=[x[:n] for x, _, _ in reps],
+        residuals=[rn for _, rn, _ in reps],
         starts=starts,
         converged=converged,
+        images=images,
         bezout=bezout,
         complete=counted == bezout,
     )

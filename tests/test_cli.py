@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -148,6 +149,17 @@ def test_malformed_expression_exits_2(tmp_path, capsys):
     assert code == 2
     assert "line 3" in err
     assert out == ""
+
+
+def test_an_expansion_past_its_cap_exits_2_at_once(tmp_path, capsys):
+    # (u1+u2+u3)^80 took about 6 s to expand; it is refused at the exponent
+    bad = tmp_path / "big.var"
+    bad.write_text("n = 3\nkind = graph\nf1 = (u1+u2+u3)^80\nf2 = u2^2\nf3 = u3^2\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "tan-check", str(bad))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "expansion above degree 40" in err and "line 3" in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -368,8 +380,9 @@ def test_center_starting_with_minus_in_either_form(tmp_path):
 def test_ramification_block_keys(tmp_path, capsys, command):
     # w -> (w + w^2, w^2) has its ramification points at complex w, where a
     # chart inversion started at a real point stalls; in parameter space no
-    # start fails and both finite roots of the Bezout number 4 are found;
-    # the block's keys are pinned, so that a change to them is deliberate
+    # start fails and both finite roots of the Bezout number 4 are found, a
+    # conjugate pair, so the second is listed as the first one's image; the
+    # block's keys are pinned, so that a change to them is deliberate
     f = tmp_path / "bent.var"
     f.write_text("n = 1\nkind = param\nf1 = u1 + u1^2\nf2 = u1^2\n")
     s = 3**0.5 / 2
@@ -379,8 +392,8 @@ def test_ramification_block_keys(tmp_path, capsys, command):
         assert code == 0
         checks = json.loads(out)["checks"]
         ram = checks["ramification"]
-        assert set(ram) == {"bezout", "complete", "converged", "count", "points", "residuals", "starts"}
-        assert ram["count"] == 2
+        assert set(ram) == {"bezout", "complete", "converged", "count", "images", "points", "residuals", "starts"}
+        assert ram["count"] == 2 and ram["images"] == 1
         assert ram["bezout"] == 4 and ram["complete"] is False and ram["starts"] == 8
         points = [complex(*p[0]) for p in ram["points"]]
         for root in roots:

@@ -16,6 +16,8 @@ from helpers import (
 )
 from tansec.errors import PolyParseError
 from tansec.poly import (
+    MAX_DEGREE,
+    MAX_EXPANSION,
     GaussianRational,
     Jet2,
     PolyMap,
@@ -315,6 +317,51 @@ def test_parser_matches_reference_on_benchmark_inputs(tmp_path, workload):
         for g, w in zip(vf.parsed.components, want.components, strict=True):
             assert_same_terms(g, w)
         assert_same_compiled(vf.parsed, want)
+
+
+@pytest.mark.parametrize(
+    "text,message,column",
+    [
+        ("(u1+u2+u3)^80", f"expansion above degree {MAX_EXPANSION}", 12),
+        ("((u1+u2)^4)^11", f"expansion above degree {MAX_EXPANSION}", 13),
+        ("(u1+u2)^20*(u1 - u3)^21", f"expansion above degree {MAX_EXPANSION}", 22),
+        ("(u1+u2)^20*(u1 - u3)^20*(u2 + 1)", f"expansion above degree {MAX_EXPANSION}", 32),
+        ("u1^" + "9" * 40, f"exponent above {MAX_DEGREE}", 4),
+        ("3*u2^1025", f"exponent above {MAX_DEGREE}", 6),
+        ("2^2000*u1", f"exponent above {MAX_DEGREE}", 3),
+        ("(1/2)^5000", f"exponent above {MAX_DEGREE}", 7),
+        ("i^1025", f"exponent above {MAX_DEGREE}", 3),
+        ("u1^1000*u2*u1^25", f"degree above {MAX_DEGREE}", 15),
+        ("(u3^2)^600", f"degree above {MAX_DEGREE}", 8),
+    ],
+)
+def test_parser_refuses_an_exponent_or_expansion_past_its_cap(text, message, column):
+    # refused at the exponent's column (or the factor's last token), before
+    # the power or the product is built: each of these returns at once
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, 3)
+    assert str(exc.value) == f"{message} (at column {column})"
+
+
+@pytest.mark.parametrize(
+    "text", ["10^306*u1^12", "u1^1024", "(u1+u2)^40", "(u1+u2)^20*(u1 - u3)^20", "2^1024", "(u1-u1+2)^1000*u2^1024"]
+)
+def test_parser_takes_what_its_caps_allow(text):
+    assert_same_terms(parse_poly(text, 3), reference_parse_poly(text, 3))
+
+
+def test_builtins_and_goldens_parse_as_the_reference_does():
+    from tansec.registry import BUILTINS
+
+    golden = Path(__file__).parent / "golden"
+    files = [*BUILTINS, *(parse_variety_file(f.read_text()) for f in sorted(golden.glob("*.var")))]
+    assert len(files) > len(BUILTINS)
+    for vf in files:
+        got = vf.parsed or parse_map(vf.exprs, vf.n)
+        want = PolyMap([reference_parse_poly(e, vf.n) for e in vf.exprs])
+        for g, w in zip(got.components, want.components, strict=True):
+            assert_same_terms(g, w)
+        assert_same_compiled(got, want)
 
 
 def test_parsing_a_sum_makes_no_polynomial_addition(monkeypatch):

@@ -236,13 +236,14 @@ class CountingMap:
 
 def _record_waves(monkeypatch, counting) -> list:
     """Route ``ramification_points``' Newton waves through a recorder; each
-    ``stacked_newton`` call appends (its starts, its NewtonStack, and per
+    ``stacked_newton`` call appends (its starts, its NewtonStack, per
     system call the rows given, the jets ``counting`` recorded during the
-    call and the residual norms returned)."""
+    call and the residual norms returned, and per reading of the wave the
+    jets recorded during it)."""
     waves = []
 
     def newton(system, starts, cfg, settled):
-        calls = []
+        calls, reads = [], []
 
         def recorded(X):
             before = len(counting.points)
@@ -250,8 +251,14 @@ def _record_waves(monkeypatch, counting) -> list:
             calls.append((X.copy(), counting.points[before:], np.linalg.norm(out[0], axis=1)))
             return out
 
-        out = stacked_newton(recorded, starts, cfg, settled)
-        waves.append((np.array(starts), out, calls))
+        def read(out):
+            before = len(counting.points)
+            done = settled(out)
+            reads.append(counting.points[before:])
+            return done
+
+        out = stacked_newton(recorded, starts, cfg, read)
+        waves.append((np.array(starts), out, calls, reads))
         return out
 
     monkeypatch.setattr(projection, "stacked_newton", newton)
@@ -273,7 +280,11 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     # parametrization makes one psi.jet2 at the w part of its (w, a) rows),
     # so residual and Jacobian share it; and no slice evaluates a point
     # twice: a point is evaluated again only when it is a root (residual at
-    # most tol) at which another slice stopped
+    # most tol) at which another slice stopped.  The only other jets are
+    # image evaluations while the wave is read, at most one per reading
+    # here: on a quadratic graph, at the mirror images 2 P1 - x of endpoints
+    # that stopped converged; a cubic graph or a parametrization gets none
+    mirror = G is MIXED
     if isinstance(G, ParamVariety):
         G = copy.copy(G)
         G.psi = counting = CountingMap(G.psi)
@@ -284,9 +295,15 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     R = ramification_points(G, center, cfg, random.Random(6))
     assert R.converged > 0
     assert len(waves) == 1
-    starts, _, calls = waves[0]
+    starts, out, calls, reads = waves[0]
     assert starts.shape[0] == cfg.starts and np.array_equal(calls[0][0], starts)
-    assert len(counting.points) == len(calls)
+    images = [jets for jets in reads if jets]
+    assert len(counting.points) == len(calls) + sum(map(len, images))
+    assert bool(images) == mirror and all(len(jets) == 1 for jets in images)
+    p1 = center.affine()[0]
+    mirrored = {(2 * p1 - x).tobytes() for x in out.points[out.converged]}
+    for (jet,) in images:
+        assert {row.tobytes() for row in np.frombuffer(jet, dtype=complex).reshape(-1, G.n)} <= mirrored
     first = {}  # the residual norm at each point's first evaluation
     for X, jets, norms in calls:
         assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]
@@ -297,17 +314,20 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
 
 
 def test_ramification_wave_ends_at_the_bezout_stop(monkeypatch):
-    # the one wave ends at the Bezout stop, also when the first B starts
-    # find every root: every start used has stopped, and the starts after
-    # the stop are left running (stop None)
+    # the one wave ends at the Bezout stop, also when the first start and
+    # its images find every root: every start used has stopped, and the
+    # starts after the stop are left running (stop None).  At a real center
+    # both symmetries apply and one start's images give the other three
+    # roots; a complex P2 leaves only the mirror, so two starts at least
     counting = CountingJets(QUADRIC_PAIR)
     waves = _record_waves(monkeypatch, counting)
-    P = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
-    for k, (seed, used) in enumerate([(0, 5), (3, 4)]):
+    real = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
+    rotated = Center.from_affine([0.4, -0.3], [-0.5 + 0.25j, 0.7])
+    for k, (P, seed, used, images) in enumerate([(real, 0, 1, 3), (rotated, 1, 10, 2), (rotated, 3, 2, 2)]):
         R = ramification_points(counting, P, NewtonConfig(starts=64), random.Random(seed))
-        assert R.complete and R.bezout == len(R) == 4 and R.starts == used
+        assert R.complete and R.bezout == len(R) == 4 and (R.starts, R.images) == (used, images)
         assert len(waves) == k + 1
-        _, out, _ = waves[k]
+        _, out, _, _ = waves[k]
         assert len(out.stops) == 64
         assert None not in out.stops[:used] and None in out.stops[used:]
 
@@ -340,18 +360,20 @@ def test_ramification_param_roots_where_the_chart_stalled(p, roots):
         (BENT, Center.from_affine([1.0], [2.0])),
         (graph(["u1^3"], 1), Center.from_affine([0.0], [0.0])),  # a triple root
         (graph(["0"], 1), Center.from_affine([2.0], [0.0])),  # a solution curve
+        (QUADRIC_PAIR, Center.from_affine([0.4, -0.3], [-0.5 + 0.25j, 0.7])),  # the mirror alone
     ],
 )
 @pytest.mark.parametrize("starts", [16, 64])
 def test_ramification_matches_the_one_start_loop(G, P, starts):
-    # waves of stacked starts, read in draw order, stop where the one-start
-    # loop stops and find the same roots (the order of points whose real
-    # parts tie is round-off, so they are matched as sets)
+    # waves of stacked starts, read in draw order with each listed root's
+    # images, stop where the one-start loop stops and find the same roots and
+    # images (the order of points whose real parts tie is round-off, so they
+    # are matched as sets)
     cfg = NewtonConfig(starts=starts)
     for seed in range(3):
         got = ramification_points(G, P, cfg, random.Random(seed))
         want = reference_ramification(G, P, cfg, random.Random(seed))
-        fields = ("starts", "converged", "bezout", "complete")
+        fields = ("starts", "converged", "images", "bezout", "complete")
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
         assert len(got) == len(want)
         for a, b in ((got.points, want.points), (want.points, got.points)):
@@ -431,6 +453,113 @@ def test_bezout_stop_ignores_a_solution_curve():
     R = ramification_points(graph(["0"], 1), Center.from_affine([2.0], [0.0]), NewtonConfig(starts=8))
     assert R.bezout == 1 and R.converged == 8
     assert R.starts == 8 and not R.complete
+
+
+# -- symmetric images -----------------------------------------------------------------
+
+
+def _benchmark_cases(tmp_path, seeds=(1,), rounds=10, commands=("ramify", "recover")):
+    """(variety, center, NewtonConfig, seed) of every job of the benchmark's
+    recover workload that runs one of ``commands``, as the CLI builds them."""
+    from pathlib import Path
+
+    from helpers import load_perfbench
+    from tansec.cli import parse_center
+    from tansec.varfile import parse_variety_file
+
+    cases = []
+    for seed in seeds:
+        for job in load_perfbench("gen").make_jobs("recover", seed, tmp_path / str(seed), rounds=rounds):
+            if job["command"] not in commands:
+                continue
+            G = parse_variety_file(Path(job["argv"][1]).read_text()).to_variety()
+            options = dict(a[2:].split("=", 1) for a in job["argv"][2:])
+            cfg = NewtonConfig(starts=int(options.get("starts", NewtonConfig.starts)))
+            cases.append((G, parse_center(options["center"], G.n), cfg, int(options["seed"])))
+    return cases
+
+
+def test_symmetries_follow_the_exact_input():
+    # decided from the parsed coefficients and the center: the mirror needs
+    # a graph of degree at most 2, conjugation real coefficients and a real
+    # center representative
+    real = Center.from_affine([0.5, -0.25], [1.0, 0.75])
+    assert projection._symmetries(MIXED, real) == (True, True)
+    assert projection._symmetries(graph(["0"], 1), Center.from_affine([2.0], [0.0])) == (True, True)
+    assert projection._symmetries(BENT, Center.from_affine([1.0], [2.0])) == (True, False)
+
+
+@pytest.mark.parametrize(
+    "exprs,n", [(["u1^2 + u1^3"], 1), (["u1^3"], 1), (["u1^2", "u1*u2^2"], 2), (["u1^2", "u2^2 + 0*u1^3"], 2)]
+)
+def test_a_cubic_graph_gets_no_mirror(exprs, n):
+    # one component of degree 3 is enough; a term with a zero coefficient is
+    # not a term, so 0*u1^3 leaves the graph quadratic
+    G = graph(exprs, n)
+    quadratic = G.f.degree() <= 2
+    P = Center.from_affine([0.3] * n, [0.8] * n)
+    assert projection._symmetries(G, P) == (True, quadratic)
+    assert projection._symmetries(G, Center.from_affine([0.3j] * n, [0.8] * n)) == (False, quadratic)
+
+
+@pytest.mark.parametrize(
+    "G,P",
+    [
+        (graph(["u1^2 + i*u1"], 1), Center.from_affine([0.5], [1.0])),
+        (graph(["(1/2 + 0*i)*u1^2 + i^2*u1"], 1), Center.from_affine([0.5], [1.0j])),
+        (CONIC, Center.from_affine([0.5], [1.0 + 0.5j])),
+        (CONIC, Center.from_projective([1.0j, 0.5j, 1.0j])),
+        (ParamVariety(parse_map(["u1 + i*u1^2", "u1^2"], 1)), Center.from_affine([1.0], [2.0])),
+        (BENT, Center.from_affine([1.0], [2.0 - 1.0j])),
+    ],
+)
+def test_an_i_coefficient_or_a_complex_center_gets_no_conjugate(G, P):
+    # the conjugate of a root is no root then; the mirror alone, on a
+    # quadratic graph, pairs the two roots of the conic: x + m = 2 P1
+    conjugate, mirror = projection._symmetries(G, P)
+    assert not conjugate
+    R = ramification_points(G, P, NewtonConfig(starts=16), random.Random(0))
+    assert len(R) == 2 and R.images == mirror
+    assert all(tangent_membership(G, P, u) for u in R.points)
+    if mirror:
+        p1 = P.affine()[0]
+        assert np.abs(R.points[0] + R.points[1] - 2 * p1).max() <= 1e-12
+
+
+def test_the_system_commutes_with_conjugation_bitwise(tmp_path):
+    # on real inputs the system at the conjugate rows is the conjugate of
+    # the system, bit for bit, so a conjugate image may take its source's
+    # conjugated residual and Jacobian
+    cases = _benchmark_cases(tmp_path, rounds=2)
+    assert len(cases) == 40
+    rng = np.random.default_rng(0)
+    for G, P, _, _ in cases:
+        system, dim = projection._ramification_system(G, P)[:2]
+        assert projection._symmetries(G, P)[0]
+        X = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
+        for got, want in zip(system(X.conj()), system(X)):
+            assert np.array_equal(got, want.conj())
+
+
+def test_every_listed_point_is_a_tangency_point_on_the_benchmark(tmp_path):
+    # every point listed on the recover inputs of seeds 1 and 2, images
+    # included, passes tangent_membership, and images fill most root sets
+    images = points = 0
+    for G, P, cfg, seed in _benchmark_cases(tmp_path, seeds=(1, 2)):
+        R = ramification_points(G, P, cfg, random.Random(seed))
+        assert tangent_membership(G, P, np.reshape(R.points, (len(R), G.n))).all()
+        images, points = images + R.images, points + len(R)
+    assert 2 * images > points
+
+
+def test_a_triple_root_and_its_conjugates_are_one_point():
+    # u^3 at its inflection point is real, so every endpoint near 0 brings
+    # its conjugate, at most 2 |x| <= 1.6e-4 away: within 2 tol^(1/3) of the
+    # listed point, which does not count either, so it is dropped
+    G, P = graph(["u1^3"], 1), Center.from_affine([0.0], [0.0])
+    assert projection._symmetries(G, P) == (True, False)
+    R = ramification_points(G, P, NewtonConfig(starts=16))
+    assert len(R) == 1 and R.images == 0 and not R.complete
 
 
 def _dense_quadratic_graph(n, rng):
@@ -553,19 +682,8 @@ def _round0_recoveries(tmp_path, commands=("recover",)):
     """(variety, center, ramification set) of every round-0 job of the
     benchmark's recover workload that runs one of ``commands``, solved with
     the default configuration."""
-    from pathlib import Path
-
-    from helpers import load_perfbench
-    from tansec.cli import parse_center
-    from tansec.varfile import parse_variety_file
-
-    cases = []
-    for job in load_perfbench("gen").make_jobs("recover", 1, tmp_path, rounds=1):
-        if job["command"] in commands:
-            G = parse_variety_file(Path(job["argv"][1]).read_text()).to_variety()
-            P = parse_center(",".join(job["center"]), G.n)
-            cases.append((G, P, ramification_points(G, P, rng=random.Random(0))))
-    return cases
+    cases = _benchmark_cases(tmp_path, rounds=1, commands=commands)
+    return [(G, P, ramification_points(G, P, rng=random.Random(0))) for G, P, _, _ in cases]
 
 
 def _assert_same_recovery(G, R):
