@@ -33,8 +33,9 @@ proves Tan X full, so where fullness does not hold it is ``inconclusive``.
 ``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
 a parametrized input in parameter space, so their points are parameter
 values w and ``recovered`` is the ambient center; the ``ramification`` block
-says how many starts were used up to the Bezout stop, the system's Bezout
-number and whether the root set is complete.
+says how many starts were read before the Bezout stop, in the order the
+starts stopped, the system's Bezout number and whether the root set is
+complete.
 
 Exit codes: 0 when the verdict holds / the run succeeded, 1 when it failed
 (including no-consensus, unmet hypotheses and inconclusive verdicts), 2 on

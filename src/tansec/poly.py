@@ -39,7 +39,10 @@ coefficient.  Only a power of ``i`` or of a parenthesised expression, and a
 product with a parenthesised sum, go through ``Polynomial`` arithmetic.
 The parser refuses, with a ``PolyParseError`` at the exponent, an exponent
 or a variable's exponent in a term above MAX_DEGREE and a power or product
-of sums of degree above MAX_EXPANSION, before building it.
+of sums of degree above MAX_EXPANSION, and at the '^' or '*' a power or
+product of sums that may have more than MAX_TERMS terms, before building
+it; a number longer than Python's int conversion takes is refused at its
+digits.
 First and second partials are built term by term in the same way and cached
 per ``PolyMap``.
 """
@@ -50,6 +53,7 @@ import functools
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -384,8 +388,21 @@ class Polynomial:
 # the float range past its 1023rd power).  It expands no power or product
 # of sums to a degree above MAX_EXPANSION: the cost of an expansion grows
 # as a power of its degree, (u1+u2+u3)^40 takes about 0.5 s and ^80 6 s.
+# Nor does it build a power or a product of sums past MAX_TERMS terms by
+# ``_term_bound``, since at a fixed degree the cost grows with the number of
+# variables: (u1+u2+u3+u4)^32 took 8.5 s, (1+u1+u2+u3)^20 takes about 1 s.
 MAX_DEGREE = 1024
 MAX_EXPANSION = 40
+MAX_TERMS = 2000
+
+
+def _term_bound(exponents, degree: int, products: int) -> int:
+    """The most terms an expansion of degree d can have in the v variables
+    that occur in its factors' exponent tuples: C(v + d, v), the number of
+    monomials of degree at most d in them, or ``products``, the number of
+    distinct products of the factors' terms, where that is fewer."""
+    v = sum(map(any, zip(*exponents)))
+    return min(math.comb(v + degree, v), products)
 
 # Tokens are digit runs and single characters other than whitespace, which
 # the scan skips.  On str patterns \d is exactly str.isdecimal and \S exactly
@@ -452,7 +469,8 @@ class _ExprParser:
         coefficient wherever they stand, and only the parenthesised sums are
         multiplied as term maps, in their order.  The sign goes onto the
         first number, or else onto the coefficient.  ``expanded`` is the
-        degree of the product's sums so far."""
+        degree of the product's sums so far; a power or product of sums is
+        refused at its '^' or '*' where ``_term_bound`` passes MAX_TERMS."""
         tokens = self.tokens
         exps = [0] * self.n
         c = ONE
@@ -469,7 +487,10 @@ class _ExprParser:
                 if exps[index - 1] > MAX_DEGREE:
                     self.error(f"degree above {MAX_DEGREE}", self.k - 1)
             elif tok.isdecimal():
-                num = int(tok)
+                try:
+                    num = int(tok)
+                except ValueError:
+                    self.too_long(self.k - 1)
                 if tokens[self.k] == "/":
                     self.k += 1
                     den = self.nat("denominator")
@@ -482,16 +503,23 @@ class _ExprParser:
                     num, negate = -num, False
                 c = GaussianRational(num) if c is ONE else c * num
             else:
+                star = self.k - 2  # the '*' before a factor that is not the first
                 f = self.base(tok)
                 e = self.exponent()
                 if len(f) > 1:
-                    # a power of a sum is a sum, of e times its degree
-                    expanded += e * max(map(sum, f))
+                    # a power of a sum is a sum, of e times its degree, whose
+                    # terms are products of e of the sum's terms
+                    degree = e * max(map(sum, f))
+                    expanded += degree
                     if expanded > MAX_EXPANSION:
                         self.error(f"expansion above degree {MAX_EXPANSION}", self.k - 1)
+                    if e != 1 and _term_bound(f, degree, math.comb(len(f) + e - 1, e)) > MAX_TERMS:
+                        self.error(f"expansion above {MAX_TERMS} terms", self.k - 2)
                 if e != 1:
                     f = (self.poly(f) ** e).terms
                 if len(f) > 1:
+                    if sums is not None and _term_bound([*sums, *f], expanded, len(sums) * len(f)) > MAX_TERMS:
+                        self.error(f"expansion above {MAX_TERMS} terms", star)
                     sums = f if sums is None else (self.poly(sums) * self.poly(f)).terms
                 elif f:
                     ((e, cf),) = f.items()
@@ -545,7 +573,15 @@ class _ExprParser:
         if not tok.isdecimal():
             self.error(f"expected {what}")
         self.k += 1
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            self.too_long(self.k - 1)
+
+    def too_long(self, k: int):
+        """Refuse the digit run at token k, which is longer than Python's
+        int conversion takes."""
+        self.error(f"number of more than {sys.get_int_max_str_digits()} digits", k)
 
 
 def parse_poly(text: str, num_vars: int) -> Polynomial:

@@ -8,13 +8,14 @@ system vanishes there: for a graph and a center with affine blocks (P1, P2),
 and for a parametrization psi, in the 2n unknowns (w, a) with P affine,
 F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
 of unknowns gets its residuals and Jacobians from one stacked jet.  All the
-starts run as one ``stacked_newton`` wave; its results, read in draw order
-as the starts stop, end the solve once they hold as many isolated roots as
-the Bezout number, which makes the root set complete.  Each root listed
-from a start brings its images under the symmetries the parsed input and
-the center decide exactly (conjugation when every coefficient and P are
-real, the mirror u -> 2 P1 - u on a graph of degree at most 2), and they
-count toward that stop too.
+starts run as one ``stacked_newton`` wave; its results, read in the order
+the starts stop (each round's newly stopped starts in draw order), end the
+solve once they hold as many isolated roots as the Bezout number, which
+makes the root set complete.  Each root listed from a start brings its
+images under the symmetries the parsed input and the center decide exactly
+(conjugation when every coefficient and P are real, the mirror
+u -> 2 P1 - u on a graph of degree at most 2), and they count toward that
+stop too.
 Recovery then builds the tangent frames at the found points as one stack,
 intersects every pair of them from stacked SVDs, and takes the consensus
 cluster; a legitimate run on a generic center has one dominant cluster, so
@@ -196,15 +197,17 @@ class RamificationSet:
     values w for a ParamVariety) plus solver statistics.
 
     An empty ``points`` list is the no-solutions verdict, not an exception.
-    ``starts`` counts the starts used, in draw order, up to the stop; the
-    one wave runs every start, and the results past the stop are discarded.
-    The wave holds at most starts * d^2 complex Jacobian entries for d
-    unknowns: 16 KB at the default 64 starts and d = 4, 64 KB at d = 8.
-    ``converged`` counts the used starts that reached a root, listed or
-    not.  ``images`` counts the listed points that came from a symmetry of
-    the system rather than from a start, so the count of points may exceed
-    ``converged``.  ``complete`` says the roots hold ``bezout`` isolated
-    ones, hence every isolated root.
+    ``starts`` counts the starts read before the stop, in stop order: by the
+    number of trial points a start evaluated before it stopped, then by draw
+    index; the wave ends at the round of the stop, and the starts still
+    running then, or stopped in it after the start that reached the stop,
+    are not read.  The wave holds at most starts * d^2 complex Jacobian
+    entries for d unknowns: 16 KB at the default 64 starts and d = 4, 64 KB
+    at d = 8.  ``converged`` counts the starts read before the stop that
+    reached a root, listed or not.  ``images`` counts the listed points
+    that came from a symmetry of the system rather than from a start, so
+    the count of points may exceed ``converged``.  ``complete`` says the
+    roots hold ``bezout`` isolated ones, hence every isolated root.
     """
 
     points: list = field(default_factory=list)
@@ -237,20 +240,24 @@ def ramification_points(
     The starts stop once the counted roots reach the Bezout number
     B = prod max(deg, 1) over the components of f or psi, a bound on the
     isolated roots with multiplicity.  All cfg.starts starts run as one
-    ``stacked_newton`` wave, whose results are read in draw order as the
-    starts stop, so the stop falls at the same start as in a one-at-a-time
-    loop, and the wave ends once its stop is reached.  A new root counts
-    when the system Jacobian has full rank there and the Newton step is
-    below DEDUP_RADIUS/2B: a root of multiplicity m <= B leaves Newton endpoints
-    about m steps from it, so none is counted twice.  An endpoint that does
+    ``stacked_newton`` wave, read round by round: each round's newly stopped
+    starts in draw order.  A start stops in the round equal to the number of
+    trial points it evaluated, so the read order, (trial count, draw index),
+    depends on each start alone, and the stop falls at the same start as in
+    a one-at-a-time loop that runs every start and reads them in that order;
+    the wave ends at the round of the stop, so a slow early start does not
+    hold it back.  A new root counts when the system Jacobian has full rank
+    there and the Newton step is below DEDUP_RADIUS/2B: a root of
+    multiplicity m <= B leaves Newton endpoints about m steps from it, so
+    none is counted twice.  An endpoint that does
     not count joins a listed one that does not count either within
     2 tol^(1/B): Newton stops about (tol/|c|)^(1/m) from an m-fold root,
     m <= B, so that holds the endpoints of one multiple root whose leading
     coefficient has |c| >= 1 together.
 
-    Each endpoint listed is followed, before the next start in draw order,
-    by its images under the symmetries ``_symmetries`` decides from the
-    parsed coefficients and the center: its mirror image 2 P1 - u, its
+    Each endpoint listed is followed, before the next start read, by its
+    images under the symmetries ``_symmetries`` decides from the parsed
+    coefficients and the center: its mirror image 2 P1 - u, its
     conjugate, and the conjugate of its mirror image.  An image passes the
     same dedup, Bezout-count and multiple-root rules as an endpoint and
     counts toward the stop, so ``count`` may exceed ``converged``.  A mirror
@@ -303,15 +310,17 @@ def ramification_points(
         counts = _isolated(J.reshape(-1, dim, dim), R.reshape(-1, dim), step_bound).reshape(X.shape[:2])
         return dict(zip(slices.tolist(), zip(X, np.linalg.norm(R, axis=2).tolist(), counts.tolist())))
 
+    read_before = np.zeros(cfg.starts, dtype=bool)
+
     def read(out) -> bool:
-        # take the stopped slices of the wave in draw order, up to the first
-        # one still running, each endpoint listed followed by its images; the
-        # wave ends once the Bezout stop is reached
+        # take the slices of the wave that stopped in this round, in draw
+        # order, each endpoint listed followed by its images; the wave ends
+        # once the Bezout stop is reached
         nonlocal starts, converged, images
-        end = starts
-        while end < len(out.stops) and out.stops[end] is not None:
-            end += 1
-        ready = np.flatnonzero(out.converged[starts:end]) + starts
+        stopped = np.array([stop is not None for stop in out.stops], dtype=bool)
+        fresh = np.flatnonzero(stopped & ~read_before)
+        read_before[fresh] = True
+        ready = fresh[out.converged[fresh]]
         # only an endpoint far from the roots listed before this round can be
         # listed; the orbits of those farther than DEDUP_RADIUS from every
         # earlier one are built as one stack, any other if it is reached
@@ -329,10 +338,10 @@ def ramification_points(
                     break
                 if counted == bezout:
                     converged += int(np.count_nonzero(ready <= i))
-                    starts = i + 1
+                    starts += int(np.count_nonzero(fresh <= i))
                     return True
         converged += len(ready)
-        starts = end
+        starts += len(fresh)
         return False
 
     draws = [random_point(dim, cfg.box, rng) for _ in range(cfg.starts)]

@@ -467,40 +467,48 @@ def reference_jacobian_agreement(G, trials, box, rng) -> dict:
 # Damped Newton and the multi-start ramification loop as they were before the
 # starts ran in stacked waves: one start at a time, one ``linalg.solve`` per
 # iterate, and a one-entry jet cache so that the residual and the Jacobian at
-# a point come from one jet; each listed root is followed by its symmetric
-# images, one at a time.  Kept as an independent reference for
-# ``stacked_newton`` and ``ramification_points``.
+# a point come from one jet; the starts are read in the order they stop,
+# and each listed root is followed by its symmetric images, one at a time.
+# Kept as an independent reference for ``stacked_newton`` and
+# ``ramification_points``.
 
 
 def reference_damped_newton(residual, jacobian, start, cfg):
+    """(NewtonResult, the number of trial points evaluated): every point
+    tried after the start, accepted or halved, is one trial."""
     x = np.asarray(start, dtype=complex)
     r = np.asarray(residual(x), dtype=complex)
     rn = float(np.linalg.norm(r))
+    trials = 0
     for it in range(cfg.max_iters):
         if rn <= cfg.tol:
-            return NewtonResult(x, rn, True, it)
+            return NewtonResult(x, rn, True, it), trials
         try:
             step = solve(jacobian(x), r)
         except SingularMatrixError:
-            return NewtonResult(x, rn, False, it)
+            return NewtonResult(x, rn, False, it), trials
         t = 1.0
         for _ in range(cfg.max_halvings + 1):
             x_new = x - t * step
             r_new = np.asarray(residual(x_new), dtype=complex)
             rn_new = float(np.linalg.norm(r_new))
+            trials += 1
             if rn_new < rn:
                 break
             t /= 2.0
         else:
-            return NewtonResult(x, rn, False, it)
+            return NewtonResult(x, rn, False, it), trials
         x, r, rn = x_new, r_new, rn_new
-    return NewtonResult(x, rn, rn <= cfg.tol, cfg.max_iters)
+    return NewtonResult(x, rn, rn <= cfg.tol, cfg.max_iters), trials
 
 
 def reference_ramification(G, P, cfg, rng):
     """``ramification_points`` one start at a time; the same RamificationSet.
 
-    A listed endpoint is followed by its mirror image, its conjugate and the
+    Every start runs alone; the starts are then read in the order (trial
+    points evaluated before the start stopped, draw index), which is the
+    order in which the one wave stops them, up to the Bezout stop.  A listed
+    endpoint is followed by its mirror image, its conjugate and the
     conjugate of its mirror image, where ``_symmetries`` says they apply;
     the mirror image is evaluated on its own, a conjugate takes the
     conjugated residual and Jacobian of its source, and each passes the
@@ -553,10 +561,17 @@ def reference_ramification(G, P, cfg, rng):
         counted += counts
         return True
 
-    while starts < cfg.starts and counted < bezout:
+    runs = [
+        reference_damped_newton(
+            lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), center + random_point(dim, cfg.box, rng), cfg
+        )
+        for _ in range(cfg.starts)
+    ]
+    for k in sorted(range(cfg.starts), key=lambda k: (runs[k][1], k)):
+        if counted == bezout:
+            break
         starts += 1
-        x0 = center + random_point(dim, cfg.box, rng)
-        result = reference_damped_newton(lambda x: residual(jet(x), x), lambda x: jacobian(jet(x), x), x0, cfg)
+        result = runs[k][0]
         if not (result.converged and result.residual <= cfg.tol):
             continue
         converged += 1

@@ -162,6 +162,14 @@ def test_an_expansion_past_its_cap_exits_2_at_once(tmp_path, capsys):
     assert "expansion above degree 40" in err and "line 3" in err
 
 
+def test_a_number_past_the_int_conversion_limit_exits_2_at_its_column(tmp_path, capsys):
+    bad = tmp_path / "long.var"
+    bad.write_text("n = 1\nkind = graph\nf1 = u1^" + "9" * 5000 + "\n")
+    code, out, err = run(capsys, "tan-check", str(bad))
+    assert code == 2 and out == ""
+    assert "number of more than 4300 digits" in err and "line 3, column 9" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "tan-check", "/nonexistent/path.var")
     assert code == 2

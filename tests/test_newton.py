@@ -70,7 +70,7 @@ def test_stacked_newton_runs_each_slice_as_one_start_would(monkeypatch, cfg):
         assert list(out.stops) == [stop for _, stop in SLICES]
     for i, start in enumerate(starts):
         one = damped_newton(residual, jacobian, start, NewtonConfig())
-        ref = reference_damped_newton(residual, jacobian, start, NewtonConfig())
+        ref, _ = reference_damped_newton(residual, jacobian, start, NewtonConfig())
         for want in (one, ref):
             assert out.converged[i] == want.converged and out.iterations[i] == want.iterations
             assert np.abs(out.points[i] - want.point).max() <= 1e-12 * max(1.0, np.abs(want.point).max())
@@ -79,6 +79,32 @@ def test_stacked_newton_runs_each_slice_as_one_start_would(monkeypatch, cfg):
         assert out.converged[i] == (out.stops[i] == CONVERGED)
         value, jac = system(out.points[i][None])
         assert np.array_equal(out.values[i], value[0]) and np.array_equal(out.jacobians[i], jac[0])
+
+
+@pytest.mark.parametrize("cfg", [{}, {"max_iters": 3, "max_halvings": 2}])
+def test_a_slice_is_settled_in_the_round_of_its_trial_count(monkeypatch, cfg):
+    # each round evaluates one trial point of every running slice, so a slice
+    # first shows as stopped to ``settled`` after as many system calls as
+    # the one-start reference evaluated trial points, plus the call at the
+    # starts; this is the order ramification_points reads a wave in
+    for name, value in cfg.items():
+        monkeypatch.setattr(NewtonConfig, name, value)
+    starts = np.array([s for s, _ in SLICES], dtype=complex)
+    calls, seen = [], {}
+
+    def counted(X):
+        calls.append(len(X))
+        return system(X)
+
+    def settled(out):
+        for i, stop in enumerate(out.stops):
+            if stop is not None:
+                seen.setdefault(i, len(calls) - 1)
+        return False
+
+    stacked_newton(counted, starts, NewtonConfig(), settled)
+    want = [reference_damped_newton(residual, jacobian, start, NewtonConfig())[1] for start in starts]
+    assert [seen[i] for i in range(len(starts))] == want
 
 
 def test_stacked_newton_counts_halvings_and_the_iteration_cap(monkeypatch):

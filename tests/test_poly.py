@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,11 +20,13 @@ from tansec.errors import PolyParseError
 from tansec.poly import (
     MAX_DEGREE,
     MAX_EXPANSION,
+    MAX_TERMS,
     GaussianRational,
     Jet2,
     PolyMap,
     Polynomial,
     _TOKEN,
+    _term_bound,
     parse_map,
     parse_poly,
     poly_matrix_det,
@@ -348,6 +352,73 @@ def test_parser_refuses_an_exponent_or_expansion_past_its_cap(text, message, col
 )
 def test_parser_takes_what_its_caps_allow(text):
     assert_same_terms(parse_poly(text, 3), reference_parse_poly(text, 3))
+
+
+@pytest.mark.parametrize(
+    "text,n,column",
+    [
+        ("(u1+u2+u3+u4)^32", 4, 14),  # took 8.5 s for 6545 terms
+        ("(1+u1+u2+u3)^21", 3, 13),  # C(24, 3) = 2024 terms
+        ("(1+u1+u2+u3+u4+u5+u6+u7+u8)^6", 8, 28),  # C(14, 8) = 3003
+        ("(1+u1+u2+u3)^10*(1+u1+u2+u3)^11", 3, 16),  # a product of degree 21
+        ("u2*(1+u1+u2+u3)^3*(u1 - u2 + 1)^18", 3, 18),  # C(24, 3) monomials, 20 * 190 products
+    ],
+)
+def test_parser_refuses_an_expansion_past_its_term_bound(text, n, column):
+    # refused at the '^' of a power and the '*' of a product, before the
+    # power or the product is built: each of these returns at once
+    t0 = time.perf_counter()
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, n)
+    assert time.perf_counter() - t0 < 0.5
+    assert str(exc.value) == f"expansion above {MAX_TERMS} terms (at column {column})"
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    [
+        ("(1+u1+u2+u3)^10*(1 - u2)^3*(u3 + 2)^6", 3),  # C(22, 3) = 1540 terms at most
+        ("(u1^7+u2^7+u3^7)^5", 3),  # C(38, 3) monomials, but 21 products of 5 terms
+        ("(u1+u2)^20*(u1 - u3)^20", 3),  # C(43, 3) monomials, but 21 * 21 products
+        ("(u1+u2+u3+u4+u5+u6+u7+u8)^3", 8),
+        ("u2*(1+u1+u2+u3)^2*(u1 - u2)*(1 + u3)^18", 3),  # C(24, 3) monomials, but 20 * 19 products
+    ],
+)
+def test_parser_takes_what_its_term_bound_allows(text, n):
+    assert_same_terms(parse_poly(text, n), reference_parse_poly(text, n))
+
+
+def test_term_bound_bounds_the_terms_of_an_expansion():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        p, q = (random_polynomial(rng, n, max_terms=4, max_degree=2) for _ in range(2))
+        if len(p.terms) < 2 or len(q.terms) < 2:
+            continue
+        e = rng.randint(0, 4)
+        power = _term_bound(p.terms, e * p.degree(), math.comb(len(p.terms) + e - 1, e))
+        assert len((p**e).terms) <= power
+        product = _term_bound([*p.terms, *q.terms], p.degree() + q.degree(), len(p.terms) * len(q.terms))
+        assert len((p * q).terms) <= product
+    # dense sums reach the monomial count, sparse ones the product count
+    assert _term_bound(parse_poly("1+u1+u2", 3).terms, 4, math.comb(6, 4)) == len(parse_poly("(1+u1+u2)^4", 3).terms) == 15
+    assert _term_bound(parse_poly("u1^5+u3", 3).terms, 10, math.comb(3, 2)) == 3
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("u1^" + "9" * 5000, 4),
+        ("9" * 5000 + "*u1", 1),
+        ("u1 + 1/" + "7" * 4301, 8),
+        ("u" + "1" * 4301, 2),
+        ("2^" + "3" * 4400, 3),
+    ],
+)
+def test_a_number_past_the_int_conversion_limit_is_refused_at_its_column(text, column):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, 1)
+    assert str(exc.value) == f"number of more than 4300 digits (at column {column})"
 
 
 def test_builtins_and_goldens_parse_as_the_reference_does():

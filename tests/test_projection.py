@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import reference_ramification
+from helpers import reference_damped_newton, reference_ramification
 from tansec.errors import (
     CenterHitError,
     InsufficientPointsError,
@@ -238,8 +238,9 @@ def _record_waves(monkeypatch, counting) -> list:
     """Route ``ramification_points``' Newton waves through a recorder; each
     ``stacked_newton`` call appends (its starts, its NewtonStack, per
     system call the rows given, the jets ``counting`` recorded during the
-    call and the residual norms returned, and per reading of the wave the
-    jets recorded during it)."""
+    call and the residual norms returned, and per reading of the wave its
+    round (the number of trial points every slice still running had
+    evaluated), the jets recorded during it and which slices had stopped)."""
     waves = []
 
     def newton(system, starts, cfg, settled):
@@ -254,7 +255,8 @@ def _record_waves(monkeypatch, counting) -> list:
         def read(out):
             before = len(counting.points)
             done = settled(out)
-            reads.append(counting.points[before:])
+            stopped = np.array([stop is not None for stop in out.stops])
+            reads.append((len(calls) - 1, counting.points[before:], stopped))
             return done
 
         out = stacked_newton(recorded, starts, cfg, read)
@@ -297,7 +299,7 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     assert len(waves) == 1
     starts, out, calls, reads = waves[0]
     assert starts.shape[0] == cfg.starts and np.array_equal(calls[0][0], starts)
-    images = [jets for jets in reads if jets]
+    images = [jets for _, jets, _ in reads if jets]
     assert len(counting.points) == len(calls) + sum(map(len, images))
     assert bool(images) == mirror and all(len(jets) == 1 for jets in images)
     p1 = center.affine()[0]
@@ -314,22 +316,59 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
 
 
 def test_ramification_wave_ends_at_the_bezout_stop(monkeypatch):
-    # the one wave ends at the Bezout stop, also when the first start and
-    # its images find every root: every start used has stopped, and the
-    # starts after the stop are left running (stop None).  At a real center
-    # both symmetries apply and one start's images give the other three
-    # roots; a complex P2 leaves only the mirror, so two starts at least
+    # the one wave ends at the Bezout stop, also when the first start to
+    # stop and its images find every root: the starts are read in the order
+    # they stop, so every start read had stopped by the round of the stop,
+    # the stop could not be reached from the starts stopped before that
+    # round, the wave ended at that round, and starts are left running (stop
+    # None).  At a real center both symmetries apply and one start's images
+    # give the other three roots; a complex P2 leaves only the mirror, so two
+    # starts at least
     counting = CountingJets(QUADRIC_PAIR)
     waves = _record_waves(monkeypatch, counting)
     real = Center.from_affine([0.4, -0.3], [-0.5, 0.7])
     rotated = Center.from_affine([0.4, -0.3], [-0.5 + 0.25j, 0.7])
-    for k, (P, seed, used, images) in enumerate([(real, 0, 1, 3), (rotated, 1, 10, 2), (rotated, 3, 2, 2)]):
+    for k, (P, seed, used, images) in enumerate([(real, 0, 1, 3), (rotated, 1, 5, 2), (rotated, 3, 4, 2)]):
         R = ramification_points(counting, P, NewtonConfig(starts=64), random.Random(seed))
         assert R.complete and R.bezout == len(R) == 4 and (R.starts, R.images) == (used, images)
         assert len(waves) == k + 1
-        _, out, _, _ = waves[k]
+        _, out, calls, reads = waves[k]
         assert len(out.stops) == 64
-        assert None not in out.stops[:used] and None in out.stops[used:]
+        stop_round, _, stopped = reads[-1]
+        before = reads[-2][2] if len(reads) > 1 else np.zeros(64, dtype=bool)
+        assert stop_round == len(calls) - 1
+        assert np.array_equal(stopped, [s is not None for s in out.stops])
+        assert np.count_nonzero(before) < used <= np.count_nonzero(stopped) < 64
+
+
+def test_ramification_stop_comes_at_the_round_of_the_starts_that_stop_first(monkeypatch):
+    # f = u^3 at a complex center, so no symmetry applies: start 0 lies next
+    # to u = 0, where the Jacobian -6 u^2 + 6 P1 u vanishes, so its first
+    # step throws it far out and it converges slowly; starts 1-3 lie next to
+    # the three roots and stop within a few rounds.  The wave is read in
+    # stop order, so the Bezout stop comes at their round, with start 0
+    # still running, where a draw-order read would have waited for start 0
+    G = graph(["u1^3"], 1)
+    P = Center.from_affine([0.5], [0.2 + 0.3j])
+    p1, p2 = P.affine()
+    roots = np.roots([-2, 3 * p1[0], 0, -p2[0]])
+    chosen = iter([np.array([1e-7]) - p1, *(np.array([r + 0.01]) - p1 for r in roots)])
+    monkeypatch.setattr(projection, "random_point", lambda dim, box, rng: next(chosen))
+    counting = CountingJets(G)
+    waves = _record_waves(monkeypatch, counting)
+    R = ramification_points(counting, P, NewtonConfig(starts=4), random.Random(0))
+    assert R.complete and R.bezout == len(R) == 3 and (R.starts, R.converged, R.images) == (3, 3, 0)
+    for root in roots:
+        assert min(abs(x[0] - root) for x in R.points) < 1e-9
+    (starts, out, calls, reads), = waves
+    trials = [
+        reference_damped_newton(
+            lambda u: ramification_residual(G, P, u), lambda u: ramification_jacobian(G, P, u), x, NewtonConfig()
+        )[1]
+        for x in starts
+    ]
+    assert reads[-1][0] == len(calls) - 1 == max(trials[1:]) < trials[0]
+    assert out.stops[0] is None and None not in out.stops[1:]
 
 
 @pytest.mark.parametrize(
@@ -361,14 +400,19 @@ def test_ramification_param_roots_where_the_chart_stalled(p, roots):
         (graph(["u1^3"], 1), Center.from_affine([0.0], [0.0])),  # a triple root
         (graph(["0"], 1), Center.from_affine([2.0], [0.0])),  # a solution curve
         (QUADRIC_PAIR, Center.from_affine([0.4, -0.3], [-0.5 + 0.25j, 0.7])),  # the mirror alone
+        (
+            graph(["u1^2 + u2*u3 - u1", "u2^2 + 2*u1*u3", "u3^2 - u1*u2 + u3"], 3),
+            Center.from_affine([0.3, -0.2, 0.5], [0.4 + 0.2j, -0.6, 0.1]),
+        ),  # eight roots, read in an order far from the draw order
     ],
 )
 @pytest.mark.parametrize("starts", [16, 64])
 def test_ramification_matches_the_one_start_loop(G, P, starts):
-    # waves of stacked starts, read in draw order with each listed root's
-    # images, stop where the one-start loop stops and find the same roots and
-    # images (the order of points whose real parts tie is round-off, so they
-    # are matched as sets)
+    # waves of stacked starts, read in the order the starts stop with each
+    # listed root's images, stop where the one-start loop read in (trial
+    # count, draw index) order stops and find the same roots and images (the
+    # order of points whose real parts tie is round-off, so they are matched
+    # as sets)
     cfg = NewtonConfig(starts=starts)
     for seed in range(3):
         got = ramification_points(G, P, cfg, random.Random(seed))
