@@ -90,7 +90,7 @@ def stacked_newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     starts,
     cfg: NewtonConfig,
-    settled: Callable[[NewtonStack], bool] | None = None,
+    settled: Callable[[NewtonStack, np.ndarray], bool] | None = None,
 ) -> NewtonStack:
     """Damped Newton from every start of an (S, d) stack, in lockstep.
 
@@ -107,11 +107,13 @@ def stacked_newton(
     (``PolyMap.jet2``) rounds a row differently with the height of its
     stack, so there they match the stack of one up to rounding.
 
-    ``settled``, when given, is called after every round in which slices
-    stopped, the last one included, with the run so far as a NewtonStack
-    whose running slices have stop None (a stopped slice's entries no
-    longer change); the run ends as soon as it returns True, and the
-    slices still running keep stop None.
+    ``settled``, when given, is called as ``settled(out, stopped)`` after
+    every round in which slices stopped, the last one included: ``out`` is
+    the run so far, its running slices at stop None (a stopped slice's
+    entries no longer change), and ``stopped`` the indices of the slices
+    that stopped in that round, in draw order, so over the run every
+    stopped slice comes once, by (trial count, draw index).  The run ends
+    as soon as it returns True, and the slices still running keep stop None.
     """
     x = np.array(starts, dtype=complex)
     if x.ndim != 2:
@@ -125,7 +127,7 @@ def stacked_newton(
     t = np.ones(S)
     halvings = np.zeros(S, dtype=int)
     fresh = np.arange(S)  # at an accepted point, with no step yet
-    running = S
+    running = fresh  # the slices that could stop in this round
     while True:
         done, capped = rn[fresh] <= cfg.tol, iterations[fresh] >= cfg.max_iters
         codes[fresh] = np.where(done, _CONVERGED, np.where(capped, _ITER_CAP, _RUNNING))
@@ -135,8 +137,8 @@ def stacked_newton(
             codes[fresh[~ok]] = _SINGULAR_STEP
             t[fresh], halvings[fresh] = 1.0, 0
         trial = np.flatnonzero(codes == _RUNNING)
-        stopped, running = running - trial.size, trial.size
-        if settled is not None and stopped and settled(_stack(x, r, J, rn, codes, iterations)):
+        stopped, running = running[codes[running] != _RUNNING], trial
+        if settled is not None and stopped.size and settled(_stack(x, r, J, rn, codes, iterations), stopped):
             break
         if not trial.size:
             break

@@ -40,9 +40,9 @@ product with a parenthesised sum, go through ``Polynomial`` arithmetic.
 The parser refuses, with a ``PolyParseError`` at the exponent, an exponent
 or a variable's exponent in a term above MAX_DEGREE and a power or product
 of sums of degree above MAX_EXPANSION, and at the '^' or '*' a power or
-product of sums that may have more than MAX_TERMS terms, before building
-it; a number longer than Python's int conversion takes is refused at its
-digits.
+product of sums that may have more terms than what is left of the
+expression's MAX_TERMS budget, before building it; a number longer than
+Python's int conversion takes is refused at its digits.
 First and second partials are built term by term in the same way and cached
 per ``PolyMap``.
 """
@@ -427,6 +427,7 @@ class _ExprParser:
         self.tokens = _TOKEN.findall(text)
         self.tokens.append("")
         self.k = 0
+        self.held = 0  # what the terms read so far hold of MAX_TERMS
 
     def error(self, message: str, k: int | None = None):
         starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
@@ -469,13 +470,16 @@ class _ExprParser:
         coefficient wherever they stand, and only the parenthesised sums are
         multiplied as term maps, in their order.  The sign goes onto the
         first number, or else onto the coefficient.  ``expanded`` is the
-        degree of the product's sums so far; a power or product of sums is
-        refused at its '^' or '*' where ``_term_bound`` passes MAX_TERMS."""
+        degree of the product's sums so far.  A power or product of sums is
+        refused at its '^' or '*' where ``_term_bound`` passes what earlier
+        terms leave of the expression's MAX_TERMS; each expansion consumes
+        the ones before it, so the term holds the largest of their bounds."""
         tokens = self.tokens
         exps = [0] * self.n
         c = ONE
         sums = None
         expanded = 0
+        held, charge = self.held, 0
         while True:
             tok = tokens[self.k]
             self.k += 1
@@ -513,13 +517,17 @@ class _ExprParser:
                     expanded += degree
                     if expanded > MAX_EXPANSION:
                         self.error(f"expansion above degree {MAX_EXPANSION}", self.k - 1)
-                    if e != 1 and _term_bound(f, degree, math.comb(len(f) + e - 1, e)) > MAX_TERMS:
-                        self.error(f"expansion above {MAX_TERMS} terms", self.k - 2)
+                    if e != 1:
+                        charge = max(charge, _term_bound(f, degree, math.comb(len(f) + e - 1, e)))
+                        if held + charge > MAX_TERMS:
+                            self.error(f"expansion above {MAX_TERMS} terms", self.k - 2)
                 if e != 1:
                     f = (self.poly(f) ** e).terms
                 if len(f) > 1:
-                    if sums is not None and _term_bound([*sums, *f], expanded, len(sums) * len(f)) > MAX_TERMS:
-                        self.error(f"expansion above {MAX_TERMS} terms", star)
+                    if sums is not None:
+                        charge = max(charge, _term_bound([*sums, *f], expanded, len(sums) * len(f)))
+                        if held + charge > MAX_TERMS:
+                            self.error(f"expansion above {MAX_TERMS} terms", star)
                     sums = f if sums is None else (self.poly(sums) * self.poly(f)).terms
                 elif f:
                     ((e, cf),) = f.items()
@@ -532,6 +540,8 @@ class _ExprParser:
             if tokens[self.k] != "*":
                 break
             self.k += 1
+        if charge:
+            self.held = max(self.held, held + charge)  # or what its factors hold
         if not c:
             return {}
         if negate:

@@ -8,14 +8,14 @@ system vanishes there: for a graph and a center with affine blocks (P1, P2),
 and for a parametrization psi, in the 2n unknowns (w, a) with P affine,
 F(w, a) = psi(w) + Dpsi(w) a - P = 0.  Either is one stacked system: a stack
 of unknowns gets its residuals and Jacobians from one stacked jet.  All the
-starts run as one ``stacked_newton`` wave; its results, read in the order
-the starts stop (each round's newly stopped starts in draw order), end the
-solve once they hold as many isolated roots as the Bezout number, which
-makes the root set complete.  Each root listed from a start brings its
-images under the symmetries the parsed input and the center decide exactly
-(conjugation when every coefficient and P are real, the mirror
-u -> 2 P1 - u on a graph of degree at most 2), and they count toward that
-stop too.
+starts run as one ``stacked_newton`` wave, which names the starts that
+stopped in each of its rounds; its results, read in that order (draw order
+within a round), end the solve once they hold as many isolated roots as the
+Bezout number, which makes the root set complete.  Each root listed from a
+start brings its images under the symmetries the parsed input and the
+center decide exactly (conjugation when every coefficient and P are real,
+the mirror u -> 2 P1 - u on a graph of degree at most 2), and they count
+toward that stop too.
 Recovery then builds the tangent frames at the found points as one stack,
 intersects every pair of them from stacked SVDs, and takes the consensus
 cluster; a legitimate run on a generic center has one dominant cluster, so
@@ -182,26 +182,17 @@ def _point_order(point: np.ndarray) -> tuple:
     return grid, tuple((z.real, z.imag) for z in point)
 
 
-def _spread(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows whose points of X lie farther than DEDUP_RADIUS from the
-    points of every earlier one of ``rows``."""
-    if len(rows) < 2:
-        return rows
-    near = np.linalg.norm(X[rows, None] - X[rows], axis=2) <= DEDUP_RADIUS
-    return rows[~np.tril(near, -1).any(axis=1)]
-
-
 @dataclass
 class RamificationSet:
     """Converged, deduplicated roots (graph parameters u, or parameter
     values w for a ParamVariety) plus solver statistics.
 
     An empty ``points`` list is the no-solutions verdict, not an exception.
-    ``starts`` counts the starts read before the stop, in stop order: by the
-    number of trial points a start evaluated before it stopped, then by draw
-    index; the wave ends at the round of the stop, and the starts still
-    running then, or stopped in it after the start that reached the stop,
-    are not read.  The wave holds at most starts * d^2 complex Jacobian
+    ``starts`` counts the starts read before the stop, in the order Newton
+    names them stopped: by the number of trial points a start evaluated
+    before it stopped, then by draw index; the wave ends at the round of
+    the stop, and the starts still running then, or stopped in it after the
+    start that reached the stop, are not read.  The wave holds at most starts * d^2 complex Jacobian
     entries for d unknowns: 16 KB at the default 64 starts and d = 4, 64 KB
     at d = 8.  ``converged`` counts the starts read before the stop that
     reached a root, listed or not.  ``images`` counts the listed points
@@ -240,10 +231,10 @@ def ramification_points(
     The starts stop once the counted roots reach the Bezout number
     B = prod max(deg, 1) over the components of f or psi, a bound on the
     isolated roots with multiplicity.  All cfg.starts starts run as one
-    ``stacked_newton`` wave, read round by round: each round's newly stopped
-    starts in draw order.  A start stops in the round equal to the number of
-    trial points it evaluated, so the read order, (trial count, draw index),
-    depends on each start alone, and the stop falls at the same start as in
+    ``stacked_newton`` wave, read round by round: Newton names the starts
+    that stopped in each round, in draw order.  A start stops in the round
+    equal to the number of trial points it evaluated, so the read order,
+    (trial count, draw index), depends on each start alone, and the stop falls at the same start as in
     a one-at-a-time loop that runs every start and reads them in that order;
     the wave ends at the round of the stop, so a slow early start does not
     hold it back.  A new root counts when the system Jacobian has full rank
@@ -260,13 +251,15 @@ def ramification_points(
     coefficients and the center: its mirror image 2 P1 - u, its
     conjugate, and the conjugate of its mirror image.  An image passes the
     same dedup, Bezout-count and multiple-root rules as an endpoint and
-    counts toward the stop, so ``count`` may exceed ``converged``.  A mirror
-    image is evaluated, those of one wave round in one system call; a
-    conjugate takes its source's conjugated residual and Jacobian (the
-    system commutes with conjugation there); the SVDs of a round's images
-    and endpoints are one stack.  Points are sorted by their (real,
-    imaginary) parts on the DEDUP_RADIUS grid (``_point_order``), so the
-    output depends neither on completion order nor on round-off.
+    counts toward the stop, so ``count`` may exceed ``converged``.  The
+    orbits of a round's new endpoints, those farther than DEDUP_RADIUS from
+    every root listed before the round, are built as one stack: their
+    mirror images from one system call, a conjugate from its source's
+    conjugated residual and Jacobian (the system commutes with conjugation
+    there), and the SVDs of all of them as one stack.  Points are sorted by
+    their (real, imaginary) parts on the DEDUP_RADIUS grid
+    (``_point_order``), so the output depends neither on completion order
+    nor on round-off.
     """
     cfg = cfg or NewtonConfig()
     rng = rng or random.Random(0)
@@ -280,11 +273,6 @@ def ramification_points(
     residuals: list[float] = []
     starts = converged = counted = images = 0
 
-    def far(X) -> np.ndarray:
-        # which points of an (..., d) stack are farther than DEDUP_RADIUS
-        # from every listed root
-        return (np.linalg.norm(X[..., None, :] - found, axis=-1) > DEDUP_RADIUS).all(axis=-1)
-
     def admit(x, residual, counts) -> bool:
         # the dedup and multiple-root rules; lists x when they pass
         nonlocal found, simple, counted
@@ -296,7 +284,7 @@ def ramification_points(
         counted += counts
         return True
 
-    def orbits(out, slices) -> dict:
+    def orbits(out, slices) -> list:
         # each endpoint of the slices followed by its images (mirror,
         # conjugate, conjugate mirror), with their residual norms and whether
         # each counts: the mirror images from one system call, the conjugates
@@ -308,40 +296,29 @@ def ramification_points(
         if conjugate:
             X, R, J = (np.concatenate([a, a.conj()], axis=1) for a in (X, R, J))
         counts = _isolated(J.reshape(-1, dim, dim), R.reshape(-1, dim), step_bound).reshape(X.shape[:2])
-        return dict(zip(slices.tolist(), zip(X, np.linalg.norm(R, axis=2).tolist(), counts.tolist())))
+        return list(zip(X, np.linalg.norm(R, axis=2).tolist(), counts.tolist()))
 
-    read_before = np.zeros(cfg.starts, dtype=bool)
-
-    def read(out) -> bool:
+    def read(out, stopped) -> bool:
         # take the slices of the wave that stopped in this round, in draw
         # order, each endpoint listed followed by its images; the wave ends
         # once the Bezout stop is reached
         nonlocal starts, converged, images
-        stopped = np.array([stop is not None for stop in out.stops], dtype=bool)
-        fresh = np.flatnonzero(stopped & ~read_before)
-        read_before[fresh] = True
-        ready = fresh[out.converged[fresh]]
-        # only an endpoint far from the roots listed before this round can be
-        # listed; the orbits of those farther than DEDUP_RADIUS from every
-        # earlier one are built as one stack, any other if it is reached
-        new = ready[far(out.points[ready])]
-        cache = orbits(out, _spread(out.points, new)) if len(new) else {}
-        for i in new.tolist():
-            if i not in cache:
-                if not far(out.points[i]):
-                    continue
-                cache.update(orbits(out, np.array([i])))
-            for j, (x, residual, counts) in enumerate(zip(*cache[i])):
+        ready = stopped[out.converged[stopped]]
+        # only an endpoint farther than DEDUP_RADIUS from every root listed
+        # before this round can be listed; their orbits are one stack
+        new = ready[(np.linalg.norm(out.points[ready, None] - found, axis=2) > DEDUP_RADIUS).all(axis=1)]
+        for i, orbit in zip(new.tolist(), orbits(out, new) if len(new) else ()):
+            for j, (x, residual, counts) in enumerate(zip(*orbit)):
                 if admit(x, residual, counts):
                     images += j > 0
                 elif not j:
                     break
                 if counted == bezout:
                     converged += int(np.count_nonzero(ready <= i))
-                    starts += int(np.count_nonzero(fresh <= i))
+                    starts += int(np.count_nonzero(stopped <= i))
                     return True
         converged += len(ready)
-        starts += len(fresh)
+        starts += len(stopped)
         return False
 
     draws = [random_point(dim, cfg.box, rng) for _ in range(cfg.starts)]

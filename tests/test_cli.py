@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import load_perfbench
 from tansec.cli import main, to_jsonable
 from tansec.linalg import chordal_distance
+from tansec.poly import Polynomial
 
 
 def run(capsys, *argv):
@@ -160,6 +162,20 @@ def test_an_expansion_past_its_cap_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert "expansion above degree 40" in err and "line 3" in err
+
+
+def test_a_sum_of_admitted_expansions_exits_2_after_building_one(tmp_path, capsys, monkeypatch):
+    # each copy of (1+u1+u2+u3)^20 is admitted alone (1771 terms), but the
+    # expression's MAX_TERMS budget holds one; the copies took 0.8 s each
+    powers = []
+    power = Polynomial.__pow__
+    monkeypatch.setattr(Polynomial, "__pow__", lambda p, e: powers.append(e) or power(p, e))
+    bad = tmp_path / "copies.var"
+    bad.write_text("n = 3\nkind = graph\nf1 = " + " + ".join(["(1+u1+u2+u3)^20"] * 4) + "\nf2 = u2^2\nf3 = u3^2\n")
+    code, out, err = run(capsys, "tan-check", str(bad))
+    assert code == 2 and out == ""
+    assert "expansion above 2000 terms" in err and "line 3, column 36" in err
+    assert powers == [20]
 
 
 def test_a_number_past_the_int_conversion_limit_exits_2_at_its_column(tmp_path, capsys):
@@ -648,3 +664,45 @@ def test_param_kind_end_to_end(tmp_path, capsys):
     recovered = report["checks"]["roundtrip"]["recovered"]
     rec = np.array([complex(re, im) for re, im in recovered])
     assert chordal_distance(rec, [1.0, 3.0, 5.0]) <= 1e-8
+
+
+# -- the ramification read on the benchmark ------------------------------------------------
+
+# (job, verdict, exit code, ramification count, starts, converged, images,
+# bezout, complete) of the seed-1, round-0 recover jobs, as the solve read
+# them before it took each round's stopped starts from Newton
+RECOVER_ROUND_0 = [
+    ("r000j00", "success", 0, 2, 1, 1, 1, 2, True),
+    ("r000j01", "success", 0, 2, 1, 1, 1, 2, True),
+    ("r000j02", "success", 0, 4, 4, 4, 2, 4, True),
+    ("r000j03", "success", 0, 4, 36, 36, 2, 4, True),
+    ("r000j04", "success", 0, 8, 24, 24, 5, 8, True),
+    ("r000j05", "success", 0, 8, 25, 25, 5, 8, True),
+    ("r000j06", "success", 0, 8, 8, 8, 5, 8, True),
+    ("r000j07", "success", 0, 8, 3, 3, 6, 8, True),
+    ("r000j08", "success", 0, 8, 41, 41, 5, 8, True),
+    ("r000j09", "success", 0, 8, 9, 9, 4, 8, True),
+    ("r000j10", "success", 0, 16, 20, 20, 10, 16, True),
+    ("r000j11", "success", 0, 16, 18, 18, 10, 16, True),
+    ("r000j12", "success", 0, 16, 19, 19, 10, 16, True),
+    ("r000j13", "success", 0, 16, 30, 30, 11, 16, True),
+    ("r000j14", "success", 0, 2, 5, 5, 0, 2, True),
+    ("r000j15", "success", 0, 2, 1, 1, 1, 2, True),
+    ("r000j16", "success", 0, 4, 34, 34, 0, 4, True),
+    ("r000j17", "success", 0, 4, 12, 12, 0, 4, True),
+    ("r000j18", "success", 0, 2, 8, 8, 0, 4, False),
+    ("r000j19", "success", 0, 6, 8, 8, 2, 16, False),
+]
+
+
+def test_the_ramification_read_keeps_its_counts_on_the_benchmark(tmp_path, capsys):
+    # every ramify and recover job of the benchmark's first recover round
+    # keeps its verdict, exit code and the ramification block's counts
+    got = []
+    for job in load_perfbench("gen").make_jobs("recover", 1, tmp_path, rounds=1):
+        code, out, _ = run(capsys, *job["argv"])
+        report = json.loads(out)
+        ram = report["checks"]["ramification"]
+        counts = tuple(ram[k] for k in ("count", "starts", "converged", "images", "bezout", "complete"))
+        got.append((job["id"], report["verdict"], code, *counts))
+    assert got == RECOVER_ROUND_0

@@ -84,27 +84,31 @@ def test_stacked_newton_runs_each_slice_as_one_start_would(monkeypatch, cfg):
 @pytest.mark.parametrize("cfg", [{}, {"max_iters": 3, "max_halvings": 2}])
 def test_a_slice_is_settled_in_the_round_of_its_trial_count(monkeypatch, cfg):
     # each round evaluates one trial point of every running slice, so a slice
-    # first shows as stopped to ``settled`` after as many system calls as
+    # is named stopped to ``settled`` once, after as many system calls as
     # the one-start reference evaluated trial points, plus the call at the
-    # starts; this is the order ramification_points reads a wave in
+    # starts: each round names the slices that stopped in it, in draw order,
+    # and the rounds together name every slice in (trial count, draw index)
+    # order, the order ramification_points reads a wave in
     for name, value in cfg.items():
         monkeypatch.setattr(NewtonConfig, name, value)
     starts = np.array([s for s, _ in SLICES], dtype=complex)
-    calls, seen = [], {}
+    calls, rounds = [], []
 
     def counted(X):
         calls.append(len(X))
         return system(X)
 
-    def settled(out):
-        for i, stop in enumerate(out.stops):
-            if stop is not None:
-                seen.setdefault(i, len(calls) - 1)
+    def settled(out, stopped):
+        earlier = [i for _, names in rounds for i in names]
+        assert stopped.tolist() == [i for i, stop in enumerate(out.stops) if stop is not None and i not in earlier]
+        rounds.append((len(calls) - 1, stopped.tolist()))
         return False
 
     stacked_newton(counted, starts, NewtonConfig(), settled)
     want = [reference_damped_newton(residual, jacobian, start, NewtonConfig())[1] for start in starts]
-    assert [seen[i] for i in range(len(starts))] == want
+    assert all(stopped for _, stopped in rounds)
+    assert {i: k for k, stopped in rounds for i in stopped} == dict(enumerate(want))
+    assert [i for _, stopped in rounds for i in stopped] == sorted(range(len(starts)), key=lambda i: (want[i], i))
 
 
 def test_stacked_newton_counts_halvings_and_the_iteration_cap(monkeypatch):
@@ -162,7 +166,7 @@ def test_stacked_newton_ends_once_settled():
     whole = stacked_newton(system, starts, NewtonConfig())
     seen = []
 
-    def settled(out):
+    def settled(out, stopped):
         seen.append(out.stops)
         return out.stops[0] is not None
 
@@ -177,5 +181,5 @@ def test_stacked_newton_ends_once_settled():
     # a run that is never settled ends as without the argument, and its
     # last round is seen
     seen.clear()
-    out = stacked_newton(system, starts, NewtonConfig(), lambda out: seen.append(out.stops) and False)
+    out = stacked_newton(system, starts, NewtonConfig(), lambda out, stopped: seen.append(out.stops) and False)
     assert seen[-1] == out.stops == whole.stops

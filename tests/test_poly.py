@@ -382,10 +382,48 @@ def test_parser_refuses_an_expansion_past_its_term_bound(text, n, column):
         ("(u1+u2)^20*(u1 - u3)^20", 3),  # C(43, 3) monomials, but 21 * 21 products
         ("(u1+u2+u3+u4+u5+u6+u7+u8)^3", 8),
         ("u2*(1+u1+u2+u3)^2*(u1 - u2)*(1 + u3)^18", 3),  # C(24, 3) monomials, but 20 * 19 products
+        ("(1+u1+u2+u3)^20", 3),  # C(23, 3) = 1771 terms, alone in its expression's budget
     ],
 )
 def test_parser_takes_what_its_term_bound_allows(text, n):
     assert_same_terms(parse_poly(text, n), reference_parse_poly(text, n))
+
+
+COPIES = " + ".join(["(1+u1+u2+u3)^20"] * 4)  # C(23, 3) = 1771 terms each
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        (COPIES, 31),  # the second copy's '^'
+        ("((1+u1+u2+u3)^20) + ((1+u1+u2+u3)^20)", 34),
+    ],
+)
+def test_parser_budget_is_one_per_expression(monkeypatch, text, column):
+    # MAX_TERMS is charged by every expansion of the expression, nested ones
+    # included, so a sum of admitted expansions is refused at the first one
+    # past the budget, after building at most one (each built expansion is
+    # stood in for by its base here)
+    powers = []
+
+    def power(p, e):
+        powers.append(e)
+        return p
+
+    monkeypatch.setattr(Polynomial, "__pow__", power)
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, 3)
+    assert str(exc.value) == f"expansion above {MAX_TERMS} terms (at column {column})"
+    assert powers == [20]
+
+
+@pytest.mark.parametrize("workload", ["recover", "certify"])
+def test_every_benchmark_input_parses(tmp_path, workload):
+    gen = load_perfbench("gen")
+    for seed in (1, 2):
+        for job in gen.make_jobs(workload, seed, tmp_path / str(seed)):
+            vf = parse_variety_file(Path(job["argv"][1]).read_text())
+            assert len(vf.parsed.components) == len(vf.exprs)
 
 
 def test_term_bound_bounds_the_terms_of_an_expansion():

@@ -240,7 +240,8 @@ def _record_waves(monkeypatch, counting) -> list:
     system call the rows given, the jets ``counting`` recorded during the
     call and the residual norms returned, and per reading of the wave its
     round (the number of trial points every slice still running had
-    evaluated), the jets recorded during it and which slices had stopped)."""
+    evaluated), the jets recorded during it and the slices that stopped in
+    it, as Newton names them)."""
     waves = []
 
     def newton(system, starts, cfg, settled):
@@ -252,11 +253,10 @@ def _record_waves(monkeypatch, counting) -> list:
             calls.append((X.copy(), counting.points[before:], np.linalg.norm(out[0], axis=1)))
             return out
 
-        def read(out):
+        def read(out, stopped):
             before = len(counting.points)
-            done = settled(out)
-            stopped = np.array([stop is not None for stop in out.stops])
-            reads.append((len(calls) - 1, counting.points[before:], stopped))
+            done = settled(out, stopped)
+            reads.append((len(calls) - 1, counting.points[before:], stopped.copy()))
             return done
 
         out = stacked_newton(recorded, starts, cfg, read)
@@ -273,6 +273,8 @@ def _record_waves(monkeypatch, counting) -> list:
         (MIXED, Center.from_affine([0.4, -0.3], [-0.5, 0.7])),
         (graph(["u1^2 + u1^3"], 1), Center.from_affine([0.3], [0.8])),
         (BENT, Center.from_affine([1.0], [2.0])),
+        # the mirror alone, and two new endpoints at one root in one round
+        (QUADRIC_PAIR, Center.from_affine([0.4, -0.3], [-0.5 + 0.25j, 0.7])),
     ],
 )
 def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
@@ -283,10 +285,12 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     # so residual and Jacobian share it; and no slice evaluates a point
     # twice: a point is evaluated again only when it is a root (residual at
     # most tol) at which another slice stopped.  The only other jets are
-    # image evaluations while the wave is read, at most one per reading
-    # here: on a quadratic graph, at the mirror images 2 P1 - x of endpoints
-    # that stopped converged; a cubic graph or a parametrization gets none
-    mirror = G is MIXED
+    # image evaluations while the wave is read: on a quadratic graph, each
+    # reading that has new endpoints (stopped converged in its round, farther
+    # than DEDUP_RADIUS from the orbits of earlier rounds' new endpoints)
+    # makes exactly one, at exactly their mirror images 2 P1 - x, in draw
+    # order; a cubic graph or a parametrization gets none
+    conjugate, mirror = projection._symmetries(G, center)
     if isinstance(G, ParamVariety):
         G = copy.copy(G)
         G.psi = counting = CountingMap(G.psi)
@@ -301,11 +305,15 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     assert starts.shape[0] == cfg.starts and np.array_equal(calls[0][0], starts)
     images = [jets for _, jets, _ in reads if jets]
     assert len(counting.points) == len(calls) + sum(map(len, images))
-    assert bool(images) == mirror and all(len(jets) == 1 for jets in images)
+    assert bool(images) == mirror
     p1 = center.affine()[0]
-    mirrored = {(2 * p1 - x).tobytes() for x in out.points[out.converged]}
-    for (jet,) in images:
-        assert {row.tobytes() for row in np.frombuffer(jet, dtype=complex).reshape(-1, G.n)} <= mirrored
+    orbits = np.empty((0, out.points.shape[1]), dtype=complex)
+    for _, jets, stopped in reads:
+        ready = out.points[stopped[out.converged[stopped]]]
+        new = ready[(np.linalg.norm(ready[:, None] - orbits, axis=2) > projection.DEDUP_RADIUS).all(axis=1)]
+        assert jets == ([(2 * p1 - new).tobytes()] if mirror and len(new) else [])
+        orbit = [new, 2 * p1 - new] if mirror else [new]
+        orbits = np.concatenate([orbits, *orbit, *(x.conj() for x in orbit if conjugate)])
     first = {}  # the residual norm at each point's first evaluation
     for X, jets, norms in calls:
         assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]
@@ -334,11 +342,10 @@ def test_ramification_wave_ends_at_the_bezout_stop(monkeypatch):
         assert len(waves) == k + 1
         _, out, calls, reads = waves[k]
         assert len(out.stops) == 64
-        stop_round, _, stopped = reads[-1]
-        before = reads[-2][2] if len(reads) > 1 else np.zeros(64, dtype=bool)
-        assert stop_round == len(calls) - 1
-        assert np.array_equal(stopped, [s is not None for s in out.stops])
-        assert np.count_nonzero(before) < used <= np.count_nonzero(stopped) < 64
+        named = [stopped for _, _, stopped in reads]
+        assert reads[-1][0] == len(calls) - 1
+        assert sorted(np.concatenate(named).tolist()) == [i for i, s in enumerate(out.stops) if s is not None]
+        assert sum(map(len, named[:-1])) < used <= sum(map(len, named)) < 64
 
 
 def test_ramification_stop_comes_at_the_round_of_the_starts_that_stop_first(monkeypatch):
@@ -467,9 +474,9 @@ def test_point_order_ignores_round_off_in_tied_parts(monkeypatch):
     for sign in (1.0, -1.0):
 
         def tilted(system, starts, cfg, settled, sign=sign):
-            def read(out):
+            def read(out, stopped):
                 real = sign * np.sign(out.points.imag) * 1e-25
-                return settled(replace(out, points=real + 1j * out.points.imag))
+                return settled(replace(out, points=real + 1j * out.points.imag), stopped)
 
             return stacked_newton(system, starts, cfg, read)
 
