@@ -30,6 +30,11 @@ exact det K, the Jacobian determinant of the bundle map (w, a) -> psi(w) +
 Dpsi(w) a, at integer points (f_uu(w)[a] on a graph).  A nonzero value
 proves Tan X full, so where fullness does not hold it is ``inconclusive``.
 
+``recover``'s ``tangent_fullness`` block is that det K test alone, drawn
+from a fixed rng: a ``schwartz_zippel`` proof with witness (w, a) and
+``details.determinant_at_witness``, or ``fails`` with ``error_bound``
+(D / 201)^trials, and then the run ends ``hypothesis_not_met``.
+
 ``ramify`` and ``recover`` read ``--center`` in ambient coordinates and solve
 a parametrized input in parameter space, so their points are parameter
 values w and ``recovered`` is the ambient center; the ``ramification`` block

@@ -82,8 +82,10 @@ def _exceeds_residual_bound(residual, norm_a, norm_x, norm_b):
 
 
 def _norms(Z: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of every matrix of an (S, m, k) stack."""
-    return np.sqrt(np.einsum("sij,sij->s", Z, Z.conj()).real)
+    """The Frobenius norm of every matrix of an (S, m, k) complex stack,
+    summed over its float view: Z's last axis must be contiguous."""
+    V = Z.view(np.float64)
+    return np.sqrt(np.einsum("sij,sij->s", V, V))
 
 
 def numerical_rank(A) -> RankResult:
@@ -175,8 +177,8 @@ def stacked_solve(A, b) -> tuple[np.ndarray, np.ndarray]:
     bound is checked on every slice.  No slice's result depends on the
     other slices of the stack.
     """
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    A = np.ascontiguousarray(A, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("expected a stack of square matrices")
     vector_rhs = b.ndim == 2

@@ -62,28 +62,24 @@ class NewtonStack:
     the system's residual vectors and Jacobians there, and ``residuals``
     their norms.  ``stops`` says why each slice stopped (CONVERGED,
     SINGULAR_STEP, HALVINGS_EXHAUSTED or ITER_CAP), or is None for a slice
-    still running when the run ended early.
+    still running when the run ended early; it and ``converged`` are read
+    from the stop ``codes`` when asked for.
     """
 
     points: np.ndarray
     values: np.ndarray
     jacobians: np.ndarray
     residuals: np.ndarray
-    converged: np.ndarray
     iterations: np.ndarray
-    stops: tuple[str, ...]
+    codes: np.ndarray
 
+    @property
+    def converged(self) -> np.ndarray:
+        return self.codes == _CONVERGED
 
-def _stack(x, r, J, rn, codes, iterations) -> NewtonStack:
-    return NewtonStack(
-        points=x,
-        values=r,
-        jacobians=J,
-        residuals=rn,
-        converged=codes == _CONVERGED,
-        iterations=iterations,
-        stops=tuple(map(_STOPS.__getitem__, codes.tolist())),
-    )
+    @property
+    def stops(self) -> tuple[str | None, ...]:
+        return tuple(map(_STOPS.__getitem__, self.codes.tolist()))
 
 
 def stacked_newton(
@@ -109,8 +105,9 @@ def stacked_newton(
 
     ``settled``, when given, is called as ``settled(out, stopped)`` after
     every round in which slices stopped, the last one included: ``out`` is
-    the run so far, its running slices at stop None (a stopped slice's
-    entries no longer change), and ``stopped`` the indices of the slices
+    the run so far, its running slices at stop None (it holds the run's own
+    arrays, so a running slice's entries change after the call; a stopped
+    slice's no longer change), and ``stopped`` the indices of the slices
     that stopped in that round, in draw order, so over the run every
     stopped slice comes once, by (trial count, draw index).  The run ends
     as soon as it returns True, and the slices still running keep stop None.
@@ -138,7 +135,7 @@ def stacked_newton(
             t[fresh], halvings[fresh] = 1.0, 0
         trial = np.flatnonzero(codes == _RUNNING)
         stopped, running = running[codes[running] != _RUNNING], trial
-        if settled is not None and stopped.size and settled(_stack(x, r, J, rn, codes, iterations), stopped):
+        if settled is not None and stopped.size and settled(NewtonStack(x, r, J, rn, iterations, codes), stopped):
             break
         if not trial.size:
             break
@@ -155,7 +152,7 @@ def stacked_newton(
             t[worse] /= 2.0
             halvings[worse] += 1
             codes[worse[halvings[worse] > cfg.max_halvings]] = _HALVINGS_EXHAUSTED
-    return _stack(x, r, J, rn, codes, iterations)
+    return NewtonStack(x, r, J, rn, iterations, codes)
 
 
 def damped_newton(

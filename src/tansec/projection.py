@@ -36,10 +36,10 @@ from .errors import (
     InsufficientPointsError,
     NoConsensusError,
 )
-from .linalg import _rank_tol, chordal_distance, stacked_rank
+from .linalg import chordal_distance, stacked_rank, stacked_solve
 from .newton import NewtonConfig, stacked_newton
 from .poly import random_point
-from .tangent import CHUNK, Certificate, bundle_matrix, frame_pair_points, tan_is_full, tangent_frame
+from .tangent import CHUNK, Certificate, bundle_matrix, bundle_rank_cross_check, frame_pair_points, tangent_frame
 from .variety import ParamVariety
 
 CONSENSUS_RADIUS = 1e-6
@@ -154,12 +154,12 @@ def ramification_jacobian(G, P: Center, u) -> np.ndarray:
 
 def _isolated(J: np.ndarray, r: np.ndarray, step: float) -> np.ndarray:
     """Which roots of a stack, with system Jacobians J (k, d, d) and
-    residuals r (k, d), count toward the Bezout number: J has full numerical
-    rank and the Newton step J^-1 r is at most ``step``.  One stacked SVD."""
-    u, s, _ = np.linalg.svd(J)
-    full = s[:, -1] > _rank_tol(s[:, 0], J.shape[1:])
-    full[full] = np.linalg.norm(np.einsum("kji,kj->ki", u[full].conj(), r[full]) / s[full], axis=1) <= step
-    return full
+    residuals r (k, d), count toward the Bezout number: the Newton step
+    J^-1 r passes ``stacked_solve``'s rank threshold and residual bound, and
+    is at most ``step``.  One stacked solve; a slice that is not finite does
+    not count."""
+    x, ok = stacked_solve(J, r)
+    return ok & (np.linalg.norm(x, axis=1) <= step)
 
 
 def _symmetries(G, P: Center) -> tuple[bool, bool]:
@@ -253,10 +253,12 @@ def ramification_points(
     same dedup, Bezout-count and multiple-root rules as an endpoint and
     counts toward the stop, so ``count`` may exceed ``converged``.  The
     orbits of a round's new endpoints, those farther than DEDUP_RADIUS from
-    every root listed before the round, are built as one stack: their
-    mirror images from one system call, a conjugate from its source's
-    conjugated residual and Jacobian (the system commutes with conjugation
-    there), and the SVDs of all of them as one stack.  Points are sorted by
+    every root listed before the round, are built as one stack with no
+    system call: a mirror image takes its source's residual and negated
+    Jacobian (g_P is even in u - P1, its Jacobian odd), a conjugate its
+    source's conjugated ones (the system commutes with conjugation there),
+    so a listed image carries its source's residual norm; the isolation
+    test of all of them is one ``stacked_solve``.  Points are sorted by
     their (real, imaginary) parts on the DEDUP_RADIUS grid
     (``_point_order``), so the output depends neither on completion order
     nor on round-off.
@@ -287,12 +289,12 @@ def ramification_points(
     def orbits(out, slices) -> list:
         # each endpoint of the slices followed by its images (mirror,
         # conjugate, conjugate mirror), with their residual norms and whether
-        # each counts: the mirror images from one system call, the conjugates
-        # from conjugated values, and all the SVDs as one stack
+        # each counts: an image's residual and Jacobian are its source's,
+        # negated Jacobian for a mirror image (g_P is even in u - P1) and
+        # conjugated for a conjugate, and the isolation solves are one stack
         X, R, J = out.points[slices, None], out.values[slices, None], out.jacobians[slices, None]
         if mirror:
-            M = 2 * center - X[:, 0]
-            X, R, J = (np.concatenate([a, b[:, None]], axis=1) for a, b in zip((X, R, J), (M, *system(M))))
+            X, R, J = (np.concatenate(pair, axis=1) for pair in ((X, 2 * center - X), (R, R), (J, -J)))
         if conjugate:
             X, R, J = (np.concatenate([a, a.conj()], axis=1) for a in (X, R, J))
         counts = _isolated(J.reshape(-1, dim, dim), R.reshape(-1, dim), step_bound).reshape(X.shape[:2])
@@ -321,8 +323,8 @@ def ramification_points(
         starts += len(stopped)
         return False
 
-    draws = [random_point(dim, cfg.box, rng) for _ in range(cfg.starts)]
-    stacked_newton(system, center + np.reshape(draws, (cfg.starts, dim)), cfg, read)
+    draws = random_point(cfg.starts * dim, cfg.box, rng).reshape(cfg.starts, dim)
+    stacked_newton(system, center + draws, cfg, read)
     order = sorted(range(len(found)), key=lambda k: _point_order(found[k]))
     return RamificationSet(
         points=list(found[order, : G.n]),
@@ -461,10 +463,12 @@ def roundtrip(
     ramification locus.
 
     Fullness is certified on G itself, the variety the ramification system
-    is solved on.  When the certificate fails, the uniqueness claim does not
-    apply and the report says so instead of asserting recovery.
+    is solved on, by the exact det K test ``bundle_rank_cross_check`` from
+    a fixed rng, so at any base point and whatever the seed.  When it fails,
+    with its Schwartz-Zippel bound, the uniqueness claim does not apply and
+    the report says so instead of asserting recovery.
     """
-    fullness = tan_is_full(G, trials=trials)
+    fullness = bundle_rank_cross_check(G, trials, random.Random(0))
     if not fullness.holds:
         return RoundtripReport(status="hypothesis_not_met", fullness=fullness)
     ram = ramification_points(G, P, cfg, rng)

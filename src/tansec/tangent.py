@@ -347,6 +347,11 @@ def tan_is_full(G, trials: int = 100, rng: random.Random | None = None) -> Certi
     and, its rows scaled to unit norm so that psi's component scales do not
     matter, has singular values of ratio above 1e-8; the first is the
     witness.  A chart is refused: its fullness is psi's.
+
+    On a graph of degree 3 or more, a ``fails`` speaks for the origin only:
+    higher terms can fill Tan X where f's Hessian at 0 is degenerate, as on
+    f = (u1^3, u2^3).  ``bundle_rank_cross_check`` decides at every base
+    point, and ``roundtrip`` takes its verdict from it.
     """
     if isinstance(G, GraphVariety):
         n = G.n

@@ -289,13 +289,15 @@ def test_center_outside_the_float_range_exits_2(capsys):
         ("secant-dim", [], "inconclusive"),
         ("dominance", [], "holds"),
         ("ramify", ["--center", "0,1"], "no_solutions"),
-        ("recover", ["--center", "0,1"], "hypothesis_not_met"),
+        ("recover", ["--center", "0,1"], "insufficient_points"),
     ],
 )
 def test_float_overflow_prints_no_warnings(tmp_path, capsys, command, center, verdict):
     # psi = (u1, 10^306 u1^12) overflows floats away from 0; every layer
     # counts the non-finite values as failures, so numpy's overflow and
-    # invalid-value warnings would only repeat that on stderr
+    # invalid-value warnings would only repeat that on stderr.  recover
+    # proves fullness exactly (det K = -132 10^306 w^10 a), and then finds
+    # no root to recover from
     f = tmp_path / "steep.var"
     f.write_text("n = 1\nkind = param\nf1 = u1\nf2 = 10^306*u1^12\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -444,7 +446,28 @@ def test_recover_cylinder_hypothesis_not_met(capsys):
         capsys, "recover", "--example", "cylinder", "--center", "1,1,1,1", "--format", "machine"
     )
     assert code == 1
-    assert json.loads(out)["verdict"] == "hypothesis_not_met"
+    report = json.loads(out)
+    assert report["verdict"] == "hypothesis_not_met" and "ramification" not in report["checks"]
+    # det K vanishes identically: the Schwartz-Zippel bound (3 / 201)^100
+    fullness = report["checks"]["tangent_fullness"]
+    assert (fullness["method"], fullness["verdict"], fullness["witness"]) == ("schwartz_zippel", "fails", None)
+    assert fullness["error_bound"] == (3 / 201) ** 100
+
+
+def test_recover_proves_fullness_where_the_origin_is_not_generic(tmp_path, capsys):
+    # f = (u1^3, u2^3): det H vanishes at the origin, det K = 36 w1 w2 a1 a2
+    # does not, and the center is recovered from all nine roots
+    f = tmp_path / "cubes.var"
+    f.write_text("n = 2\nkind = graph\nf1 = u1^3\nf2 = u2^3\n")
+    code, out, _ = run(capsys, "recover", str(f), "--center", "1/3,2/5,1/7,3/4", "--format", "machine")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "success"
+    fullness = report["checks"]["tangent_fullness"]
+    assert (fullness["method"], fullness["verdict"], fullness["error_bound"]) == ("schwartz_zippel", "holds", None)
+    w1, w2, a1, a2 = map(int, fullness["witness"])
+    assert fullness["details"] == {"determinant_at_witness": str(36 * w1 * w2 * a1 * a2)}
+    assert report["checks"]["ramification"]["count"] == 9 and report["checks"]["ramification"]["complete"]
+    assert report["checks"]["roundtrip"]["distance"] <= 1e-9
 
 
 def test_ramify_conic_machine_report(capsys):

@@ -11,10 +11,11 @@ from tansec.errors import (
     InsufficientPointsError,
     NoConsensusError,
 )
-from tansec.linalg import chordal_distance
+from tansec.linalg import _rank_tol, chordal_distance
 from tansec import projection
 from tansec.newton import NewtonConfig, stacked_newton
 from tansec.poly import parse_map, random_point
+from tansec.tangent import FAILS, SCHWARTZ_ZIPPEL
 from tansec.projection import (
     Center,
     RamificationSet,
@@ -284,12 +285,16 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     # parametrization makes one psi.jet2 at the w part of its (w, a) rows),
     # so residual and Jacobian share it; and no slice evaluates a point
     # twice: a point is evaluated again only when it is a root (residual at
-    # most tol) at which another slice stopped.  The only other jets are
-    # image evaluations while the wave is read: on a quadratic graph, each
-    # reading that has new endpoints (stopped converged in its round, farther
-    # than DEDUP_RADIUS from the orbits of earlier rounds' new endpoints)
-    # makes exactly one, at exactly their mirror images 2 P1 - x, in draw
-    # order; a cubic graph or a parametrization gets none
+    # most tol) at which another slice stopped.  Those are the only jets: no
+    # image is evaluated.  Each reading that has new endpoints (stopped
+    # converged in its round, farther than DEDUP_RADIUS from the orbits of
+    # earlier rounds' new endpoints) tests their orbits for isolation as one
+    # stack, in draw order: each endpoint with the residual and Jacobian
+    # Newton left there, then on a quadratic graph its mirror image 2 P1 - x
+    # with the same residual and the negated Jacobian (g_P is even in
+    # u - P1), then at a real input and center the conjugates of both; and
+    # every listed point, image or not, carries the residual norm of the
+    # endpoint it came from
     conjugate, mirror = projection._symmetries(G, center)
     if isinstance(G, ParamVariety):
         G = copy.copy(G)
@@ -297,23 +302,40 @@ def test_ramification_one_jet_per_newton_point(G, center, monkeypatch):
     else:
         G = counting = CountingJets(G)
     waves = _record_waves(monkeypatch, counting)
+    tested = []
+    isolated = projection._isolated
+
+    def recorded(J, r, step):
+        tested.append((J.copy(), r.copy()))
+        return isolated(J, r, step)
+
+    monkeypatch.setattr(projection, "_isolated", recorded)
     cfg = NewtonConfig(starts=16)
     R = ramification_points(G, center, cfg, random.Random(6))
-    assert R.converged > 0
+    assert R.converged > 0 and (R.images > 0) == (mirror or conjugate)
     assert len(waves) == 1
     starts, out, calls, reads = waves[0]
     assert starts.shape[0] == cfg.starts and np.array_equal(calls[0][0], starts)
-    images = [jets for _, jets, _ in reads if jets]
-    assert len(counting.points) == len(calls) + sum(map(len, images))
-    assert bool(images) == mirror
+    assert len(counting.points) == len(calls) and all(jets == [] for _, jets, _ in reads)
     p1 = center.affine()[0]
     orbits = np.empty((0, out.points.shape[1]), dtype=complex)
-    for _, jets, stopped in reads:
-        ready = out.points[stopped[out.converged[stopped]]]
-        new = ready[(np.linalg.norm(ready[:, None] - orbits, axis=2) > projection.DEDUP_RADIUS).all(axis=1)]
-        assert jets == ([(2 * p1 - new).tobytes()] if mirror and len(new) else [])
-        orbit = [new, 2 * p1 - new] if mirror else [new]
-        orbits = np.concatenate([orbits, *orbit, *(x.conj() for x in orbit if conjugate)])
+    stacks = iter(tested)
+    for _, _, stopped in reads:
+        ready = stopped[out.converged[stopped]]
+        new = ready[(np.linalg.norm(out.points[ready, None] - orbits, axis=2) > projection.DEDUP_RADIUS).all(axis=1)]
+        if not len(new):
+            continue
+        orbit = [(out.points[new], out.values[new], out.jacobians[new])]
+        if mirror:
+            orbit.append((2 * p1 - orbit[0][0], orbit[0][1], -orbit[0][2]))
+        if conjugate:
+            orbit += [tuple(a.conj() for a in image) for image in orbit]
+        J, r = next(stacks)
+        assert np.array_equal(J, np.stack([j for _, _, j in orbit], axis=1).reshape(J.shape))
+        assert np.array_equal(r, np.stack([v for _, v, _ in orbit], axis=1).reshape(r.shape))
+        orbits = np.concatenate([orbits, *(x for x, _, _ in orbit)])
+    assert next(stacks, None) is None
+    assert set(R.residuals) <= set(out.residuals[out.converged].tolist())
     first = {}  # the residual norm at each point's first evaluation
     for X, jets, norms in calls:
         assert jets == [np.ascontiguousarray(X[:, : G.n]).tobytes()]
@@ -359,8 +381,14 @@ def test_ramification_stop_comes_at_the_round_of_the_starts_that_stop_first(monk
     P = Center.from_affine([0.5], [0.2 + 0.3j])
     p1, p2 = P.affine()
     roots = np.roots([-2, 3 * p1[0], 0, -p2[0]])
-    chosen = iter([np.array([1e-7]) - p1, *(np.array([r + 0.01]) - p1 for r in roots)])
-    monkeypatch.setattr(projection, "random_point", lambda dim, box, rng: next(chosen))
+    chosen = np.concatenate([np.array([1e-7]) - p1, *(np.array([r + 0.01]) - p1 for r in roots)])
+
+    def draw(dim, box, rng):
+        # every start comes from one draw of starts * d coordinates
+        assert dim == len(chosen)
+        return chosen
+
+    monkeypatch.setattr(projection, "random_point", draw)
     counting = CountingJets(G)
     waves = _record_waves(monkeypatch, counting)
     R = ramification_points(counting, P, NewtonConfig(starts=4), random.Random(0))
@@ -430,6 +458,54 @@ def test_ramification_matches_the_one_start_loop(G, P, starts):
         for a, b in ((got.points, want.points), (want.points, got.points)):
             for x in a:
                 assert min(np.abs(x - y).max() for y in b) <= 1e-9
+
+
+def _svd_isolated(J, r, step):
+    """The isolation rule read from one stacked SVD: J has full numerical
+    rank and the Newton step J^-1 r is at most ``step``."""
+    u, s, _ = np.linalg.svd(J)
+    full = s[:, -1] > _rank_tol(s[:, 0], J.shape[1:])
+    full[full] = np.linalg.norm(np.einsum("kji,kj->ki", u[full].conj(), r[full]) / s[full], axis=1) <= step
+    return full
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_isolation_agrees_with_the_svd_rule(d):
+    # ``_isolated`` reads a stacked solve's ok mask and step norm; it gives
+    # the verdict of the rank threshold and step bound of one SVD on random
+    # stacks of every scale: well conditioned slices, exactly singular ones,
+    # condition 1e8 (full rank, steps of either size) and 1e11 (below the
+    # rank threshold).  A slice that is not finite does not count, where the
+    # SVD raises (NaN) or gives NaN (infinity)
+    rng = np.random.default_rng(d)
+    S = 600
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((S, d, d)) + 1j * rng.standard_normal((S, d, d)))
+        return q
+
+    cond = rng.choice([1.0, 1e3, 1e8, 1e11], size=S)
+    sigma = cond[:, None] ** -np.linspace(0, 1, d)
+    sigma[rng.random(S) < 0.1, -1] = 0.0  # exactly singular
+    J = np.einsum("sij,sj,sjk->sik", unitary(), sigma, unitary()) * 10.0 ** rng.uniform(-4, 4, (S, 1, 1))
+    J[:20, -1] = 0  # an exactly zero row
+    # steps of norm 10^-2 step to 10^2 step
+    step = 1e-2
+    x = rng.standard_normal((S, d)) + 1j * rng.standard_normal((S, d))
+    x *= step * 10.0 ** rng.uniform(-2, 2, (S, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    r = np.einsum("sij,sj->si", J, x)
+    want = _svd_isolated(J, r, step)
+    assert np.array_equal(projection._isolated(J, r, step), want)
+    for c in (1.0, 1e3, 1e8):
+        assert set(want[cond == c]) == {False, True}
+    assert not want[(cond == 1e11) | (sigma[:, -1] == 0)].any() and not want[:20].any()
+    J[20:25, 0, 0], J[25:30, -1, 0], r[30:35, 0] = np.nan, np.inf, np.inf
+    finite = np.ones(S, dtype=bool)
+    finite[20:35] = False
+    got = projection._isolated(J, r, step)
+    assert not got[~finite].any() and np.array_equal(got[finite], want[finite])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(J[20:25])
 
 
 # -- the Bezout stop ------------------------------------------------------------------
@@ -912,3 +988,18 @@ def test_roundtrip_cylinder_hypothesis_not_met():
     assert report.status == "hypothesis_not_met"
     assert report.ramification is None
     assert not report.succeeded
+
+
+@pytest.mark.parametrize(
+    "G,degree",
+    [(CYLINDER, 3), (graph(["u1^2 + u2", "3*u1^2 - u1"], 2), 2)],  # no second derivative in u2
+)
+def test_roundtrip_hypothesis_not_met_carries_the_det_k_bound(G, degree):
+    # det K vanishes identically: every draw is zero, the certificate fails
+    # with its Schwartz-Zippel bound (D / 201)^trials, D the sum of the
+    # components' degrees minus one, and no root is sought
+    report = roundtrip(G, Center.from_affine([0.5, -0.5], [0.25, 0.5]), rng=random.Random(1), trials=7)
+    assert report.status == "hypothesis_not_met" and report.ramification is None
+    cert = report.fullness
+    assert (cert.verdict, cert.method, cert.trials, cert.successes, cert.witness) == (FAILS, SCHWARTZ_ZIPPEL, 7, 0, None)
+    assert cert.error_bound == (degree / 201) ** 7
